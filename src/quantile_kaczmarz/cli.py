@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import (
@@ -29,10 +28,8 @@ from .harness import (
     compare_methods,
     run,
 )
-from .errors import TooManySubsetsError
-from .linalg import restricted_min_sv_bruteforce, restricted_min_sv_sampled, sigma_max_sq
 from .problems import CorruptionSpec, GeneratorSpec, generate, save_system
-from .rates import convergence_condition, rate_report
+from .rates import RateInputs, _restricted_summary, convergence_condition, rate_report
 from .solvers import COMPARATORS, METHODS, SolverConfig
 
 EXIT_OK = 0
@@ -220,43 +217,23 @@ def _cmd_rate(args) -> int:
     spec = _build_generator(args, file_cfg)
     system = generate(spec)
     q = args.q if args.q is not None else 0.7
-    k = math.ceil((q - system.beta) * system.m)
-    s2max = sigma_max_sq(system.matrix)
-    if k < system.n:
-        print(
-            f"restricted subset size {k} is below the column count {system.n}: "
-            "the restricted smallest singular value is zero"
-        )
+    try:
+        summary = _restricted_summary(system, q, spec.seed, args.samples)
+    except ConditionViolatedError as exc:
+        print(f"{exc}: the restricted smallest singular value is zero")
         print("condition holds: False")
         return EXIT_OK
-    try:
-        summary = restricted_min_sv_bruteforce(system.matrix, k)
-    except TooManySubsetsError:
-        summary = restricted_min_sv_sampled(
-            system.matrix, k, samples=args.samples, seed=spec.seed
-        )
-    holds, epsilon = convergence_condition(
-        q, system.beta, s2max, summary.sigma_restricted_min_sq
-    )
+    s2max = summary.sigma_max_sq
+    holds, epsilon = convergence_condition(q, system.beta, s2max, summary.sigma_restricted_min_sq)
     if not holds:
         # A failed condition is an analytic verdict, not a usage error.
         print(f"condition holds: False (epsilon = {epsilon:.6g})")
         print("no step size carries a guaranteed contraction for these inputs")
-        print(
-            f"inputs: q={q}, beta={system.beta}, m={system.m}, "
-            f"sigma_max_sq={s2max:.6g}, "
-            f"sigma_restricted_min_sq={summary.sigma_restricted_min_sq:.6g} "
-            f"({'exact' if summary.exact else 'sampled estimate'})"
-        )
+        print(RateInputs(q, system.beta, system.m, s2max, summary.sigma_restricted_min_sq,
+                         summary.exact).summary())
         return EXIT_OK
-    report = rate_report(
-        q,
-        system.beta,
-        system.m,
-        s2max,
-        summary.sigma_restricted_min_sq,
-        exact=summary.exact,
-    )
+    report = rate_report(q, system.beta, system.m, s2max, summary.sigma_restricted_min_sq,
+                         exact=summary.exact)
     print(report.summary())
     if args.json_out:
         report.to_json(args.json_out)

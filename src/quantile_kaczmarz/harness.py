@@ -25,7 +25,7 @@ from .problems import (
     generate,
     generate_adversarial_duplicate,
 )
-from .solvers import IterationTrace, SolverConfig, solve
+from .solvers import IterationTrace, SolverConfig, method_spec, solve
 from .svgplot import emit_svg
 
 SWEEP_CSV_HEADER = "value,repetition,rel_error,diverged,wall_ms"
@@ -163,6 +163,13 @@ def _solve_outcome(
     return rel, diverged, _wall_ms(trace, timing)
 
 
+def _error_series(label: str, rel_error) -> list:
+    """The SVG series of one relative-error curve: its finite positive points,
+    numbered from iteration 1, or no series if there are none."""
+    pts = [(k + 1, r) for k, r in enumerate(rel_error) if math.isfinite(r) and r > 0]
+    return [(label, [p[0] for p in pts], [p[1] for p in pts])] if pts else []
+
+
 def write_sweep_csv(result: SweepResult, path) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
@@ -253,12 +260,16 @@ def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
     """Sweep the quantile parameter, resolving the step size per q.
 
     With ``solver.alpha == "auto"`` each (q, repetition) pair gets an
-    empirically resolved step size; an explicit alpha is used as-is.
+    empirically resolved step size, unless the method takes none; an
+    explicit alpha is used as-is.
     """
+    search = (isinstance(config.solver.alpha, str)
+              and method_spec(config.solver.method).takes_alpha)
 
     def resolver(system, value, rep):
         q = float(value)
-        if isinstance(config.solver.alpha, str):
+        alpha = config.solver.alpha
+        if search:
             alpha = empirical_alpha(
                 system,
                 config.solver,
@@ -266,8 +277,6 @@ def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
                 derived_seed(config.solver.seed, _TAG_ALPHA_SEARCH, rep),
                 start=config.start,
             )
-        else:
-            alpha = config.solver.alpha
         return dataclasses.replace(config.solver, q=q, alpha=alpha)
 
     return _sweep(config, "q", qs, resolver)
@@ -328,11 +337,11 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     paths["trace_csv"] = trace.write_csv(out / "trace.csv", timing=config.timing)
     extras = {"resolved": trace.config_dict()}
     paths["config_json"] = _write_json(_resolved_config_dict(config, extras), out / "config.json")
-    if config.svg and trace.rel_error:
-        positive = [(k + 1, r) for k, r in enumerate(trace.rel_error) if r > 0 and math.isfinite(r)]
-        if positive:
+    if config.svg:
+        series = _error_series(config.solver.method, trace.rel_error)
+        if series:
             paths["svg"] = emit_svg(
-                [(config.solver.method, [p[0] for p in positive], [p[1] for p in positive])],
+                series,
                 log_y=True,
                 path=out / "trace.svg",
                 title=config.solver.method,
@@ -401,15 +410,8 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
             fh.write(f"{k + 1}," + ",".join(rels) + "," + ",".join(elapsed) + "\n")
     paths["compare_csv"] = out / "compare.csv"
 
-    series = []
-    for midx, (method, trace) in enumerate(zip(methods, traces)):
-        pts = [
-            (k + 1, r)
-            for k, r in enumerate(trace.rel_error)
-            if math.isfinite(r) and r > 0
-        ]
-        if pts:
-            series.append((f"{method}", [p[0] for p in pts], [p[1] for p in pts]))
+    series = [s for method, trace in zip(methods, traces)
+              for s in _error_series(method, trace.rel_error)]
     if config.svg and series:
         paths["svg"] = emit_svg(
             series,
@@ -502,15 +504,8 @@ def adversarial_demo(
     results["summary_json"] = _write_json(summary, out / "summary.json")
 
     if svg:
-        series = []
-        for label in ("projective", "averaged"):
-            pts = [
-                (k + 1, r)
-                for k, r in enumerate(traces[label].rel_error)
-                if math.isfinite(r) and r > 0
-            ]
-            if pts:
-                series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
+        series = [s for label in ("projective", "averaged")
+                  for s in _error_series(label, traces[label].rel_error)]
         if series:
             results["svg"] = emit_svg(
                 series,

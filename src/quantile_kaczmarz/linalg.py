@@ -1,8 +1,9 @@
 """Dense row-space primitives.
 
-Row normalization, extremal singular values of the row Gram matrix, and the
-restricted smallest singular value over row subsets of a fixed size -- the
-quantity that controls how badly conditioned an accepted block of rows can be.
+Row normalization, the residual quantile, extremal singular values of the
+row Gram matrix, and the restricted smallest singular value over row subsets
+of a fixed size -- the quantity that controls how badly conditioned an
+accepted block of rows can be.
 Everything here is a pure function of its inputs.
 """
 from __future__ import annotations
@@ -13,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    ShapeError,
-    TooManySubsetsError,
-    ZeroRowError,
-)
+from .errors import DomainError, EmptyInputError, ShapeError, TooManySubsetsError, ZeroRowError
 
 # Exhaustive enumeration refuses to start above this many subsets; callers
 # fall back to the sampled estimator instead of silently degrading exactness.
@@ -72,59 +68,33 @@ def is_row_normalized(matrix, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(row_norms(matrix) - 1.0)) <= tol)
 
 
+def quantile_of_multiset(values, q: float) -> float:
+    """The ceil(q*S)-th smallest element of a multiset of S reals.
+
+    Duplicates count; selection is 1-indexed, so ``q=1`` returns the maximum.
+    Uses a partial sort, O(S) expected time.
+    """
+    arr = np.asarray(values, dtype=float).ravel()
+    if arr.size == 0:
+        raise EmptyInputError("quantile of an empty multiset")
+    if not 0.0 < q <= 1.0:
+        raise DomainError(f"q must lie in (0, 1], got {q}")
+    k = math.ceil(q * arr.size)
+    return float(np.partition(arr, k - 1)[k - 1])
+
+
 def gram(matrix) -> np.ndarray:
     a = as_matrix(matrix)
     return a.T @ a
 
 
-def sigma_max_sq(matrix, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of ``matrix.T @ matrix`` by power iteration.
+def sigma_max_sq(matrix) -> float:
+    """Largest eigenvalue of ``matrix.T @ matrix``.
 
-    The iteration runs on the n x n Gram matrix and starts from the
-    normalized all-ones vector so that repeated calls are reproducible.  If
-    the Rayleigh quotient stagnates at zero (the start vector lies in the
-    kernel), it restarts once from a fixed seeded random vector.  Convergence
-    is declared when the relative change of the Rayleigh quotient drops
-    below ``tol``.
-
-    Raises
-    ------
-    NoConvergenceError
-        If the relative change still exceeds ``tol`` after ``max_iter``
-        sweeps.
+    Uses a dense symmetric eigensolver on the n x n Gram matrix; the result
+    is clipped at zero since the Gram matrix is positive semi-definite.
     """
-    if tol <= 0:
-        raise ShapeError("tol must be positive")
-    g = gram(matrix)
-    n = g.shape[0]
-
-    def iterate(v0: np.ndarray) -> float | None:
-        v = v0 / np.linalg.norm(v0)
-        lam = float(v @ (g @ v))
-        for _ in range(max_iter):
-            w = g @ v
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                # v is in the kernel: stagnation at zero.
-                return 0.0 if lam == 0.0 else lam
-            v = w / norm_w
-            lam_new = float(v @ (g @ v))
-            if abs(lam_new - lam) <= tol * max(abs(lam_new), _ZERO_ROW_FLOOR):
-                return lam_new
-            lam = lam_new
-        return None
-
-    lam = iterate(np.ones(n))
-    if lam == 0.0:
-        # All-ones start may be orthogonal to the range; retry from a fixed
-        # random direction before trusting the zero.
-        rng = np.random.default_rng(0x5EED)
-        lam = iterate(rng.standard_normal(n))
-    if lam is None:
-        raise NoConvergenceError(
-            f"power iteration did not converge in {max_iter} sweeps (tol={tol})"
-        )
-    return max(lam, 0.0)
+    return float(max(np.linalg.eigvalsh(gram(matrix))[-1], 0.0))
 
 
 def sigma_min_sq(matrix) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError, ZeroBaselineError
+from .errors import IoError, SpecError, ZeroBaselineError
 from .linalg import row_normalize
 
 FAMILIES = ("gaussian", "coherent", "sphere", "adversarial-duplicate")
@@ -245,14 +245,37 @@ def save_system(
     return out
 
 
+def _check(ok, path: Path, mismatch: str) -> None:
+    if not ok:
+        raise IoError(f"{path}: {mismatch}")
+
+
 def load_system(directory) -> CorruptedSystem:
+    """Read a system written by :func:`save_system`; raises :class:`IoError`
+    naming the file when what it holds disagrees with the metadata, repeats
+    or leaves [0, m) in the corrupted indices, or is not finite."""
     src = Path(directory)
+    meta_path = src / "metadata.json"
+    with open(meta_path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    version = meta.get("format_version")
+    _check(version == _FORMAT_VERSION, meta_path,
+           f"format_version {version!r}, expected {_FORMAT_VERSION}")
+    m, n = meta["m"], meta["n"]
     matrix = np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2)
     b_observed = np.loadtxt(src / "b_observed.csv", ndmin=1)
-    with open(src / "metadata.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
     x_star = np.asarray(meta["x_star"], dtype=float)
     indices = np.asarray(meta["corrupted_indices"], dtype=np.intp)
+    _check(matrix.shape == (m, n), src / "matrix.csv",
+           f"matrix is {matrix.shape[0]}x{matrix.shape[1]}, metadata says {m}x{n}")
+    _check(b_observed.shape == (m,), src / "b_observed.csv",
+           f"{b_observed.size} entries, expected m={m}")
+    _check(x_star.shape == (n,), meta_path, f"x_star has {x_star.size} entries, expected n={n}")
+    _check(len(set(indices.tolist())) == indices.size and np.all((indices >= 0) & (indices < m)),
+           meta_path, f"corrupted_indices must be unique and lie in [0, {m})")
+    for path, values in ((src / "matrix.csv", matrix), (src / "b_observed.csv", b_observed),
+                         (meta_path, x_star)):
+        _check(np.all(np.isfinite(values)), path, "non-finite entry")
     # Uncorrupted entries of b_observed are the consistent values; only the
     # corrupted ones need recomputation from the stored solution.
     b_true = b_observed.copy()

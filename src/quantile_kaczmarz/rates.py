@@ -23,13 +23,14 @@ from .errors import (
 )
 from .linalg import (
     SUBSET_ENUMERATION_CAP,
+    SpectralSummary,
+    quantile_of_multiset,
     restricted_min_sv_bruteforce,
     restricted_min_sv_sampled,
     sigma_max_sq,
     sigma_min_sq,
 )
 from .problems import CorruptedSystem
-from .solvers import quantile_of_multiset
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,14 @@ class RateInputs:
     sigma_max_sq: float
     sigma_restricted_min_sq: float
     exact: bool
+
+    def summary(self) -> str:
+        return (
+            f"inputs: q={self.q}, beta={self.beta}, m={self.m}, "
+            f"sigma_max_sq={self.sigma_max_sq:.6g}, "
+            f"sigma_restricted_min_sq={self.sigma_restricted_min_sq:.6g} "
+            f"({'exact' if self.exact else 'sampled estimate'})"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,10 +75,7 @@ class RateReport:
             f"c1 = {self.c1:.6g}, c2 = {self.c2:.6g}",
             f"optimal step size = {self.alpha_opt:.6g}",
             f"guaranteed squared-error factor per iteration = {self.contraction:.6g}",
-            f"inputs: q={self.inputs.q}, beta={self.inputs.beta}, m={self.inputs.m}, "
-            f"sigma_max_sq={self.inputs.sigma_max_sq:.6g}, "
-            f"sigma_restricted_min_sq={self.inputs.sigma_restricted_min_sq:.6g} "
-            f"({'exact' if self.inputs.exact else 'sampled estimate'})",
+            self.inputs.summary(),
         ]
         return "\n".join(lines)
 
@@ -184,6 +190,24 @@ def scaled_step_decrease(xi: float) -> float:
     return 2.0 * xi - xi * xi
 
 
+def _restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: int,
+                        cap: int = SUBSET_ENUMERATION_CAP) -> SpectralSummary:
+    """Spectral summary over the row subsets of size ceil((q - beta) * m):
+    exhaustive when there are at most ``cap`` of them, else over ``samples``
+    seeded draws.  Raises :class:`ConditionViolatedError` when the size is
+    below the column count, as every such submatrix is then rank deficient.
+    """
+    m = system.m
+    k = math.ceil((q - system.beta) * m)
+    if k < system.n:
+        raise ConditionViolatedError(
+            f"restricted subset size {k} is below the column count {system.n}"
+        )
+    if math.comb(m, k) <= cap:
+        return restricted_min_sv_bruteforce(system.matrix, k, cap=cap)
+    return restricted_min_sv_sampled(system.matrix, k, samples=samples, seed=seed)
+
+
 def resolve_alpha_auto(
     system: CorruptedSystem,
     q: float,
@@ -197,22 +221,9 @@ def resolve_alpha_auto(
     is enumerable under ``cap``, otherwise a seeded sampled estimate.
     Returns ``(alpha_opt, exact_flag)``.
     """
-    m = system.m
-    k = math.ceil((q - system.beta) * m)
-    if k < system.n:
-        # Every k-row submatrix is rank deficient, so the restricted smallest
-        # singular value is zero and no contraction can be guaranteed.
-        raise ConditionViolatedError(
-            f"restricted subset size {k} is below the column count {system.n}"
-        )
-    s2max = sigma_max_sq(system.matrix)
-    if math.comb(m, k) <= cap:
-        summary = restricted_min_sv_bruteforce(system.matrix, k, cap=cap)
-    else:
-        summary = restricted_min_sv_sampled(system.matrix, k, samples=samples, seed=seed)
-    report = rate_report(
-        q, system.beta, m, s2max, summary.sigma_restricted_min_sq, exact=summary.exact
-    )
+    summary = _restricted_summary(system, q, seed, samples, cap)
+    report = rate_report(q, system.beta, system.m, summary.sigma_max_sq,
+                         summary.sigma_restricted_min_sq, exact=summary.exact)
     return report.alpha_opt, summary.exact
 
 

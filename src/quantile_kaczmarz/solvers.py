@@ -15,47 +15,37 @@ Six methods behind one trace-producing entry point :func:`solve`:
 - ``quantile-projective-block``: least-squares projection onto the
   intersection of all accepted rows' hyperplanes via the pseudoinverse.
 
-All step functions are pure; :func:`solve` owns the RNG stream, the stopping
-rules, and the per-iteration trace.
+Each method is one entry of a table that states its quantile scope, whether
+it takes a step size, and how to build its step; validation, step-size
+resolution and dispatch read only that table.  All step functions are pure;
+:func:`solve` owns the RNG stream, the stopping rules, and the per-iteration
+trace.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConditionViolatedError,
     ConfigError,
     DivergedError,
     DomainError,
-    EmptyInputError,
     ShapeError,
 )
-from .linalg import is_row_normalized, sigma_max_sq
+from .linalg import is_row_normalized, quantile_of_multiset, sigma_max_sq
 from .problems import CorruptedSystem
+from .rates import resolve_alpha_auto
 
-METHODS = (
-    "rk",
-    "quantile-rk",
-    "averaged-block",
-    "quantile-averaged-block",
-    "sampled-quantile-averaged-block",
-    "quantile-projective-block",
-)
 COMPARATORS = ("strict-below", "at-or-below")
 
 DIVERGENCE_LIMIT = 1e12
-
-_QUANTILE_METHODS = (
-    "quantile-rk",
-    "quantile-averaged-block",
-    "sampled-quantile-averaged-block",
-    "quantile-projective-block",
-)
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class SolverConfig:
     the step size is resolved from the convergence-rate formulas (only
     supported for the averaged quantile methods).  ``t`` is the sample size
     for the sampled methods and defaults to the full row count; ``block_size``
-    is required for ``averaged-block``.
+    is required by the random-block averaged method.
     """
 
     method: str
@@ -154,21 +144,6 @@ class IterationTrace:
 
 # ---------------------------------------------------------------------------
 # Primitive operations
-
-def quantile_of_multiset(values, q: float) -> float:
-    """The ceil(q*S)-th smallest element of a multiset of S reals.
-
-    Duplicates count; selection is 1-indexed, so ``q=1`` returns the maximum.
-    Uses a partial sort, O(S) expected time.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise EmptyInputError("quantile of an empty multiset")
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"q must lie in (0, 1], got {q}")
-    k = math.ceil(q * arr.size)
-    return float(np.partition(arr, k - 1)[k - 1])
-
 
 def residual(matrix, b, x) -> np.ndarray:
     """The signed distances b - matrix @ x."""
@@ -322,11 +297,80 @@ def averaged_rbk_step(
 
 
 # ---------------------------------------------------------------------------
+# Method table
+
+Step = Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, StepStats]]
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What sets one method apart: the rows its quantile ranks (``"m"``: all,
+    ``"t"``: the sampled ones, None: no quantile test), whether a step size
+    applies and whether ``alpha="auto"`` resolves it, and ``build(matrix, b,
+    config, t, alpha)``, which returns one solve's step ``(x, rng) -> (x_next,
+    stats)``.  The step calls its kernel by module-global name, so a kernel
+    rebound in this module takes effect."""
+
+    scope: str | None
+    takes_alpha: bool
+    auto_alpha: bool
+    build: Callable[..., Step]
+
+
+def _rk(a, b, config, t, alpha) -> Step:
+    return lambda x, rng: rk_step(a, b, x, rng)
+
+
+def _quantile_rk(a, b, config, t, alpha) -> Step:
+    return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng)
+
+
+def _averaged(a, b, config, t, alpha) -> Step:
+    size = config.block_size
+    if size is None or not 1 <= size <= a.shape[0]:
+        raise ConfigError(f"method {config.method!r} requires 1 <= block_size <= m")
+    return lambda x, rng: averaged_rbk_step(
+        a, b, x, rng.choice(a.shape[0], size=size, replace=False), alpha
+    )
+
+
+def _quantile_averaged(a, b, config, t, alpha) -> Step:
+    return lambda x, rng: quantile_abk_step(a, b, x, config.q, alpha, config.comparator)
+
+
+def _sampled_quantile_averaged(a, b, config, t, alpha) -> Step:
+    return lambda x, rng: sampled_qabk_step(a, b, x, config.q, t, alpha, rng, config.comparator)
+
+
+def _projective(a, b, config, t, alpha) -> Step:
+    ridge = 1e-12 * sigma_max_sq(a)
+    return lambda x, rng: quantile_pbk_step(a, b, x, config.q, config.comparator, ridge)
+
+
+_METHOD_TABLE = {
+    #                                             scope takes_alpha auto_alpha build
+    "rk":                              MethodSpec(None, False, False, _rk),
+    "quantile-rk":                     MethodSpec("t",  False, False, _quantile_rk),
+    "averaged-block":                  MethodSpec(None, True,  False, _averaged),
+    "quantile-averaged-block":         MethodSpec("m",  True,  True,  _quantile_averaged),
+    "sampled-quantile-averaged-block": MethodSpec("t",  True,  True,  _sampled_quantile_averaged),
+    "quantile-projective-block":       MethodSpec("m",  False, False, _projective),
+}
+METHODS = tuple(_METHOD_TABLE)
+
+
+def method_spec(method: str) -> MethodSpec:
+    """The table entry of ``method``; raises :class:`ConfigError` if unknown."""
+    if method not in _METHOD_TABLE:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _METHOD_TABLE[method]
+
+
+# ---------------------------------------------------------------------------
 # Driver
 
-def _validate_config(config: SolverConfig, system: CorruptedSystem) -> int:
-    if config.method not in METHODS:
-        raise ConfigError(f"unknown method {config.method!r}; expected one of {METHODS}")
+def _validate_config(config: SolverConfig, system: CorruptedSystem) -> tuple[MethodSpec, int]:
+    spec = method_spec(config.method)
     if config.comparator not in COMPARATORS:
         raise ConfigError(f"unknown comparator {config.comparator!r}")
     if config.max_iters < 1:
@@ -337,36 +381,33 @@ def _validate_config(config: SolverConfig, system: CorruptedSystem) -> int:
     t = config.t if config.t is not None else m
     if not 1 <= t <= m:
         raise ConfigError(f"sample size t={t} must satisfy 1 <= t <= m={m}")
-    if config.method in _QUANTILE_METHODS:
+    if spec.scope is not None:
         if not 0.0 < config.q <= 1.0:
             raise ConfigError(f"q must lie in (0, 1], got {config.q}")
-        scope = t if config.method in ("sampled-quantile-averaged-block", "quantile-rk") else m
+        scope = t if spec.scope == "t" else m
         if config.q * scope < 1.0:
             raise ConfigError(f"q*{scope} must be >= 1, got {config.q * scope}")
-    if config.method == "averaged-block":
-        if config.block_size is None or not 1 <= config.block_size <= m:
-            raise ConfigError("averaged-block requires 1 <= block_size <= m")
     if not isinstance(config.alpha, str):
         if not config.alpha > 0:
             raise ConfigError(f"alpha must be positive, got {config.alpha}")
     elif config.alpha != "auto":
         raise ConfigError(f"alpha must be a positive float or 'auto', got {config.alpha!r}")
-    return t
+    return spec, t
 
 
-def _resolve_alpha(config: SolverConfig, system: CorruptedSystem) -> tuple[float, str]:
-    if config.method in ("rk", "quantile-rk", "quantile-projective-block"):
+def _resolve_alpha(
+    spec: MethodSpec, config: SolverConfig, system: CorruptedSystem
+) -> tuple[float, str]:
+    if not spec.takes_alpha:
         # Pure projection methods have no step size.
         return math.nan, "none"
     if not isinstance(config.alpha, str):
         return float(config.alpha), "explicit"
-    if config.method not in ("quantile-averaged-block", "sampled-quantile-averaged-block"):
+    if not spec.auto_alpha:
         raise ConfigError(f"alpha='auto' is not supported for method {config.method!r}")
-    from .rates import resolve_alpha_auto  # local import: rates depends on solvers
-
     try:
         alpha, exact = resolve_alpha_auto(system, config.q, seed=config.seed)
-    except Exception as exc:
+    except (ConditionViolatedError, DomainError, ShapeError) as exc:
         raise ConfigError(f"automatic step-size resolution failed: {exc}") from exc
     return alpha, "auto-exact" if exact else "auto-sampled"
 
@@ -389,10 +430,13 @@ def solve(
         raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ConfigError("x0 must be finite")
+    if not np.all(np.isfinite(system.b_observed)):
+        raise ConfigError("b_observed must be finite")
     if not is_row_normalized(a):
         raise ConfigError("system matrix must have unit-norm rows")
-    t = _validate_config(config, system)
-    alpha, alpha_source = _resolve_alpha(config, system)
+    spec, t = _validate_config(config, system)
+    alpha, alpha_source = _resolve_alpha(spec, config, system)
+    step = spec.build(a, system.b_observed, config, t, alpha)
 
     base = float(np.linalg.norm(x0 - system.x_star))
 
@@ -406,9 +450,6 @@ def solve(
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     corrupted = system.corrupted_mask()
-    ridge = 0.0
-    if config.method == "quantile-projective-block":
-        ridge = 1e-12 * sigma_max_sq(a)
 
     trace = IterationTrace(
         method=config.method,
@@ -425,25 +466,7 @@ def solve(
     elapsed = 0
     for _ in range(config.max_iters):
         started = time.perf_counter_ns()
-        if config.method == "rk":
-            x_next, stats = rk_step(a, system.b_observed, x, rng)
-        elif config.method == "quantile-rk":
-            x_next, stats = quantile_rk_step(a, system.b_observed, x, config.q, t, rng)
-        elif config.method == "averaged-block":
-            block = rng.choice(system.m, size=config.block_size, replace=False)
-            x_next, stats = averaged_rbk_step(a, system.b_observed, x, block, alpha)
-        elif config.method == "quantile-averaged-block":
-            x_next, stats = quantile_abk_step(
-                a, system.b_observed, x, config.q, alpha, config.comparator
-            )
-        elif config.method == "sampled-quantile-averaged-block":
-            x_next, stats = sampled_qabk_step(
-                a, system.b_observed, x, config.q, t, alpha, rng, config.comparator
-            )
-        else:  # quantile-projective-block
-            x_next, stats = quantile_pbk_step(
-                a, system.b_observed, x, config.q, config.comparator, ridge
-            )
+        x_next, stats = step(x, rng)
         elapsed += time.perf_counter_ns() - started
 
         rel_k = rel(x_next)

@@ -140,7 +140,7 @@ def test_criterion_1_lemma_suite():
 def _check_quantile_estimate(system, trace, q):
     beta = system.beta
     assert 0 < q < 1 - beta
-    smax = math.sqrt(qk.sigma_max_sq(system.matrix, tol=1e-14, max_iter=200_000))
+    smax = math.sqrt(qk.sigma_max_sq(system.matrix))
     factor = smax / (math.sqrt(system.m) * math.sqrt(1 - q - beta))
     worst = math.inf
     previous_rel = 1.0
@@ -210,7 +210,7 @@ def test_criterion_3_per_iteration_certifier():
             b[idx] += rng.uniform(-100.0, 100.0, corrupted_count)
         system = qk.CorruptedSystem(matrix=a, x_star=x_star, b_true=b_true,
                                     b_observed=b, corrupted_indices=idx, beta=beta)
-        s2max = qk.sigma_max_sq(a, tol=1e-14, max_iter=200_000)
+        s2max = qk.sigma_max_sq(a)
         s2r = qk.restricted_min_sv_bruteforce(a, k).sigma_restricted_min_sq
 
         # Optimal step where the contraction condition admits one; otherwise

@@ -96,6 +96,21 @@ class TestSweeps:
         assert len(result.points) == 2
         assert all(math.isfinite(p.rel_error) for p in result.points)
 
+    def test_quantile_sweep_skips_alpha_search_for_methods_without_alpha(
+        self, tmp_path, monkeypatch
+    ):
+        import quantile_kaczmarz.harness as harness
+
+        calls = []
+        original = harness.empirical_alpha
+        monkeypatch.setattr(harness, "empirical_alpha",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        sweep_quantile(experiment(tmp_path, method="quantile-rk", alpha="auto", t=50),
+                       (0.5, 0.7))
+        assert calls == []
+        sweep_quantile(experiment(tmp_path, alpha="auto"), (0.5, 0.7))
+        assert len(calls) == 2
+
     def test_argmin_and_divergence_helpers(self, tmp_path):
         result = sweep_step_size(experiment(tmp_path, reps=2), (0.5, 2.0, 5000.0))
         assert result.argmin_value() == 2.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quantile_kaczmarz.errors import SpecError, ZeroBaselineError
+from quantile_kaczmarz.errors import IoError, SpecError, ZeroBaselineError
 from quantile_kaczmarz.problems import (
     CorruptedSystem,
     CorruptionSpec,
@@ -217,3 +217,75 @@ class TestRoundTrip:
         save_system(system, tmp_path / "b")
         for name in ("matrix.csv", "b_observed.csv", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestLoadValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        out = tmp_path / "sys"
+        save_system(generate(spec(m=40, n=5, seed=4, beta=0.25)), out)
+        return out
+
+    def edit_meta(self, out, **changes):
+        path = out / "metadata.json"
+        meta = json.loads(path.read_text())
+        meta.update(changes)
+        path.write_text(json.dumps(meta))
+
+    def drop_last_line(self, path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+
+    def test_matrix_rows_disagree_with_metadata(self, saved):
+        self.drop_last_line(saved / "matrix.csv")
+        with pytest.raises(IoError, match="matrix.csv"):
+            load_system(saved)
+
+    def test_matrix_columns_disagree_with_metadata(self, saved):
+        self.edit_meta(saved, n=6)
+        with pytest.raises(IoError, match="matrix.csv"):
+            load_system(saved)
+
+    def test_short_b_observed(self, saved):
+        self.drop_last_line(saved / "b_observed.csv")
+        with pytest.raises(IoError, match="b_observed.csv"):
+            load_system(saved)
+
+    def test_x_star_length(self, saved):
+        meta = json.loads((saved / "metadata.json").read_text())
+        self.edit_meta(saved, x_star=meta["x_star"][:-1])
+        with pytest.raises(IoError, match="x_star"):
+            load_system(saved)
+
+    def test_repeated_corrupted_index(self, saved):
+        meta = json.loads((saved / "metadata.json").read_text())
+        idx = meta["corrupted_indices"]
+        self.edit_meta(saved, corrupted_indices=idx + idx[:1])
+        with pytest.raises(IoError, match="corrupted_indices"):
+            load_system(saved)
+
+    @pytest.mark.parametrize("index", [-1, 40, 99])
+    def test_corrupted_index_out_of_range(self, saved, index):
+        self.edit_meta(saved, corrupted_indices=[index])
+        with pytest.raises(IoError, match="corrupted_indices"):
+            load_system(saved)
+
+    def test_format_version(self, saved):
+        self.edit_meta(saved, format_version=2)
+        with pytest.raises(IoError, match="format_version"):
+            load_system(saved)
+
+    @pytest.mark.parametrize("name", ["matrix.csv", "b_observed.csv"])
+    def test_non_finite_csv_entry(self, saved, name):
+        path = saved / name
+        text = path.read_text()
+        first = text.split("\n", 1)[0].split(",")[0]
+        path.write_text(text.replace(first, "nan", 1))
+        with pytest.raises(IoError, match=name):
+            load_system(saved)
+
+    def test_non_finite_x_star(self, saved):
+        meta = json.loads((saved / "metadata.json").read_text())
+        self.edit_meta(saved, x_star=[math.inf] + meta["x_star"][1:])
+        with pytest.raises(IoError, match="metadata.json"):
+            load_system(saved)

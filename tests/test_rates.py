@@ -73,7 +73,7 @@ class TestConvergenceCondition:
 class TestRateReport:
     def test_worked_example_constants(self):
         m = worked_4x2()
-        s2max = sigma_max_sq(m, tol=1e-14, max_iter=100000)
+        s2max = sigma_max_sq(m)
         s2r = restricted_min_sv_bruteforce(m, 2).sigma_restricted_min_sq
         report = rate_report(0.5, 0.0, 4, s2max, s2r)
         assert report.c1 == pytest.approx(1 - SQRT2 / 2, rel=1e-10)
@@ -251,7 +251,7 @@ class TestCertifyIteration:
     @pytest.mark.parametrize("seed", range(10))
     def test_bounds_hold_on_random_corrupted_runs(self, seed):
         system = small_system(seed=100 + seed, m=12, n=2, beta=1 / 12)
-        s2max = sigma_max_sq(system.matrix, tol=1e-14, max_iter=100000)
+        s2max = sigma_max_sq(system.matrix)
         q = 0.5  # q*m = 6 accepted rows per step
         alpha = q * system.m / s2max
         s2r = restricted_min_sv_bruteforce(

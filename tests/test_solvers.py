@@ -392,6 +392,37 @@ class TestSolve:
         with pytest.raises(ConfigError):
             solve(system, config, np.zeros(3))
 
+    def test_auto_alpha_propagates_programming_errors(self, monkeypatch):
+        import quantile_kaczmarz.solvers as solvers
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the step-size resolution")
+
+        monkeypatch.setattr(solvers, "resolve_alpha_auto", broken)
+        system = corrupted_system(m=14, n=3, seed=25, beta=0.0)
+        config = SolverConfig(method="quantile-averaged-block", q=0.5, alpha="auto",
+                              max_iters=5, seed=0)
+        with pytest.raises(TypeError):
+            solve(system, config, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_b_observed_rejected(self, bad):
+        system = corrupted_system(seed=31)
+        system.b_observed[5] = bad
+        config = SolverConfig(method="quantile-averaged-block", q=0.7, alpha=10.0,
+                              max_iters=3, seed=0)
+        with pytest.raises(ConfigError, match="b_observed"):
+            solve(system, config, np.zeros(system.n))
+
+    def test_projective_solves_slowly_separated_spectrum(self):
+        # The ridge of the projective step needs sigma_max^2; on this system
+        # a power iteration failed to converge and the solve could not start.
+        system = generate(GeneratorSpec("gaussian", 10000, 100, 3809353120,
+                                        CorruptionSpec(beta=0.2)))
+        config = SolverConfig(method="quantile-projective-block", q=0.7, max_iters=2, seed=0)
+        trace = solve(system, config, np.ones(system.n))
+        assert trace.iterations == 2
+
     def test_auto_alpha_resolves_exactly_on_small_system(self):
         system = corrupted_system(m=14, n=3, seed=25, beta=0.0)
         config = SolverConfig(method="quantile-averaged-block", q=0.5, alpha="auto",
