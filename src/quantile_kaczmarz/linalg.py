@@ -24,6 +24,16 @@ _ZERO_ROW_FLOOR = 1e-300
 _EIG_CHUNK = 4096
 
 
+def _as_2d(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    m, n = a.shape
+    if m < 1 or n < 1:
+        raise ShapeError(f"matrix must be at least 1x1, got {m}x{n}")
+    return a
+
+
 def as_matrix(matrix) -> np.ndarray:
     """Validate and return ``matrix`` as a 2-D float64 array.
 
@@ -33,19 +43,10 @@ def as_matrix(matrix) -> np.ndarray:
         If the input is not a 2-D array with at least one row and one column,
         or contains non-finite entries.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    m, n = a.shape
-    if m < 1 or n < 1:
-        raise ShapeError(f"matrix must be at least 1x1, got {m}x{n}")
+    a = _as_2d(matrix)
     if not np.all(np.isfinite(a)):
         raise ShapeError("matrix entries must be finite")
     return a
-
-
-def row_norms(matrix) -> np.ndarray:
-    return np.linalg.norm(as_matrix(matrix), axis=1)
 
 
 def row_normalize(matrix) -> np.ndarray:
@@ -65,7 +66,19 @@ def row_normalize(matrix) -> np.ndarray:
 
 
 def is_row_normalized(matrix, tol: float = 1e-9) -> bool:
-    return bool(np.max(np.abs(row_norms(matrix) - 1.0)) <= tol)
+    """True if every row norm lies within ``tol`` of one.
+
+    One streaming pass over the matrix with no m x n temporary; a row holding
+    a non-finite entry fails the test.
+
+    Raises
+    ------
+    ShapeError
+        If the input is not a 2-D array with at least one row and one column.
+    """
+    a = _as_2d(matrix)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    return bool(np.all(np.abs(norms - 1.0) <= tol))
 
 
 def quantile_of_multiset(values, q: float) -> float:

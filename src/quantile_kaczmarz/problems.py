@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, SpecError, ZeroBaselineError
-from .linalg import row_normalize
+from .linalg import is_row_normalized, row_normalize
 
 FAMILIES = ("gaussian", "coherent", "sphere", "adversarial-duplicate")
 PLACEMENTS = ("uniform", "given-indices")
@@ -49,7 +49,12 @@ class GeneratorSpec:
 @dataclass(frozen=True)
 class CorruptedSystem:
     """A consistent system plus an observed right-hand side that differs from
-    the consistent one exactly on ``corrupted_indices``."""
+    the consistent one exactly on ``corrupted_indices``.
+
+    The matrix rows are checked for unit norm once, at construction
+    (:class:`SpecError` otherwise), and ``matrix`` is then a read-only view of
+    the array passed in, so an in-place write cannot break that check.
+    """
 
     matrix: np.ndarray
     x_star: np.ndarray
@@ -57,6 +62,14 @@ class CorruptedSystem:
     b_observed: np.ndarray
     corrupted_indices: np.ndarray
     beta: float
+
+    def __post_init__(self) -> None:
+        matrix = np.asarray(self.matrix, dtype=float)
+        if not is_row_normalized(matrix):
+            raise SpecError("system matrix must have unit-norm rows")
+        view = matrix.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "matrix", view)
 
     @property
     def m(self) -> int:
@@ -253,7 +266,8 @@ def _check(ok, path: Path, mismatch: str) -> None:
 def load_system(directory) -> CorruptedSystem:
     """Read a system written by :func:`save_system`; raises :class:`IoError`
     naming the file when what it holds disagrees with the metadata, repeats
-    or leaves [0, m) in the corrupted indices, or is not finite."""
+    or leaves [0, m) in the corrupted indices, is not finite, or has matrix
+    rows that are not unit-norm."""
     src = Path(directory)
     meta_path = src / "metadata.json"
     with open(meta_path, encoding="utf-8") as fh:
@@ -276,6 +290,7 @@ def load_system(directory) -> CorruptedSystem:
     for path, values in ((src / "matrix.csv", matrix), (src / "b_observed.csv", b_observed),
                          (meta_path, x_star)):
         _check(np.all(np.isfinite(values)), path, "non-finite entry")
+    _check(is_row_normalized(matrix), src / "matrix.csv", "rows are not unit-norm")
     # Uncorrupted entries of b_observed are the consistent values; only the
     # corrupted ones need recomputation from the stored solution.
     b_true = b_observed.copy()

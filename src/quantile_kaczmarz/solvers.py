@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
     ShapeError,
 )
-from .linalg import is_row_normalized, quantile_of_multiset, sigma_max_sq
+from .linalg import quantile_of_multiset, sigma_max_sq
 from .problems import CorruptedSystem
 from .rates import resolve_alpha_auto
 
@@ -423,6 +423,12 @@ def solve(
     Stops after ``max_iters`` iterations or as soon as the relative error
     drops to ``stop_rel_error``.  Raises :class:`DivergedError` (carrying the
     partial trace) if the relative error exceeds 1e12 or turns non-finite.
+
+    Each call checks, at O(m + n) cost, that ``x0`` has shape (n,) and is
+    finite and that ``system.b_observed`` is finite (it stays writable, so it
+    can change between calls), then validates ``config`` against the system;
+    any failure raises :class:`ConfigError`.  Unit-norm rows are not checked
+    here: :class:`CorruptedSystem` checks them once, when it is built.
     """
     a = system.matrix
     x0 = np.asarray(x0, dtype=float)
@@ -432,8 +438,6 @@ def solve(
         raise ConfigError("x0 must be finite")
     if not np.all(np.isfinite(system.b_observed)):
         raise ConfigError("b_observed must be finite")
-    if not is_row_normalized(a):
-        raise ConfigError("system matrix must have unit-norm rows")
     spec, t = _validate_config(config, system)
     alpha, alpha_source = _resolve_alpha(spec, config, system)
     step = spec.build(a, system.b_observed, config, t, alpha)

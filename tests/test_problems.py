@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -284,8 +285,55 @@ class TestLoadValidation:
         with pytest.raises(IoError, match=name):
             load_system(saved)
 
+    def test_scaled_matrix_row(self, saved):
+        path = saved / "matrix.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(repr(2.0 * float(v)) for v in lines[3].split(","))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IoError, match="matrix.csv"):
+            load_system(saved)
+
     def test_non_finite_x_star(self, saved):
         meta = json.loads((saved / "metadata.json").read_text())
         self.edit_meta(saved, x_star=[math.inf] + meta["x_star"][1:])
         with pytest.raises(IoError, match="metadata.json"):
             load_system(saved)
+
+
+class TestUnitRowInvariant:
+    def parts(self, matrix):
+        m, n = matrix.shape
+        return dict(matrix=matrix, x_star=np.zeros(n), b_true=np.zeros(m),
+                    b_observed=np.zeros(m), corrupted_indices=np.array([], dtype=np.intp),
+                    beta=0.0)
+
+    def unit_matrix(self):
+        return generate(spec(m=12, n=3, seed=5)).matrix.copy()
+
+    def test_row_of_norm_two_rejected(self):
+        matrix = self.unit_matrix()
+        matrix[4] *= 2.0
+        with pytest.raises(SpecError, match="unit-norm"):
+            CorruptedSystem(**self.parts(matrix))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        matrix = self.unit_matrix()
+        matrix[2, 1] = bad
+        with pytest.raises(SpecError, match="unit-norm"):
+            CorruptedSystem(**self.parts(matrix))
+
+    def test_matrix_is_read_only_view(self):
+        matrix = self.unit_matrix()
+        system = CorruptedSystem(**self.parts(matrix))
+        with pytest.raises(ValueError):
+            system.matrix[0, 0] = 0.0
+        assert np.shares_memory(system.matrix, matrix)
+        assert matrix.flags.writeable
+
+    def test_replace_rechecks(self):
+        system = CorruptedSystem(**self.parts(self.unit_matrix()))
+        bad = self.unit_matrix()
+        bad[0] *= 0.5
+        with pytest.raises(SpecError, match="unit-norm"):
+            dataclasses.replace(system, matrix=bad)

@@ -414,6 +414,24 @@ class TestSolve:
         with pytest.raises(ConfigError, match="b_observed"):
             solve(system, config, np.zeros(system.n))
 
+    def test_unit_rows_checked_once_per_system(self, monkeypatch):
+        import quantile_kaczmarz.problems as problems
+
+        calls = []
+        original = problems.is_row_normalized
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "is_row_normalized", counting)
+        system = corrupted_system(seed=32)
+        config = SolverConfig(method="quantile-averaged-block", q=0.7, alpha=10.0,
+                              max_iters=3, seed=0)
+        for _ in range(3):
+            solve(system, config, np.zeros(system.n))
+        assert len(calls) == 1
+
     def test_projective_solves_slowly_separated_spectrum(self):
         # The ridge of the projective step needs sigma_max^2; on this system
         # a power iteration failed to converge and the solve could not start.
