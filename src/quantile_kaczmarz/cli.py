@@ -1,16 +1,23 @@
 """Command-line interface.
 
 Subcommands: generate, run, sweep-alpha, sweep-q, sweep-t, compare,
-adversarial-demo, rate.  Flags mirror the experiment configuration; a JSON
-config file may supply any value, with explicit flags taking precedence.
-Exit codes: 0 success, 2 configuration error, 3 divergence (non-sweep runs),
-4 I/O failure.
+adversarial-demo, rate.  Each flag's destination is the configuration field
+it sets, so a ``--config`` JSON file has exactly the schema of the
+``config.json`` that ``run``, ``compare`` and the sweeps write.  A flag that
+was given wins, then the file's value, then the command's own default, then
+the dataclass default; a file key that names no field is a configuration
+error.  Exit codes: 0 success, 2 configuration error, 3 divergence (non-sweep
+runs), 4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
+import types
+import typing
 
 from .errors import (
     ConditionViolatedError,
@@ -28,9 +35,9 @@ from .harness import (
     compare_methods,
     run,
 )
-from .problems import CorruptionSpec, GeneratorSpec, generate, save_system
+from .problems import FAMILIES, generate, save_system
 from .rates import RateInputs, _restricted_summary, convergence_condition, rate_report
-from .solvers import COMPARATORS, METHODS, SolverConfig
+from .solvers import COMPARATORS, METHODS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,50 +47,53 @@ EXIT_IO = 4
 DESK_M, DESK_N = 2000, 50
 FULL_M, FULL_N = 10000, 100
 
+# Keys that run and compare add to config.json as a record; reading ignores them.
+_OUTPUT_ONLY_KEYS = ("resolved", "methods")
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("gaussian", "coherent", "sphere"), default=None)
-    p.add_argument("--m", type=int, default=None, help="number of rows")
-    p.add_argument("--n", type=int, default=None, help="number of columns")
-    p.add_argument("--beta", type=float, default=None, help="corrupted row fraction")
-    p.add_argument("--mag-low", type=float, default=None)
-    p.add_argument("--mag-high", type=float, default=None)
+def _alpha(text: str) -> float | str:
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}") from None
+
+
+def _add_generator_flags(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
+    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--m", type=int, help="number of rows")
+    p.add_argument("--n", type=int, help="number of columns")
+    p.add_argument("--beta", type=float, help="corrupted row fraction")
+    p.add_argument("--mag-low", dest="magnitude_low", type=float)
+    p.add_argument("--mag-high", dest="magnitude_high", type=float)
     p.add_argument("--paper-scale", action="store_true",
                    help=f"default to the full {FULL_M}x{FULL_N} experiment scale "
                         f"instead of {DESK_M}x{DESK_N}")
+    p.add_argument("--seed", type=int, required=seed_required)
+    p.add_argument("--config", help="JSON file with the schema of config.json; flags win")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--alpha", default=None, help="step size, or 'auto'")
-    p.add_argument("--t", type=int, default=None, help="sample size")
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--stop", type=float, default=None, help="stop at this relative error")
-    p.add_argument("--comparator", choices=COMPARATORS, default=None)
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--q", type=float)
+    p.add_argument("--alpha", type=_alpha, help="step size, or 'auto'")
+    p.add_argument("--t", type=int, help="sample size")
+    p.add_argument("--block-size", type=int)
+    p.add_argument("--iters", dest="max_iters", type=int)
+    p.add_argument("--stop", dest="stop_rel_error", type=float,
+                   help="stop at this relative error")
+    p.add_argument("--comparator", choices=COMPARATORS)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, seed_required: bool = False) -> None:
-    p.add_argument("--seed", type=int, required=seed_required, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None, help="JSON config file; flags override")
-    p.add_argument("--timing", choices=("real", "none"), default=None)
+def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", dest="output_dir", help="output directory")
+    p.add_argument("--timing", choices=("real", "none"))
     p.add_argument("--svg", action="store_true", default=None)
-    p.add_argument("--reps", type=int, default=None)
-
-
-def _merged(args: argparse.Namespace, key: str, file_cfg: dict, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -101,91 +111,88 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _build_generator(args, file_cfg: dict) -> GeneratorSpec:
-    gen_cfg = file_cfg.get("generator", {})
-    full = bool(getattr(args, "paper_scale", False) or file_cfg.get("paper_scale"))
-    default_m, default_n = (FULL_M, FULL_N) if full else (DESK_M, DESK_N)
-    corruption = CorruptionSpec(
-        beta=_merged(args, "beta", gen_cfg.get("corruption", {}), 0.0),
-        magnitude_low=_merged(args, "mag-low", gen_cfg.get("corruption", {}), -100.0),
-        magnitude_high=_merged(args, "mag-high", gen_cfg.get("corruption", {}), 100.0),
-    )
-    return GeneratorSpec(
-        family=_merged(args, "family", gen_cfg, "gaussian"),
-        m=_merged(args, "m", gen_cfg, default_m),
-        n=_merged(args, "n", gen_cfg, default_n),
-        seed=_merged(args, "seed", gen_cfg, 0),
-        corruption=corruption,
-    )
+def _typed(value, hint, key: str):
+    """``value`` from the config file, checked against the field annotation
+    ``hint``; a float field also takes a JSON integer."""
+    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    for arm in arms:
+        if dataclasses.is_dataclass(arm) and isinstance(value, dict):
+            return _read(arm, value, {}, {}, key + ".")
+        if typing.get_origin(arm) is tuple and isinstance(value, list):
+            return tuple(_typed(v, typing.get_args(arm)[0], key) for v in value)
+        if arm is float and type(value) is int:
+            return float(value)
+        if type(value) is arm:
+            return value
+    raise ConfigError(f"config key {key!r} must be {getattr(hint, '__name__', hint)}, "
+                      f"got {value!r}")
 
 
-def _build_solver(args, file_cfg: dict, default_iters: int = 100) -> SolverConfig:
-    sol_cfg = file_cfg.get("solver", {})
-    alpha = _merged(args, "alpha", sol_cfg, "auto")
-    if isinstance(alpha, str) and alpha != "auto":
-        alpha = float(alpha)
-    return SolverConfig(
-        method=_merged(args, "method", sol_cfg, "quantile-averaged-block"),
-        q=_merged(args, "q", sol_cfg, 0.7),
-        alpha=alpha,
-        t=_merged(args, "t", sol_cfg, None),
-        block_size=_merged(args, "block-size", sol_cfg, None),
-        max_iters=_merged(args, "iters", sol_cfg, default_iters),
-        stop_rel_error=_merged(args, "stop", sol_cfg, 0.0),
-        comparator=_merged(args, "comparator", sol_cfg, "strict-below"),
-        seed=_merged(args, "seed", sol_cfg, 0),
-    )
+def _read(cls, section, flags: dict, defaults: dict, where: str = ""):
+    """Build the dataclass ``cls`` from its own fields: a set flag wins, then
+    ``section`` (the file's object for ``cls``), then ``defaults``, then the
+    field's default.  ``flags`` and ``defaults`` apply at every depth."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {where[:-1]!r} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(section) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown config key {where + unknown[0]!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        key, hint = where + f.name, hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = _read(hint, section.get(f.name, {}), flags, defaults, key + ".")
+        elif f.name in section:  # checked even when a flag overrides it
+            kwargs[f.name] = _typed(section[f.name], hint, key)
+        elif f.name in defaults:
+            kwargs[f.name] = defaults[f.name]
+        elif f.name not in flags and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"config key {key!r} is required")
+        if f.name in flags:
+            kwargs[f.name] = flags[f.name]
+    return cls(**kwargs)
 
 
-def _build_experiment(args, file_cfg: dict, sweep: SweepSpec | None = None,
-                      default_iters: int = 100, default_reps: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(
-        generator=_build_generator(args, file_cfg),
-        solver=_build_solver(args, file_cfg, default_iters=default_iters),
-        sweep=sweep,
-        repetitions=_merged(args, "reps", file_cfg, default_reps),
-        output_dir=_merged(args, "out", file_cfg, "artifacts"),
-        timing=_merged(args, "timing", file_cfg, "real"),
-        svg=bool(_merged(args, "svg", file_cfg, False)),
-    )
+def _experiment(args, sweep: SweepSpec | None = None, **defaults) -> ExperimentConfig:
+    """The configuration a command runs: its flags, ``--config`` and
+    ``defaults`` (the command's own) read by :func:`_read`; the command
+    itself sets ``sweep``."""
+    file_cfg = _load_config_file(args.config)
+    for key in _OUTPUT_ONLY_KEYS:
+        file_cfg.pop(key, None)
+    m, n = (FULL_M, FULL_N) if args.paper_scale else (DESK_M, DESK_N)
+    # GeneratorSpec declares no default family, size or seed, SolverConfig no method.
+    defaults = {"family": "gaussian", "m": m, "n": n, "seed": 0,
+                "method": "quantile-averaged-block", **defaults}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    return dataclasses.replace(_read(ExperimentConfig, file_cfg, flags, defaults), sweep=sweep)
 
 
 def _cmd_generate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    spec = _build_generator(args, file_cfg)
-    system = generate(spec)
-    out = _merged(args, "out", file_cfg, "system")
-    save_system(system, out, spec=spec)
-    print(f"wrote system ({system.m}x{system.n}, beta={system.beta:.4g}) to {out}")
+    config = _experiment(args, output_dir="system")
+    system = generate(config.generator)
+    save_system(system, config.output_dir, spec=config.generator)
+    print(f"wrote system ({system.m}x{system.n}, beta={system.beta:.4g}) "
+          f"to {config.output_dir}")
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    config = _build_experiment(args, file_cfg)
-    paths = run(config)
-    for name, path in paths.items():
+def _run(config: ExperimentConfig) -> int:
+    for name, path in run(config).items():
         print(f"{name}: {path}")
     return EXIT_OK
 
 
 def _cmd_sweep(args, parameter: str) -> int:
-    file_cfg = _load_config_file(args.config)
-    values = tuple(_float_list(args.values))
-    sweep = SweepSpec(parameter=parameter, values=values)
-    config = _build_experiment(args, file_cfg, sweep=sweep, default_iters=10,
-                               default_reps=3)
-    paths = run(config)
-    for name, path in paths.items():
-        print(f"{name}: {path}")
-    return EXIT_OK
+    sweep = SweepSpec(parameter=parameter, values=args.values)
+    return _run(_experiment(args, sweep=sweep, max_iters=10, repetitions=3))
 
 
 def _cmd_compare(args) -> int:
-    file_cfg = _load_config_file(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    config = _build_experiment(args, file_cfg)
-    results = compare_methods(config, methods)
+    results = compare_methods(_experiment(args), methods)
     for midx, method in enumerate(methods):
         trace = results["traces"][midx]
         print(f"{method}: final rel_error = {trace.rel_error[-1]:.3e}")
@@ -194,17 +201,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_adversarial(args) -> int:
+    params = inspect.signature(adversarial_demo).parameters
     results = adversarial_demo(
-        output_dir=args.out or "adversarial",
-        n=args.n or 100,
-        clean_rows=args.clean_rows,
-        dup_rows=args.dup_rows,
-        target=args.target,
-        q=args.q if args.q is not None else 0.7,
-        alpha=float(args.alpha) if args.alpha is not None else 10.0,
-        iterations=args.iters or 50,
-        seed=args.seed or 0,
-        timing=args.timing or "real",
+        **{k: v for k, v in vars(args).items() if k in params and v is not None}
     )
     with open(results["summary_json"], encoding="utf-8") as fh:
         summary = json.load(fh)
@@ -213,12 +212,11 @@ def _cmd_adversarial(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    spec = _build_generator(args, file_cfg)
-    system = generate(spec)
-    q = args.q if args.q is not None else 0.7
+    config = _experiment(args)
+    system = generate(config.generator)
+    q = config.solver.q
     try:
-        summary = _restricted_summary(system, q, spec.seed, args.samples)
+        summary = _restricted_summary(system, q, config.generator.seed, args.samples)
     except ConditionViolatedError as exc:
         print(f"{exc}: the restricted smallest singular value is zero")
         print("condition holds: False")
@@ -250,45 +248,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate and export a system")
     _add_generator_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--out", dest="output_dir", help="output directory (default: system)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="run one solver and write its trace")
-    _add_generator_flags(p)
+    _add_generator_flags(p, seed_required=True)
     _add_solver_flags(p)
-    _add_common_flags(p, seed_required=True)
-    p.set_defaults(func=_cmd_run)
+    _add_artifact_flags(p)
+    p.set_defaults(func=lambda a: _run(_experiment(a)))
 
     for name, param in (("sweep-alpha", "alpha"), ("sweep-q", "q"), ("sweep-t", "t")):
         p = sub.add_parser(name, help=f"sweep {param} and record outcomes")
         _add_generator_flags(p)
         _add_solver_flags(p)
-        _add_common_flags(p)
-        p.add_argument("--values", required=True, help="comma-separated sweep values")
+        _add_artifact_flags(p)
+        p.add_argument("--reps", dest="repetitions", type=int)
+        p.add_argument("--values", type=_float_list, required=True,
+                       help="comma-separated sweep values")
         p.set_defaults(func=lambda a, _param=param: _cmd_sweep(a, _param))
 
     p = sub.add_parser("compare", help="run several methods on one system")
     _add_generator_flags(p)
     _add_solver_flags(p)
-    _add_common_flags(p)
+    _add_artifact_flags(p)
     p.add_argument("--methods", required=True, help="comma-separated method names")
     p.set_defaults(func=_cmd_compare)
 
+    # Unset flags fall back to adversarial_demo's own defaults.
     p = sub.add_parser("adversarial-demo", help="projective vs averaged duplicate-row demo")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--clean-rows", type=int, default=1000)
-    p.add_argument("--dup-rows", type=int, default=250)
-    p.add_argument("--target", type=float, default=500.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--iters", type=int, default=None)
-    _add_common_flags(p)
+    p.add_argument("--n", type=int)
+    p.add_argument("--clean-rows", type=int)
+    p.add_argument("--dup-rows", type=int)
+    p.add_argument("--target", type=float)
+    p.add_argument("--q", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--iters", dest="iterations", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", dest="output_dir", default="adversarial", help="output directory")
+    p.add_argument("--timing", choices=("real", "none"))
     p.set_defaults(func=_cmd_adversarial)
 
     p = sub.add_parser("rate", help="print the convergence-rate report for a system")
     _add_generator_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--q", type=float, default=None)
+    p.add_argument("--q", type=float)
     p.add_argument("--samples", type=int, default=500,
                    help="subset samples when enumeration is infeasible")
     p.add_argument("--json-out", default=None)

@@ -25,10 +25,6 @@ class SpecError(ValueError):
     """A problem-generator specification is invalid."""
 
 
-class ZeroBaselineError(ValueError):
-    """Relative error is undefined because the baseline distance is zero."""
-
-
 class EmptyInputError(ValueError):
     """An operation received an empty collection."""
 

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, SpecError, ZeroBaselineError
+from .errors import IoError, SpecError
 from .linalg import is_row_normalized, row_normalize
 
-FAMILIES = ("gaussian", "coherent", "sphere", "adversarial-duplicate")
+FAMILIES = ("gaussian", "coherent")
 PLACEMENTS = ("uniform", "given-indices")
 
 _FORMAT_VERSION = 1
@@ -122,18 +122,14 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
 def generate(spec: GeneratorSpec) -> CorruptedSystem:
     """Build a corrupted system from a generator specification.
 
-    Row families: ``gaussian``/``sphere`` draw i.i.d. standard-normal entries
-    and normalize each row (equivalent to uniform directions on the sphere);
+    Row families: ``gaussian`` draws i.i.d. standard-normal entries and
+    normalizes each row (equivalent to uniform directions on the sphere);
     ``coherent`` draws i.i.d. Uniform(0,1) entries and normalizes, producing
     nearly parallel rows.  The solution vector has standard-normal entries.
     Corruption offsets are drawn uniformly from the configured magnitude
     range and added to the consistent right-hand side on the chosen rows.
     """
     _validate_spec(spec)
-    if spec.family == "adversarial-duplicate":
-        raise SpecError(
-            "use generate_adversarial_duplicate() for the duplicate-row construction"
-        )
     rng_matrix, rng_xstar, rng_place, rng_mag = _streams(spec.seed, 4)
 
     if spec.family == "coherent":
@@ -212,16 +208,6 @@ def generate_adversarial_duplicate(
         beta=dup_rows / m,
     )
     return system, x0
-
-
-def relative_error(x, system: CorruptedSystem, x0) -> float:
-    """Distance to the true solution, normalized by the starting distance."""
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    base = float(np.linalg.norm(x0 - system.x_star))
-    if base == 0.0:
-        raise ZeroBaselineError("x0 equals the true solution; relative error undefined")
-    return float(np.linalg.norm(x - system.x_star)) / base
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,65 @@ class TestCli:
         payload = json.loads((tmp_path / "o" / "config.json").read_text())
         assert payload["generator"]["m"] == 90       # from file
         assert payload["solver"]["max_iters"] == 4   # from flag
+
+    @pytest.mark.parametrize("command, extra, required", [
+        ("run", ["--method", "quantile-averaged-block"], ["--seed", "11"]),
+        ("compare", ["--t", "60"], ["--methods", "quantile-rk,sampled-quantile-averaged-block"]),
+        ("sweep-alpha", ["--reps", "2"], ["--values", "1.0,2.0"]),
+        ("sweep-q", ["--reps", "2"], ["--values", "0.5,0.7"]),
+        ("sweep-t", ["--method", "sampled-quantile-averaged-block", "--reps", "2"],
+         ["--values", "30,60"]),
+    ])
+    def test_config_json_round_trip(self, tmp_path, monkeypatch, command, extra, required):
+        # Every value below differs from its default, so the re-run, which
+        # passes only the required flags, must take each one from config.json.
+        monkeypatch.chdir(tmp_path)
+        flags = [
+            "--family", "coherent", "--m", "120", "--n", "6", "--beta", "0.2",
+            "--mag-low", "5", "--mag-high", "50", "--q", "0.6", "--alpha", "3",
+            "--iters", "7", "--stop", "1e-3", "--comparator", "at-or-below",
+            "--seed", "11", "--timing", "none",
+        ]
+        assert cli_main([command, *flags, *extra, *required, "--out", "first"]) == 0
+        assert cli_main([command, *required, "--config", "first/config.json"]) == 0
+        names = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "artifacts").iterdir())
+        for name in names:
+            assert (tmp_path / "artifacts" / name).read_bytes() == \
+                (tmp_path / "first" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--reps", "3"],
+        ["adversarial-demo", "--config", "x.json"],
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+
+    def test_adversarial_zero_iterations_is_config_error(self, tmp_path):
+        rc = cli_main(["adversarial-demo", "--n", "10", "--clean-rows", "50", "--dup-rows", "10",
+                       "--iters", "0", "--timing", "none", "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert not (tmp_path / "d" / "summary.json").exists()
+
+    @pytest.mark.parametrize("flags, cfg, key", [
+        (["--alpha", "abc"], None, "--alpha"),
+        ([], {"solver": {"q": "0.7"}}, "solver.q"),
+        ([], {"generator": {"m": "90"}}, "generator.m"),
+        ([], {"generator": {"corruption": {"beta": 0.2, "mag-low": 5}}},
+         "generator.corruption.mag-low"),
+        ([], {"iters": 4}, "iters"),
+    ])
+    def test_malformed_input_exits_2_naming_it(self, tmp_path, capsys, flags, cfg, key):
+        argv = ["run", "--seed", "1", "--m", "60", "--n", "4", "--out", str(tmp_path / "o"), *flags]
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        try:
+            rc = cli_main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quantile_kaczmarz.errors import IoError, SpecError, ZeroBaselineError
+from quantile_kaczmarz.errors import IoError, SpecError
 from quantile_kaczmarz.problems import (
     CorruptedSystem,
     CorruptionSpec,
@@ -14,7 +14,6 @@ from quantile_kaczmarz.problems import (
     generate,
     generate_adversarial_duplicate,
     load_system,
-    relative_error,
     save_system,
 )
 
@@ -52,7 +51,7 @@ class TestGenerate:
         assert np.max(np.abs(system.matrix @ system.x_star - system.b_true)) <= 1e-10
 
     def test_rows_unit_norm(self):
-        for family in ("gaussian", "coherent", "sphere"):
+        for family in ("gaussian", "coherent"):
             system = generate(spec(family=family, seed=3))
             np.testing.assert_allclose(
                 np.linalg.norm(system.matrix, axis=1), 1.0, atol=1e-12
@@ -168,26 +167,6 @@ class TestAdversarialDuplicate:
             generate_adversarial_duplicate(clean_rows=0)
         with pytest.raises(SpecError):
             generate_adversarial_duplicate(dup_rows=0)
-
-
-class TestRelativeError:
-    def setup_method(self):
-        self.system = generate(spec(m=30, n=4, seed=8))
-        self.x0 = np.zeros(4)
-
-    def test_at_solution(self):
-        assert relative_error(self.system.x_star, self.system, self.x0) == 0.0
-
-    def test_at_start(self):
-        assert relative_error(self.x0, self.system, self.x0) == pytest.approx(1.0)
-
-    def test_midpoint(self):
-        mid = 0.5 * (self.x0 + self.system.x_star)
-        assert relative_error(mid, self.system, self.x0) == pytest.approx(0.5)
-
-    def test_zero_baseline(self):
-        with pytest.raises(ZeroBaselineError):
-            relative_error(self.x0, self.system, self.system.x_star)
 
 
 class TestRoundTrip:

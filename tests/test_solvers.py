@@ -332,6 +332,18 @@ class TestSolve:
         assert np.linalg.norm(trace.x_final - system.x_star) <= 1e-12
         assert all(r <= 1e-12 for r in trace.rel_error)
 
+    def test_start_at_solution_reports_absolute_distance(self):
+        # The starting distance is zero, so there is nothing to normalize by:
+        # each trace entry is the plain distance to x_star.  Classical RK
+        # projects onto corrupted rows too, so the iterates leave x_star.
+        system = corrupted_system(m=60, n=6, seed=21, beta=0.3)
+        config = SolverConfig(method="rk", max_iters=20, seed=4)
+        trace = solve(system, config, system.x_star.copy(), keep_iterates=True)
+        assert trace.base_error == 0.0
+        distances = [float(np.linalg.norm(x - system.x_star)) for x in trace.iterates]
+        assert trace.rel_error == distances
+        assert max(distances) > 1.0
+
     def test_divergence_raises_with_partial_trace(self):
         system = corrupted_system(m=100, n=10, seed=20)
         config = SolverConfig(method="quantile-averaged-block", q=0.7, alpha=5000.0,
