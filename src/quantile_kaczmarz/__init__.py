@@ -6,6 +6,7 @@ gated single-row and averaged-block solvers, the spectral quantities their
 convergence rates depend on, closed-form rate evaluation with per-iteration
 certification, and reproducible experiment sweeps.
 """
+from inspect import ismodule as _ismodule
 
 from .errors import (
     ConditionViolatedError,
@@ -16,6 +17,7 @@ from .errors import (
     IoError,
     NoConvergenceError,
     PreconditionViolatedError,
+    QkError,
     ShapeError,
     SpecError,
     TooManySubsetsError,
@@ -49,7 +51,6 @@ from .rates import (
     rate_constants,
     rate_report,
     resolve_alpha_auto,
-    scaled_step_decrease,
 )
 from .solvers import (
     COMPARATORS,
@@ -81,64 +82,6 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CertificateResult",
-    "COMPARATORS",
-    "ConditionViolatedError",
-    "ConfigError",
-    "CorruptedSystem",
-    "CorruptionSpec",
-    "DivergedError",
-    "DomainError",
-    "EmptyInputError",
-    "ExperimentConfig",
-    "GeneratorSpec",
-    "IoError",
-    "IterationTrace",
-    "METHODS",
-    "NoConvergenceError",
-    "PreconditionViolatedError",
-    "RateReport",
-    "ShapeError",
-    "SolverConfig",
-    "SpecError",
-    "SpectralSummary",
-    "SUBSET_ENUMERATION_CAP",
-    "SweepResult",
-    "SweepSpec",
-    "TooManySubsetsError",
-    "ZeroRowError",
-    "adversarial_demo",
-    "alpha_opt_closed_form",
-    "averaged_rbk_step",
-    "certify_iteration",
-    "compare_methods",
-    "convergence_condition",
-    "empirical_alpha",
-    "generate",
-    "generate_adversarial_duplicate",
-    "load_system",
-    "quantile_abk_step",
-    "quantile_of_multiset",
-    "quantile_pbk_step",
-    "quantile_rk_step",
-    "rate_constants",
-    "rate_report",
-    "residual",
-    "resolve_alpha_auto",
-    "restricted_min_sv_bruteforce",
-    "restricted_min_sv_sampled",
-    "rk_step",
-    "row_normalize",
-    "run",
-    "sampled_qabk_step",
-    "save_system",
-    "scaled_step_decrease",
-    "sigma_max_sq",
-    "sigma_min_sq",
-    "solve",
-    "start_vector",
-    "sweep_quantile",
-    "sweep_sample_size",
-    "sweep_step_size",
-]
+# The public names are the ones imported above; the submodules are not exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not _ismodule(value))

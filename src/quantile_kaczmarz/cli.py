@@ -6,8 +6,10 @@ it sets, so a ``--config`` JSON file has exactly the schema of the
 ``config.json`` that ``run``, ``compare`` and the sweeps write.  A flag that
 was given wins, then the file's value, then the command's own default, then
 the dataclass default; a file key that names no field is a configuration
-error.  Exit codes: 0 success, 2 configuration error, 3 divergence (non-sweep
-runs), 4 I/O failure.
+error.  Every package error is a ``QkError``: ``main`` prints its ``label``
+and message on one stderr line and returns its ``exit_code``, 2 for bad input
+or configuration, 3 for divergence (non-sweep runs) and 4 for I/O failure (a
+raw ``OSError`` too); 0 is success.
 """
 from __future__ import annotations
 
@@ -19,15 +21,7 @@ import sys
 import types
 import typing
 
-from .errors import (
-    ConditionViolatedError,
-    ConfigError,
-    DivergedError,
-    DomainError,
-    IoError,
-    ShapeError,
-    SpecError,
-)
+from .errors import ConditionViolatedError, ConfigError, IoError, QkError
 from .harness import (
     ExperimentConfig,
     SweepSpec,
@@ -38,11 +32,6 @@ from .harness import (
 from .problems import FAMILIES, generate, save_system
 from .rates import RateInputs, _restricted_summary, convergence_condition, rate_report
 from .solvers import COMPARATORS, METHODS
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
-EXIT_IO = 4
 
 DESK_M, DESK_N = 2000, 50
 FULL_M, FULL_N = 10000, 100
@@ -176,13 +165,13 @@ def _cmd_generate(args) -> int:
     save_system(system, config.output_dir, spec=config.generator)
     print(f"wrote system ({system.m}x{system.n}, beta={system.beta:.4g}) "
           f"to {config.output_dir}")
-    return EXIT_OK
+    return 0
 
 
 def _run(config: ExperimentConfig) -> int:
     for name, path in run(config).items():
         print(f"{name}: {path}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_sweep(args, parameter: str) -> int:
@@ -197,7 +186,7 @@ def _cmd_compare(args) -> int:
         trace = results["traces"][midx]
         print(f"{method}: final rel_error = {trace.rel_error[-1]:.3e}")
     print(f"compare_csv: {results['compare_csv']}")
-    return EXIT_OK
+    return 0
 
 
 def _cmd_adversarial(args) -> int:
@@ -208,7 +197,7 @@ def _cmd_adversarial(args) -> int:
     with open(results["summary_json"], encoding="utf-8") as fh:
         summary = json.load(fh)
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return EXIT_OK
+    return 0
 
 
 def _cmd_rate(args) -> int:
@@ -220,7 +209,7 @@ def _cmd_rate(args) -> int:
     except ConditionViolatedError as exc:
         print(f"{exc}: the restricted smallest singular value is zero")
         print("condition holds: False")
-        return EXIT_OK
+        return 0
     s2max = summary.sigma_max_sq
     holds, epsilon = convergence_condition(q, system.beta, s2max, summary.sigma_restricted_min_sq)
     if not holds:
@@ -229,14 +218,14 @@ def _cmd_rate(args) -> int:
         print("no step size carries a guaranteed contraction for these inputs")
         print(RateInputs(q, system.beta, system.m, s2max, summary.sigma_restricted_min_sq,
                          summary.exact).summary())
-        return EXIT_OK
+        return 0
     report = rate_report(q, system.beta, system.m, s2max, summary.sigma_restricted_min_sq,
                          exact=summary.exact)
     print(report.summary())
     if args.json_out:
         report.to_json(args.json_out)
         print(f"report written to {args.json_out}")
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,15 +293,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpecError, DomainError, ShapeError, ConditionViolatedError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergedError as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (IoError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except QkError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # a raw OS failure is reported as an IoError
+        print(f"{IoError.label}: {exc}", file=sys.stderr)
+        return IoError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error is a :class:`QkError` that also keeps a stdlib base
+(``ValueError``, ``RuntimeError`` or ``OSError``), and carries the exit code
+and message label the CLI reports it with.
+"""
 
 
-class ShapeError(ValueError):
+class QkError(Exception):
+    """Base of every package error: bad input or configuration unless a
+    subclass says otherwise."""
+
+    exit_code = 2
+    label = "configuration error"
+
+
+class ShapeError(QkError, ValueError):
     """Operands have incompatible or invalid dimensions."""
 
 
-class ZeroRowError(ValueError):
+class ZeroRowError(QkError, ValueError):
     """A matrix row has (numerically) zero norm and cannot be normalized."""
 
     def __init__(self, row_index: int):
@@ -13,49 +26,55 @@ class ZeroRowError(ValueError):
         super().__init__(f"row {row_index} has zero norm")
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(QkError, RuntimeError):
     """An iterative routine failed to reach its tolerance within its budget."""
 
 
-class TooManySubsetsError(ValueError):
+class TooManySubsetsError(QkError, ValueError):
     """Exhaustive subset enumeration would exceed the configured cap."""
 
 
-class SpecError(ValueError):
+class SpecError(QkError, ValueError):
     """A problem-generator specification is invalid."""
 
 
-class EmptyInputError(ValueError):
+class EmptyInputError(QkError, ValueError):
     """An operation received an empty collection."""
 
 
-class ConfigError(ValueError):
+class ConfigError(QkError, ValueError):
     """A solver or experiment configuration is invalid."""
 
 
-class DomainError(ValueError):
+class DomainError(QkError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class ConditionViolatedError(ValueError):
+class ConditionViolatedError(QkError, ValueError):
     """The linear-convergence condition does not hold for these inputs."""
 
 
-class PreconditionViolatedError(ValueError):
+class PreconditionViolatedError(QkError, ValueError):
     """A certifier precondition fails, so the bound being checked is vacuous."""
 
 
-class DivergedError(RuntimeError):
+class DivergedError(QkError, RuntimeError):
     """A solve left the trust region (relative error > 1e12 or non-finite).
 
     Carries the partial iteration trace recorded up to and including the
     diverged step.
     """
 
+    exit_code = 3
+    label = "diverged"
+
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
 
 
-class IoError(OSError):
+class IoError(QkError, OSError):
     """Artifact reading or writing failed."""
+
+    exit_code = 4
+    label = "i/o error"

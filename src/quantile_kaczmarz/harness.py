@@ -145,6 +145,17 @@ def start_vector(n: int, start: str = "ones") -> np.ndarray:
     return np.ones(n) if start == "ones" else np.zeros(n)
 
 
+def _solve(
+    system: CorruptedSystem, solver_cfg: SolverConfig, x0, keep_iterates: bool = False
+) -> tuple[IterationTrace, DivergedError | None]:
+    """The trace of one solve and the error that ended it, if it diverged;
+    a diverged solve's trace is the partial one its error carries."""
+    try:
+        return solve(system, solver_cfg, x0, keep_iterates), None
+    except DivergedError as exc:
+        return exc.trace, exc
+
+
 def _solve_outcome(
     system: CorruptedSystem, solver_cfg: SolverConfig, x0, timing: str
 ) -> tuple[float, bool, float]:
@@ -152,21 +163,17 @@ def _solve_outcome(
 
     A run counts as diverged if the solver raised, or if the final relative
     error is non-finite or exceeds 1 (no progress from the start)."""
-    try:
-        trace = solve(system, solver_cfg, x0)
-        rel = trace.rel_error[-1]
-        diverged = not math.isfinite(rel) or rel > 1.0
-    except DivergedError as exc:
-        trace = exc.trace
-        rel = trace.rel_error[-1] if trace.rel_error else math.inf
-        diverged = True
+    trace, failure = _solve(system, solver_cfg, x0)
+    rel = trace.rel_error[-1] if trace.rel_error else math.inf
+    diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
     return rel, diverged, _wall_ms(trace, timing)
 
 
-def _error_series(label: str, rel_error) -> list:
+def _error_series(label: str, ys, xs=None) -> list:
     """The SVG series of one relative-error curve: its finite positive points,
-    numbered from iteration 1, or no series if there are none."""
-    pts = [(k + 1, r) for k, r in enumerate(rel_error) if math.isfinite(r) and r > 0]
+    at ``xs`` or numbered from iteration 1, or no series if there are none."""
+    xs = range(1, len(ys) + 1) if xs is None else xs
+    pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y) and y > 0]
     return [(label, [p[0] for p in pts], [p[1] for p in pts])] if pts else []
 
 
@@ -284,6 +291,9 @@ def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
 
 def sweep_sample_size(config: ExperimentConfig, ts) -> SweepResult:
     """Sweep the sample size of the subsampled averaged method."""
+    fractional = [t for t in ts if not float(t).is_integer()]
+    if fractional:
+        raise ConfigError(f"sample size must be a whole number, got {fractional[0]!r}")
 
     def resolver(system, value, rep):
         return dataclasses.replace(config.solver, t=int(value))
@@ -313,11 +323,10 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
         paths["config_json"] = _write_json(_resolved_config_dict(config), out / "config.json")
         if config.svg:
             xs = result.values()
-            ys = [result.mean_rel_error(v) for v in xs]
-            finite = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y) and y > 0]
-            if finite:
+            series = _error_series("rel error", [result.mean_rel_error(v) for v in xs], xs)
+            if series:
                 paths["svg"] = emit_svg(
-                    [("rel error", [f[0] for f in finite], [f[1] for f in finite])],
+                    series,
                     log_y=True,
                     path=out / "sweep.svg",
                     title=f"sweep {config.sweep.parameter}",
@@ -328,12 +337,7 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
 
     system = generate(config.generator)
     x0 = start_vector(system.n, config.start)
-    try:
-        trace = solve(system, config.solver, x0)
-        failure = None
-    except DivergedError as exc:
-        trace = exc.trace
-        failure = exc
+    trace, failure = _solve(system, config.solver, x0)
     paths["trace_csv"] = trace.write_csv(out / "trace.csv", timing=config.timing)
     extras = {"resolved": trace.config_dict()}
     paths["config_json"] = _write_json(_resolved_config_dict(config, extras), out / "config.json")
@@ -375,11 +379,7 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
             method=method,
             seed=derived_seed(config.solver.seed, _TAG_METHOD, midx),
         )
-        try:
-            trace = solve(system, solver_cfg, x0)
-        except DivergedError as exc:
-            trace = exc.trace
-        traces.append(trace)
+        traces.append(_solve(system, solver_cfg, x0)[0])
 
     paths: dict[str, object] = {"traces": traces}
     for midx, (method, trace) in enumerate(zip(methods, traces)):
@@ -474,11 +474,7 @@ def adversarial_demo(
             stop_rel_error=stop,
             seed=derived_seed(seed, _TAG_METHOD, len(traces)),
         )
-        try:
-            trace = solve(system, solver_cfg, x0, keep_iterates=True)
-        except DivergedError as exc:
-            trace = exc.trace
-        traces[label] = trace
+        trace = traces[label] = _solve(system, solver_cfg, x0, keep_iterates=True)[0]
         results[f"trace_csv_{label}"] = trace.write_csv(
             out / f"trace_{label}.csv", timing=timing
         )

@@ -177,19 +177,6 @@ def alpha_opt_closed_form(
     )
 
 
-def scaled_step_decrease(xi: float) -> float:
-    """Decrease ratio when running at ``xi`` times the optimal step size.
-
-    The per-iteration decrease ``c1*alpha - c2*alpha**2`` is quadratic, so
-    scaling the optimal step by ``xi`` retains the fraction ``2*xi - xi**2``
-    of the optimal decrease.  Defined on (0, 2), the window in which any
-    decrease remains.
-    """
-    if not 0.0 < xi < 2.0:
-        raise DomainError(f"xi must lie in (0, 2), got {xi}")
-    return 2.0 * xi - xi * xi
-
-
 def _restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: int,
                         cap: int = SUBSET_ENUMERATION_CAP) -> SpectralSummary:
     """Spectral summary over the row subsets of size ceil((q - beta) * m):

@@ -17,6 +17,7 @@ import quantile_kaczmarz as qk
 from quantile_kaczmarz.harness import derived_seed, empirical_alpha
 from quantile_kaczmarz.rates import rate_constants
 from quantile_kaczmarz.solvers import quantile_abk_step
+from rate_identities import scaled_step_decrease
 
 N_DESK = 50
 M_DESK = 2000
@@ -300,7 +301,7 @@ def test_criterion_5_formula_consistency():
     worst_identity = 0.0
     for xi in np.linspace(0.05, 1.95, 39):
         lhs = decrease(float(xi) * alpha_opt)
-        rhs = qk.scaled_step_decrease(float(xi)) * decrease(alpha_opt)
+        rhs = scaled_step_decrease(float(xi)) * decrease(alpha_opt)
         worst_identity = max(worst_identity, abs(lhs - rhs) / abs(rhs))
     identity_ok = worst_identity <= 1e-12
     ok = routes_ok and identity_ok

@@ -239,6 +239,17 @@ class TestCli:
         rows = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3 * 2
 
+    @pytest.mark.parametrize("value", ["50.5", "nan"])
+    def test_fractional_sample_size_exits_2_naming_it(self, tmp_path, capsys, value):
+        rc = cli_main([
+            "sweep-t", "--m", "100", "--n", "5", "--method", "sampled-quantile-averaged-block",
+            "--values", f"30,{value}", "--out", str(tmp_path / "sw"), "--timing", "none",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and value in err
+        assert not (tmp_path / "sw" / "sweep.csv").exists()
+
     def test_rate_subcommand(self, tmp_path, capsys):
         rc = cli_main([
             "rate", "--family", "gaussian", "--m", "14", "--n", "3", "--seed", "6",

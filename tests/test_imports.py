@@ -1,5 +1,7 @@
-"""The package's modules import each other without a cycle."""
+"""The package's imports: no cycle between its modules, and a star import
+that yields public names only."""
 import ast
+import inspect
 from pathlib import Path
 
 import quantile_kaczmarz
@@ -46,3 +48,11 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+def test_star_import_exports_public_names_only():
+    names: dict = {}
+    exec("from quantile_kaczmarz import *", names)
+    del names["__builtins__"]
+    assert "QkError" in names
+    assert not [n for n, v in names.items() if n.startswith("_") or inspect.ismodule(v)]

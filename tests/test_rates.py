@@ -21,9 +21,9 @@ from quantile_kaczmarz.rates import (
     rate_constants,
     rate_report,
     resolve_alpha_auto,
-    scaled_step_decrease,
 )
 from quantile_kaczmarz.solvers import quantile_abk_step
+from rate_identities import scaled_step_decrease
 
 SQRT2 = math.sqrt(2.0)
 
