@@ -3,7 +3,9 @@ comparisons, and the duplicate-row demonstration.
 
 Every experiment writes CSV artifacts plus a JSON snapshot of the fully
 resolved configuration, sufficient to re-run bit-identically within one
-build.  Wall-time columns record real measurements by default; the
+build.  The output directory is made only after an experiment's solves have
+run, so one stopped by a configuration error leaves nothing behind.
+Wall-time columns record real measurements by default; the
 ``timing="none"`` mode zeroes them so that identical configurations yield
 byte-identical artifacts.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,21 +108,6 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError("sweep values must be strictly increasing")
 
 
-def _resolved_config_dict(config: ExperimentConfig, extras: dict | None = None) -> dict:
-    payload = {
-        "generator": dataclasses.asdict(config.generator),
-        "solver": dataclasses.asdict(config.solver),
-        "sweep": dataclasses.asdict(config.sweep) if config.sweep else None,
-        "repetitions": config.repetitions,
-        "timing": config.timing,
-        "svg": config.svg,
-        "start": config.start,
-    }
-    if extras:
-        payload.update(extras)
-    return payload
-
-
 def _write_json(payload: dict, path: Path) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -129,10 +115,34 @@ def _write_json(payload: dict, path: Path) -> Path:
     return path
 
 
-def _wall_ms(trace: IterationTrace, timing: str) -> float:
-    if timing == "none" or not trace.elapsed_ns:
-        return 0.0
-    return trace.elapsed_ns[-1] / 1e6
+def _write_config(config: ExperimentConfig, out: Path, **extras) -> Path:
+    """``config.json``: every field of ``config`` but ``output_dir``, so a run
+    repeated elsewhere writes the same bytes, plus the ``extras`` records."""
+    payload = dataclasses.asdict(config)
+    del payload["output_dir"]
+    return _write_json({**payload, **extras}, out / "config.json")
+
+
+def _elapsed_ns(trace: IterationTrace, timing: str) -> list[int]:
+    """The trace's cumulative wall times, zeroed under ``timing="none"``."""
+    return trace.elapsed_ns if timing == "real" else [0] * trace.iterations
+
+
+def _plot(paths: dict, path: Path, title: str, curves, x_label: str = "iteration",
+          xs=None) -> None:
+    """Draw the log-scale relative-error chart of ``curves``, ``(label, ys)``
+    pairs at ``xs`` (default: iterations from 1), over their finite positive
+    points, and record it as ``paths["svg"]``; a chart with no points is not
+    written."""
+    series = []
+    for label, ys in curves:
+        pts = [(x, y) for x, y in zip(xs or range(1, len(ys) + 1), ys)
+               if math.isfinite(y) and y > 0]
+        if pts:
+            series.append((label, *zip(*pts)))
+    if series:
+        paths["svg"] = emit_svg(series, log_y=True, path=path, title=title,
+                                x_label=x_label, y_label="relative error")
 
 
 def start_vector(n: int, start: str = "ones") -> np.ndarray:
@@ -164,17 +174,9 @@ def _solve_outcome(
     A run counts as diverged if the solver raised, or if the final relative
     error is non-finite or exceeds 1 (no progress from the start)."""
     trace, failure = _solve(system, solver_cfg, x0)
-    rel = trace.rel_error[-1] if trace.rel_error else math.inf
+    rel = trace.rel_error[-1]
     diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
-    return rel, diverged, _wall_ms(trace, timing)
-
-
-def _error_series(label: str, ys, xs=None) -> list:
-    """The SVG series of one relative-error curve: its finite positive points,
-    at ``xs`` or numbered from iteration 1, or no series if there are none."""
-    xs = range(1, len(ys) + 1) if xs is None else xs
-    pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y) and y > 0]
-    return [(label, [p[0] for p in pts], [p[1] for p in pts])] if pts else []
+    return rel, diverged, _elapsed_ns(trace, timing)[-1] / 1e6
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
@@ -199,19 +201,23 @@ def _sweep(
     resolve_solver,
 ) -> SweepResult:
     _validate(config)
+    method = config.solver.method
+    spec = method_spec(method)
+    reads = {"alpha": spec.takes_alpha, "q": spec.scope is not None, "t": spec.scope == "t"}
+    if not reads[parameter]:
+        raise ConfigError(f"method {method!r} never reads {parameter!r}, "
+                          f"so a sweep over it changes nothing")
     result = SweepResult(parameter=parameter)
-    systems: dict[int, CorruptedSystem] = {}
-    for rep in range(config.repetitions):
-        spec = dataclasses.replace(
-            config.generator, seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep)
-        )
-        systems[rep] = generate(spec)
+    systems = [
+        generate(dataclasses.replace(
+            config.generator, seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep)))
+        for rep in range(config.repetitions)
+    ]
     for vidx, value in enumerate(values):
-        for rep in range(config.repetitions):
-            system = systems[rep]
-            solver_cfg = resolve_solver(system, value, rep)
+        for rep, system in enumerate(systems):
             solver_cfg = dataclasses.replace(
-                solver_cfg, seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep)
+                resolve_solver(system, value, rep),
+                seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
             )
             x0 = start_vector(system.n, config.start)
             rel, diverged, wall = _solve_outcome(system, solver_cfg, x0, config.timing)
@@ -290,7 +296,7 @@ def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
 
 
 def sweep_sample_size(config: ExperimentConfig, ts) -> SweepResult:
-    """Sweep the sample size of the subsampled averaged method."""
+    """Sweep the sample size ``t`` of a sampled quantile method."""
     fractional = [t for t in ts if not float(t).is_integer()]
     if fractional:
         raise ConfigError(f"sample size must be a whole number, got {fractional[0]!r}")
@@ -312,46 +318,32 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     propagates; sweeps record divergence per row instead of failing.
     """
     _validate(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
     if config.sweep is not None:
+        parameter = config.sweep.parameter
         sweepers = {"alpha": sweep_step_size, "q": sweep_quantile, "t": sweep_sample_size}
-        result = sweepers[config.sweep.parameter](config, config.sweep.values)
+        result = sweepers[parameter](config, config.sweep.values)
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
         paths["sweep_csv"] = write_sweep_csv(result, out / "sweep.csv")
-        paths["config_json"] = _write_json(_resolved_config_dict(config), out / "config.json")
+        paths["config_json"] = _write_config(config, out)
         if config.svg:
             xs = result.values()
-            series = _error_series("rel error", [result.mean_rel_error(v) for v in xs], xs)
-            if series:
-                paths["svg"] = emit_svg(
-                    series,
-                    log_y=True,
-                    path=out / "sweep.svg",
-                    title=f"sweep {config.sweep.parameter}",
-                    x_label=config.sweep.parameter,
-                    y_label="relative error",
-                )
+            _plot(paths, out / "sweep.svg", f"sweep {parameter}",
+                  [("rel error", [result.mean_rel_error(v) for v in xs])],
+                  x_label=parameter, xs=xs)
         return paths
 
     system = generate(config.generator)
-    x0 = start_vector(system.n, config.start)
-    trace, failure = _solve(system, config.solver, x0)
+    trace, failure = _solve(system, config.solver, start_vector(system.n, config.start))
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths["trace_csv"] = trace.write_csv(out / "trace.csv", timing=config.timing)
-    extras = {"resolved": trace.config_dict()}
-    paths["config_json"] = _write_json(_resolved_config_dict(config, extras), out / "config.json")
+    paths["config_json"] = _write_config(config, out, resolved=trace.config_dict())
     if config.svg:
-        series = _error_series(config.solver.method, trace.rel_error)
-        if series:
-            paths["svg"] = emit_svg(
-                series,
-                log_y=True,
-                path=out / "trace.svg",
-                title=config.solver.method,
-                x_label="iteration",
-                y_label="relative error",
-            )
+        method = config.solver.method
+        _plot(paths, out / "trace.svg", method, [(method, trace.rel_error)])
     if failure is not None:
         raise failure
     return paths
@@ -367,63 +359,38 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
     _validate(config)
     if not methods:
         raise ConfigError("need at least one method to compare")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     system = generate(config.generator)
     x0 = start_vector(system.n, config.start)
+    traces = [
+        _solve(system, dataclasses.replace(
+            config.solver, method=method,
+            seed=derived_seed(config.solver.seed, _TAG_METHOD, midx)), x0)[0]
+        for midx, method in enumerate(methods)
+    ]
 
-    traces: list[IterationTrace] = []
-    for midx, method in enumerate(methods):
-        solver_cfg = dataclasses.replace(
-            config.solver,
-            method=method,
-            seed=derived_seed(config.solver.seed, _TAG_METHOD, midx),
-        )
-        traces.append(_solve(system, solver_cfg, x0)[0])
-
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, object] = {"traces": traces}
     for midx, (method, trace) in enumerate(zip(methods, traces)):
         paths[f"trace_csv_{midx}"] = trace.write_csv(
             out / f"trace_{midx}_{method}.csv", timing=config.timing
         )
 
-    budget = max(t.iterations for t in traces)
+    names = [f"{m}_{i}" for i, m in enumerate(methods)]
+    elapsed = [_elapsed_ns(t, config.timing) for t in traces]
     with open(out / "compare.csv", "w", encoding="utf-8") as fh:
-        names = [f"{m}_{i}" for i, m in enumerate(methods)]
-        fh.write(
-            "iter,"
-            + ",".join(f"rel_error_{n}" for n in names)
-            + ","
-            + ",".join(f"elapsed_ns_{n}" for n in names)
-            + "\n"
-        )
-        for k in range(budget):
-            rels = [
-                repr(t.rel_error[k]) if k < t.iterations else "" for t in traces
-            ]
-            elapsed = [
-                str(t.elapsed_ns[k] if config.timing == "real" else 0)
-                if k < t.iterations
-                else ""
-                for t in traces
-            ]
-            fh.write(f"{k + 1}," + ",".join(rels) + "," + ",".join(elapsed) + "\n")
+        fh.write(",".join(["iter", *(f"rel_error_{n}" for n in names),
+                           *(f"elapsed_ns_{n}" for n in names)]) + "\n")
+        for k in range(max(t.iterations for t in traces)):
+            rels = [repr(t.rel_error[k]) if k < t.iterations else "" for t in traces]
+            ns = [str(e[k]) if k < len(e) else "" for e in elapsed]
+            fh.write(",".join([str(k + 1), *rels, *ns]) + "\n")
     paths["compare_csv"] = out / "compare.csv"
 
-    series = [s for method, trace in zip(methods, traces)
-              for s in _error_series(method, trace.rel_error)]
-    if config.svg and series:
-        paths["svg"] = emit_svg(
-            series,
-            log_y=True,
-            path=out / "compare.svg",
-            title="method comparison",
-            x_label="iteration",
-            y_label="relative error",
-        )
-    paths["config_json"] = _write_json(
-        _resolved_config_dict(config, {"methods": list(methods)}), out / "config.json"
-    )
+    if config.svg:
+        _plot(paths, out / "compare.svg", "method comparison",
+              [(m, t.rel_error) for m, t in zip(methods, traces)])
+    paths["config_json"] = _write_config(config, out, methods=list(methods))
     return paths
 
 
@@ -453,14 +420,9 @@ def adversarial_demo(
     of the duplicated row direction with the projective iterates (the
     corrupted hyperplane offset is their distance to the target value).
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     system, x0 = generate_adversarial_duplicate(
         n=n, clean_rows=clean_rows, dup_rows=dup_rows, target=target, seed=seed
     )
-    dup_direction = system.matrix[clean_rows]
-
-    results: dict[str, object] = {}
     traces: dict[str, IterationTrace] = {}
     for label, method, cfg_alpha, budget, stop in (
         ("projective", "quantile-projective-block", 1.0, iterations, 0.0),
@@ -474,14 +436,16 @@ def adversarial_demo(
             stop_rel_error=stop,
             seed=derived_seed(seed, _TAG_METHOD, len(traces)),
         )
-        trace = traces[label] = _solve(system, solver_cfg, x0, keep_iterates=True)[0]
-        results[f"trace_csv_{label}"] = trace.write_csv(
-            out / f"trace_{label}.csv", timing=timing
-        )
+        traces[label] = _solve(system, solver_cfg, x0, keep_iterates=True)[0]
+    dup_direction = system.matrix[clean_rows]
+    hyperplane_dots = [float(dup_direction @ x) for x in traces["projective"].iterates]
 
-    hyperplane_dots = [
-        float(dup_direction @ x) for x in traces["projective"].iterates
-    ]
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results: dict[str, object] = {
+        f"trace_csv_{label}": trace.write_csv(out / f"trace_{label}.csv", timing=timing)
+        for label, trace in traces.items()
+    }
     summary = {
         "n": n,
         "clean_rows": clean_rows,
@@ -498,22 +462,8 @@ def adversarial_demo(
         ),
     }
     results["summary_json"] = _write_json(summary, out / "summary.json")
-
     if svg:
-        series = [s for label in ("projective", "averaged")
-                  for s in _error_series(label, traces[label].rel_error)]
-        if series:
-            results["svg"] = emit_svg(
-                series,
-                log_y=True,
-                path=out / "adversarial.svg",
-                title="projective vs averaged blocking",
-                x_label="iteration",
-                y_label="relative error",
-            )
-
-    results["traces"] = traces
-    results["hyperplane_dots"] = hyperplane_dots
-    results["system"] = system
-    results["x0"] = x0
+        _plot(results, out / "adversarial.svg", "projective vs averaged blocking",
+              [(label, trace.rel_error) for label, trace in traces.items()])
+    results.update(traces=traces, hyperplane_dots=hyperplane_dots, system=system, x0=x0)
     return results

@@ -4,8 +4,8 @@ Six methods behind one trace-producing entry point :func:`solve`:
 
 - ``rk``: classical randomized Kaczmarz, one row projection per iteration.
 - ``quantile-rk``: residual-quantile gated single-row projection; a sampled
-  candidate row is used only if its absolute residual falls strictly below
-  the quantile of a sampled subresidual.
+  candidate row is used only if its absolute residual falls below (or, under
+  the ``at-or-below`` comparator, at) the quantile of a sampled subresidual.
 - ``averaged-block``: uniformly weighted average of single-row projection
   directions over a randomly sampled block, scaled by a step size.
 - ``quantile-averaged-block``: averaged step over every row whose absolute
@@ -265,21 +265,23 @@ def rk_step(matrix, b, x, rng: np.random.Generator) -> tuple[np.ndarray, StepSta
 
 
 def quantile_rk_step(
-    matrix, b, x, q: float, t: int, rng: np.random.Generator
+    matrix, b, x, q: float, t: int, rng: np.random.Generator, comparator: str = "strict-below"
 ) -> tuple[np.ndarray, StepStats]:
     """Quantile-gated single-row projection.
 
     The quantile is computed over a uniform sample of ``t`` rows, then one
     candidate row is sampled uniformly from the whole system and used only
-    if its absolute residual lies strictly below that quantile.
+    if its absolute residual passes ``comparator`` against that quantile.
+    Full-sample policy: when ``t`` equals the row count, the quantile ranks
+    every row in identity order and no sample is drawn.
     """
     m = matrix.shape[0]
-    sample = np.arange(m) if t == m else rng.choice(m, size=t, replace=False)
-    abs_r = np.abs(matrix[sample] @ x - b[sample])
+    rows = slice(None) if t == m else rng.choice(m, size=t, replace=False)
+    abs_r = np.abs(matrix[rows] @ x - b[rows])
     threshold = quantile_of_multiset(abs_r, q)
     j = int(rng.integers(m))
     gap = matrix[j] @ x - b[j]
-    if abs(gap) < threshold:
+    if _accepted_mask(abs(gap), threshold, comparator):
         return x - gap * matrix[j], StepStats(threshold, np.array([j], dtype=np.intp))
     return x.copy(), StepStats(threshold, np.array([], dtype=np.intp))
 
@@ -322,7 +324,7 @@ def _rk(a, b, config, t, alpha) -> Step:
 
 
 def _quantile_rk(a, b, config, t, alpha) -> Step:
-    return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng)
+    return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng, config.comparator)
 
 
 def _averaged(a, b, config, t, alpha) -> Step:

@@ -250,6 +250,35 @@ class TestCli:
         assert err.startswith("configuration error: ") and value in err
         assert not (tmp_path / "sw" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv, parameter, method", [
+        (["sweep-t", "--m", "200", "--beta", "0.1", "--method", "quantile-averaged-block",
+          "--alpha", "5", "--values", "20,100,200"], "t", "quantile-averaged-block"),
+        (["sweep-alpha", "--m", "200", "--method", "quantile-rk", "--values", "1,2"],
+         "alpha", "quantile-rk"),
+        (["sweep-q", "--m", "200", "--method", "rk", "--values", "0.5,0.7"], "q", "rk"),
+    ])
+    def test_sweep_over_a_parameter_the_method_never_reads_exits_2(
+        self, tmp_path, capsys, argv, parameter, method
+    ):
+        rc = cli_main([*argv, "--n", "5", "--timing", "none", "--out", str(tmp_path / "sw")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert repr(parameter) in err and repr(method) in err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--m", "100", "--n", "5", "--seed", "1", "--iters", "0"],
+        ["compare", "--m", "100", "--n", "5", "--methods", "quantile-rk,bogus"],
+        ["sweep-q", "--m", "100", "--n", "5", "--q", "0.5", "--values", "0.001,0.5"],
+        ["sweep-t", "--m", "100", "--n", "5", "--method", "sampled-quantile-averaged-block",
+         "--values", "30,50.5"],
+        ["adversarial-demo", "--iters", "0"],
+    ])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, argv):
+        assert cli_main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_rate_subcommand(self, tmp_path, capsys):
         rc = cli_main([
             "rate", "--family", "gaussian", "--m", "14", "--n", "3", "--seed", "6",

@@ -12,7 +12,7 @@ from quantile_kaczmarz.errors import (
     EmptyInputError,
     ShapeError,
 )
-from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate
+from quantile_kaczmarz.problems import CorruptedSystem, CorruptionSpec, GeneratorSpec, generate
 from quantile_kaczmarz.solvers import (
     METHODS,
     SolverConfig,
@@ -269,6 +269,22 @@ class TestSingleRowSteps:
         np.testing.assert_array_equal(x_next, [1.0, 0.0])
         np.testing.assert_array_equal(stats.tau, [0])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_quantile_rk_full_sample_matches_gathered_reference(self, seed):
+        system = corrupted_system(m=80, n=6, seed=seed)
+        a, b = system.matrix, system.b_observed
+        x = np.random.default_rng(seed).standard_normal(6)
+        x_next, stats = quantile_rk_step(a, b, x, 0.7, 80, np.random.default_rng(seed))
+        # Reference: rank the gathered rows in identity order, then draw the candidate.
+        rng = np.random.default_rng(seed)
+        rows = np.arange(80)
+        threshold = quantile_of_multiset(np.abs(a[rows] @ x - b[rows]), 0.7)
+        j = int(rng.integers(80))
+        gap = a[j] @ x - b[j]
+        expected = x - gap * a[j] if abs(gap) < threshold else x
+        np.testing.assert_array_equal(x_next, expected)
+        assert stats.quantile == threshold
+
 
 class TestAveragedBlockStep:
     def test_full_block_with_alpha_m_is_gradient_identity(self):
@@ -479,6 +495,16 @@ class TestSolve:
         base.update(bad)
         with pytest.raises(ConfigError):
             solve(system, SolverConfig(**base), np.zeros(system.n))
+
+    @pytest.mark.parametrize("comparator, admitted", [("strict-below", 0), ("at-or-below", 1)])
+    def test_quantile_rk_honours_comparator(self, comparator, admitted):
+        # At x0 every row's residual is 1, so the candidate ties the quantile.
+        system = CorruptedSystem(matrix=np.eye(2), x_star=np.zeros(2), b_true=np.zeros(2),
+                                 b_observed=np.zeros(2),
+                                 corrupted_indices=np.array([], dtype=np.intp), beta=0.0)
+        config = SolverConfig(method="quantile-rk", q=0.5, comparator=comparator, max_iters=1)
+        trace = solve(system, config, np.ones(2))
+        assert trace.tau_size == [admitted]
 
     def test_wall_time_monotone(self):
         system = corrupted_system(seed=27)
