@@ -31,7 +31,7 @@ from .harness import (
 )
 from .problems import FAMILIES, generate, save_system
 from .rates import RateInputs, _restricted_summary, convergence_condition, rate_report
-from .solvers import COMPARATORS, METHODS
+from .solvers import COMPARATORS, METHODS, TIMINGS
 
 DESK_M, DESK_N = 2000, 50
 FULL_M, FULL_N = 10000, 100
@@ -81,7 +81,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="output_dir", help="output directory")
-    p.add_argument("--timing", choices=("real", "none"))
+    p.add_argument("--timing", choices=TIMINGS)
     p.add_argument("--svg", action="store_true", default=None)
 
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", dest="iterations", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="output_dir", default="adversarial", help="output directory")
-    p.add_argument("--timing", choices=("real", "none"))
+    p.add_argument("--timing", choices=TIMINGS)
     p.set_defaults(func=_cmd_adversarial)
 
     p = sub.add_parser("rate", help="print the convergence-rate report for a system")

@@ -26,7 +26,7 @@ from .problems import (
     generate,
     generate_adversarial_duplicate,
 )
-from .solvers import IterationTrace, SolverConfig, method_spec, solve
+from .solvers import IterationTrace, SolverConfig, check_timing, method_spec, solve
 from .svgplot import emit_svg
 
 SWEEP_CSV_HEADER = "value,repetition,rel_error,diverged,wall_ms"
@@ -94,8 +94,7 @@ def derived_seed(base: int, *keys: int) -> int:
 def _validate(config: ExperimentConfig) -> None:
     if config.repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
-    if config.timing not in ("real", "none"):
-        raise ConfigError(f"timing must be 'real' or 'none', got {config.timing!r}")
+    check_timing(config.timing)
     if config.start not in ("ones", "zeros"):
         raise ConfigError(f"start must be 'ones' or 'zeros', got {config.start!r}")
     if config.sweep is not None:
@@ -121,11 +120,6 @@ def _write_config(config: ExperimentConfig, out: Path, **extras) -> Path:
     payload = dataclasses.asdict(config)
     del payload["output_dir"]
     return _write_json({**payload, **extras}, out / "config.json")
-
-
-def _elapsed_ns(trace: IterationTrace, timing: str) -> list[int]:
-    """The trace's cumulative wall times, zeroed under ``timing="none"``."""
-    return trace.elapsed_ns if timing == "real" else [0] * trace.iterations
 
 
 def _plot(paths: dict, path: Path, title: str, curves, x_label: str = "iteration",
@@ -176,7 +170,7 @@ def _solve_outcome(
     trace, failure = _solve(system, solver_cfg, x0)
     rel = trace.rel_error[-1]
     diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
-    return rel, diverged, _elapsed_ns(trace, timing)[-1] / 1e6
+    return rel, diverged, trace.elapsed(timing)[-1] / 1e6
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
@@ -377,7 +371,7 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
         )
 
     names = [f"{m}_{i}" for i, m in enumerate(methods)]
-    elapsed = [_elapsed_ns(t, config.timing) for t in traces]
+    elapsed = [t.elapsed(config.timing) for t in traces]
     with open(out / "compare.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(["iter", *(f"rel_error_{n}" for n in names),
                            *(f"elapsed_ns_{n}" for n in names)]) + "\n")
@@ -420,6 +414,7 @@ def adversarial_demo(
     of the duplicated row direction with the projective iterates (the
     corrupted hyperplane offset is their distance to the target value).
     """
+    check_timing(timing)
     system, x0 = generate_adversarial_duplicate(
         n=n, clean_rows=clean_rows, dup_rows=dup_rows, target=target, seed=seed
     )

@@ -23,7 +23,6 @@ trace.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections.abc import Callable
@@ -44,6 +43,7 @@ from .problems import CorruptedSystem
 from .rates import resolve_alpha_auto
 
 COMPARATORS = ("strict-below", "at-or-below")
+TIMINGS = ("real", "none")
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -117,29 +117,33 @@ class IterationTrace:
             "iterations": self.iterations,
         }
 
+    def elapsed(self, timing: str) -> list[int]:
+        """The cumulative wall times, zeroed under ``timing="none"`` so that
+        identical runs write identical bytes."""
+        check_timing(timing)
+        return self.elapsed_ns if timing == "real" else [0] * self.iterations
+
     def write_csv(self, path, timing: str = "real") -> Path:
         """Write the trace in the ``iter,rel_error,quantile,tau_size,
-        tau_corrupted,elapsed_ns`` schema.  ``timing="none"`` zeroes the
-        elapsed column so identical runs produce identical bytes."""
-        if timing not in ("real", "none"):
-            raise ConfigError(f"timing must be 'real' or 'none', got {timing!r}")
+        tau_corrupted,elapsed_ns`` schema, wall times as :meth:`elapsed`
+        gives them."""
+        elapsed = self.elapsed(timing)
         path = Path(path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("iter,rel_error,quantile,tau_size,tau_corrupted,elapsed_ns\n")
             for k in range(self.iterations):
-                ns = self.elapsed_ns[k] if timing == "real" else 0
                 fh.write(
                     f"{k + 1},{self.rel_error[k]!r},{self.quantile[k]!r},"
-                    f"{self.tau_size[k]},{self.tau_corrupted[k]},{ns}\n"
+                    f"{self.tau_size[k]},{self.tau_corrupted[k]},{elapsed[k]}\n"
                 )
         return path
 
-    def write_config_json(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.config_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+
+def check_timing(timing: str) -> None:
+    """Wall-time columns hold real measurements (``"real"``) or zeros
+    (``"none"``); anything else raises :class:`ConfigError`."""
+    if timing not in TIMINGS:
+        raise ConfigError(f"timing must be 'real' or 'none', got {timing!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +169,30 @@ def _accepted_mask(abs_residual: np.ndarray, threshold: float, comparator: str) 
     raise ConfigError(f"unknown comparator {comparator!r}")
 
 
+def _quantile_test(rows, b, x, q: float, comparator: str):
+    """The residual ``rows @ x - b``, the ``q``-quantile of its magnitudes and
+    the mask of the rows that pass ``comparator`` against it."""
+    r = rows @ x - b
+    abs_r = np.abs(r)
+    threshold = quantile_of_multiset(abs_r, q)
+    return r, threshold, _accepted_mask(abs_r, threshold, comparator)
+
+
 def quantile_abk_step(
     matrix, b, x, q: float, alpha: float, comparator: str = "strict-below"
 ) -> tuple[np.ndarray, StepStats]:
     """One averaged step over the rows passing the full-residual quantile test.
 
-    An empty accepted set (e.g. at the exact solution under the strict
-    comparator) is a defined no-op, never an error.
+    The update ``A_tau^T r_tau`` is taken as one masked pass over the whole
+    matrix, so no accepted row is copied.  An empty accepted set (e.g. at the
+    exact solution under the strict comparator) is a defined no-op, never an
+    error.
     """
-    r = matrix @ x - b
-    abs_r = np.abs(r)
-    threshold = quantile_of_multiset(abs_r, q)
-    tau = np.flatnonzero(_accepted_mask(abs_r, threshold, comparator))
+    r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
+    tau = np.flatnonzero(keep)
     if tau.size == 0:
         return x.copy(), StepStats(threshold, tau)
-    x_next = x - (alpha / tau.size) * (matrix[tau].T @ r[tau])
+    x_next = x - (alpha / tau.size) * (np.where(keep, r, 0.0) @ matrix)
     return x_next, StepStats(threshold, tau)
 
 
@@ -195,22 +208,21 @@ def sampled_qabk_step(
 ) -> tuple[np.ndarray, StepStats]:
     """Averaged quantile step restricted to a uniform sample of ``t`` rows.
 
-    Full-sample policy: when ``t`` equals the row count, the sample is the
-    identity ordering, which makes the step bitwise identical to
-    :func:`quantile_abk_step`.
+    The sample's rows are gathered once; the residual and the masked update
+    both read that one copy.  Full-sample policy: when ``t`` equals the row
+    count, the sample is the identity ordering, which makes the step bitwise
+    identical to :func:`quantile_abk_step`.
     """
     m = matrix.shape[0]
     if t == m:
         return quantile_abk_step(matrix, b, x, q, alpha, comparator)
     sample = rng.choice(m, size=t, replace=False)
-    r_s = matrix[sample] @ x - b[sample]
-    abs_r = np.abs(r_s)
-    threshold = quantile_of_multiset(abs_r, q)
-    keep = _accepted_mask(abs_r, threshold, comparator)
+    rows = matrix[sample]
+    r_s, threshold, keep = _quantile_test(rows, b[sample], x, q, comparator)
     tau = sample[keep]
     if tau.size == 0:
         return x.copy(), StepStats(threshold, tau)
-    x_next = x - (alpha / tau.size) * (matrix[tau].T @ r_s[keep])
+    x_next = x - (alpha / tau.size) * (np.where(keep, r_s, 0.0) @ rows)
     return x_next, StepStats(threshold, tau)
 
 
@@ -240,10 +252,8 @@ def quantile_pbk_step(
     the least-squares affine set, with ``ridge`` regularizing a rank-deficient
     factorization.
     """
-    r = matrix @ x - b
-    abs_r = np.abs(r)
-    threshold = quantile_of_multiset(abs_r, q)
-    tau = np.flatnonzero(_accepted_mask(abs_r, threshold, comparator))
+    r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
+    tau = np.flatnonzero(keep)
     if tau.size == 0:
         return x.copy(), StepStats(threshold, tau)
     sub = matrix[tau]
@@ -293,8 +303,9 @@ def averaged_rbk_step(
     block = np.asarray(block, dtype=np.intp)
     if block.size == 0:
         raise ShapeError("block must be nonempty")
-    r = matrix[block] @ x - b[block]
-    x_next = x - (alpha / block.size) * (matrix[block].T @ r)
+    rows = matrix[block]
+    r = rows @ x - b[block]
+    x_next = x - (alpha / block.size) * (rows.T @ r)
     return x_next, StepStats(math.nan, block)
 
 

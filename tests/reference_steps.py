@@ -1,0 +1,98 @@
+"""Literal gather references of the averaged step kernels, and the forward
+error bound within which a kernel that sums in another order must agree
+with them.  The tests check the package against these; they are not part of
+its API.
+
+Each reference copies the rows it uses and forms the paper's update
+``x - (alpha/|tau|) A_tau^T r_tau`` as written.  The threshold is the
+ceil(q*S)-th smallest residual magnitude, taken from a full sort.
+"""
+import math
+
+import numpy as np
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _threshold(abs_r: np.ndarray, q: float) -> float:
+    return float(np.sort(abs_r)[math.ceil(q * abs_r.size) - 1])
+
+
+def _accepted(abs_r: np.ndarray, threshold: float, comparator: str) -> np.ndarray:
+    return abs_r < threshold if comparator == "strict-below" else abs_r <= threshold
+
+
+def averaged_rbk_reference(matrix, b, x, block, alpha: float) -> np.ndarray:
+    block = np.asarray(block, dtype=np.intp)
+    r = matrix[block] @ x - b[block]
+    return x - (alpha / block.size) * (matrix[block].T @ r)
+
+
+def quantile_abk_reference(matrix, b, x, q: float, alpha: float,
+                           comparator: str = "strict-below"):
+    """``(x_next, threshold, tau)`` of the full-residual averaged step."""
+    r = matrix @ x - b
+    abs_r = np.abs(r)
+    threshold = _threshold(abs_r, q)
+    tau = np.flatnonzero(_accepted(abs_r, threshold, comparator))
+    if tau.size == 0:
+        return x.copy(), threshold, tau
+    return x - (alpha / tau.size) * (matrix[tau].T @ r[tau]), threshold, tau
+
+
+def sampled_qabk_reference(matrix, b, x, q: float, t: int, alpha: float, rng,
+                           comparator: str = "strict-below"):
+    """``(x_next, threshold, tau)`` of the sampled averaged step; draws from
+    ``rng`` exactly what the kernel draws (nothing when ``t`` is the row
+    count)."""
+    m = matrix.shape[0]
+    if t == m:
+        return quantile_abk_reference(matrix, b, x, q, alpha, comparator)
+    sample = rng.choice(m, size=t, replace=False)
+    r = matrix[sample] @ x - b[sample]
+    abs_r = np.abs(r)
+    threshold = _threshold(abs_r, q)
+    keep = _accepted(abs_r, threshold, comparator)
+    tau = sample[keep]
+    if tau.size == 0:
+        return x.copy(), threshold, tau
+    return x - (alpha / tau.size) * (matrix[tau].T @ r[keep]), threshold, tau
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def update_bound(matrix, b, x, tau, alpha: float, rows_summed: int) -> np.ndarray:
+    """Componentwise bound on the gap between two evaluations of the same
+    averaged step that differ only in the order of the sum ``A_tau^T r_tau``.
+
+    Both evaluations share the computed residual ``r`` and the computed scale
+    ``c = fl(alpha/|tau|)``, and each forms ``fl(x - fl(c * s_hat))``.  Let
+    ``s = A_tau^T r_tau`` exactly and ``S = |A_tau|^T |r_tau|``.  A sum of at
+    most k products in any order, with or without fused multiply-adds, has
+    ``|s_hat - s| <= gamma_k S``; the gather sums |tau| <= k products and
+    the masked pass k, with k the rows the pass reads (``rows_summed``).
+    With ``|delta|, |eps| <= u`` the roundings of the scale and of the
+    subtraction, the gap between the two results is
+
+        (p2 - p1) + eps1 (x - p1) - eps2 (x - p2),   p = c s_hat (1 + delta),
+
+    whose magnitude is at most ``2u|x| + c S (2 gamma_k + 4u + 4u gamma_k +
+    2u^2 (1 + gamma_k))``.  Since ``gamma_k + gamma_j + gamma_k gamma_j <=
+    gamma_{k+j}`` and ``gamma_2 >= 2u + 4u^2``, the bracket is at most
+    ``2 gamma_{k+2}``, so
+
+        |x_1 - x_2| <= 2 gamma_{k+2} c S + 2u |x|.
+
+    ``S`` is evaluated in floating point; its own relative error, at most
+    gamma_k, changes the bound only at order u^2.
+    """
+    tau = np.asarray(tau, dtype=np.intp)
+    if tau.size == 0:
+        return np.zeros_like(x)
+    r_tau = matrix[tau] @ x - b[tau]
+    scale = alpha / tau.size
+    s_abs = np.abs(matrix[tau]).T @ np.abs(r_tau)
+    return 2 * gamma(rows_summed + 2) * scale * s_abs + 2 * UNIT_ROUNDOFF * np.abs(x)

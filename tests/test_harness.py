@@ -157,6 +157,17 @@ class TestAdversarialDemo:
         assert min(out["traces"]["projective"].rel_error) >= 0.1
         assert out["traces"]["averaged"].rel_error[-1] <= 1e-4
 
+    def test_bad_timing_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        import quantile_kaczmarz.harness as harness
+
+        solves = []
+        monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(1))
+        with pytest.raises(ConfigError, match="timing"):
+            adversarial_demo(tmp_path / "demo", n=10, clean_rows=50, dup_rows=10,
+                             iterations=3, averaged_max_iters=3, timing="bogus")
+        assert solves == []
+        assert not (tmp_path / "demo").exists()
+
 
 class TestSvg:
     def test_single_series_single_polyline(self, tmp_path):

@@ -26,6 +26,12 @@ from quantile_kaczmarz.solvers import (
     sampled_qabk_step,
     solve,
 )
+from reference_steps import (
+    averaged_rbk_reference,
+    quantile_abk_reference,
+    sampled_qabk_reference,
+    update_bound,
+)
 
 
 def corrupted_system(m=200, n=10, seed=0, beta=0.2, family="gaussian"):
@@ -304,16 +310,96 @@ class TestAveragedBlockStep:
         np.testing.assert_array_equal(got, want)
 
     def test_matches_quantile_step_on_same_block(self):
+        # The block step is the gather reference's arithmetic, so it is
+        # bit-equal to it; the quantile step sums the same products in
+        # another order, so it agrees within the derived forward error bound.
         system = corrupted_system(m=90, n=5, seed=16)
+        a, b = system.matrix, system.b_observed
         x = np.ones(5)
-        _, stats = quantile_abk_step(system.matrix, system.b_observed, x, 0.6, 1.4)
-        got, _ = averaged_rbk_step(system.matrix, system.b_observed, x, stats.tau, 1.4)
-        want, _ = quantile_abk_step(system.matrix, system.b_observed, x, 0.6, 1.4)
-        np.testing.assert_array_equal(got, want)
+        got_q, stats = quantile_abk_step(a, b, x, 0.6, 1.4)
+        want = averaged_rbk_reference(a, b, x, stats.tau, 1.4)
+        got_block, _ = averaged_rbk_step(a, b, x, stats.tau, 1.4)
+        np.testing.assert_array_equal(got_block, want)
+        assert np.all(np.abs(got_q - want) <= update_bound(a, b, x, stats.tau, 1.4, a.shape[0]))
 
     def test_empty_block_rejected(self):
         with pytest.raises(ShapeError):
             averaged_rbk_step(np.eye(2), np.ones(2), np.ones(2), [], 1.0)
+
+
+@st.composite
+def step_inputs(draw):
+    """A unit-row system, an iterate, q and alpha.  ``residuals`` picks how
+    the magnitudes fall: Gaussian (distinct), small integers (many exact
+    ties, as x = 0 makes the residual -b exactly) or all equal (so the strict
+    comparator accepts nothing)."""
+    m = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 12))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = data.standard_normal((m, n))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    residuals = draw(st.sampled_from(["gaussian", "integer", "equal"]))
+    if residuals == "gaussian":
+        b, x = data.standard_normal(m), data.standard_normal(n)
+    elif residuals == "integer":
+        b, x = data.integers(-2, 3, size=m).astype(float), np.zeros(n)
+    else:
+        b, x = np.full(m, 1.5), np.zeros(n)
+    q = draw(st.floats(min_value=0.01, max_value=1.0))
+    alpha = draw(st.floats(min_value=0.1, max_value=200.0))
+    return matrix, b, x, q, alpha
+
+
+def assert_within_update_bound(got, want, matrix, b, x, tau, alpha, rows_summed):
+    bound = update_bound(matrix, b, x, tau, alpha, rows_summed)
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) - bound)
+
+
+class TestKernelsMatchGatherReferences:
+    """Each averaged kernel against its literal gather reference: the
+    accepted set and threshold exactly, the iterate within the forward error
+    bound of a reordered sum (see ``reference_steps.update_bound``)."""
+
+    @given(step_inputs(), st.sampled_from(["strict-below", "at-or-below"]))
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_abk_step(self, inputs, comparator):
+        matrix, b, x, q, alpha = inputs
+        got, stats = quantile_abk_step(matrix, b, x, q, alpha, comparator)
+        want, threshold, tau = quantile_abk_reference(matrix, b, x, q, alpha, comparator)
+        np.testing.assert_array_equal(stats.tau, tau)
+        assert stats.quantile == threshold
+        assert_within_update_bound(got, want, matrix, b, x, tau, alpha, matrix.shape[0])
+        if tau.size == 0:
+            np.testing.assert_array_equal(got, x)
+            assert got is not x
+
+    @given(step_inputs(), st.sampled_from(["strict-below", "at-or-below"]),
+           st.floats(min_value=0.0, max_value=1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sampled_qabk_step(self, inputs, comparator, fraction, seed):
+        # fraction 1.0 gives t == m, the full-sample path.
+        matrix, b, x, q, alpha = inputs
+        m = matrix.shape[0]
+        t = max(1, round(fraction * m))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, stats = sampled_qabk_step(matrix, b, x, q, t, alpha, rng, comparator)
+        want, threshold, tau = sampled_qabk_reference(matrix, b, x, q, t, alpha, ref_rng,
+                                                      comparator)
+        np.testing.assert_array_equal(stats.tau, tau)
+        assert stats.quantile == threshold
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_within_update_bound(got, want, matrix, b, x, tau, alpha, t)
+
+    @given(step_inputs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_averaged_rbk_step_is_bit_equal(self, inputs, seed):
+        matrix, b, x, _, alpha = inputs
+        m = matrix.shape[0]
+        draws = np.random.default_rng(seed)
+        block = draws.choice(m, size=int(draws.integers(1, m + 1)), replace=False)
+        got, stats = averaged_rbk_step(matrix, b, x, block, alpha)
+        np.testing.assert_array_equal(got, averaged_rbk_reference(matrix, b, x, block, alpha))
+        np.testing.assert_array_equal(stats.tau, block)
 
 
 class TestSolve:
@@ -535,14 +621,14 @@ class TestTraceSerialization:
             blobs.append(trace.write_csv(tmp_path / f"{name}.csv", timing="none").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_config_json_contents(self, tmp_path):
+    def test_config_json_contents(self):
         import json
 
         system = corrupted_system(seed=30)
         config = SolverConfig(method="quantile-averaged-block", q=0.6, alpha=8.0,
                               max_iters=3, seed=7, comparator="at-or-below")
         trace = solve(system, config, np.zeros(system.n))
-        payload = json.loads(trace.write_config_json(tmp_path / "cfg.json").read_text())
+        payload = json.loads(json.dumps(trace.config_dict()))
         assert payload["method"] == "quantile-averaged-block"
         assert payload["alpha"] == 8.0
         assert payload["alpha_source"] == "explicit"
