@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,8 @@ from .errors import DomainError, EmptyInputError, ShapeError, TooManySubsetsErro
 SUBSET_ENUMERATION_CAP = 2_000_000
 
 _ZERO_ROW_FLOOR = 1e-300
-_EIG_CHUNK = 4096
+# Bytes of gathered subset rows held at once by the restricted routines.
+_CHUNK_BYTES = 4 << 20
 
 
 def _as_2d(matrix) -> np.ndarray:
@@ -47,6 +49,26 @@ def as_matrix(matrix) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ShapeError("matrix entries must be finite")
     return a
+
+
+def as_count(value, name: str, minimum: int = 0) -> int:
+    """Return ``value`` as a Python int no smaller than ``minimum``.
+
+    Raises
+    ------
+    ShapeError
+        If ``value`` is a bool or not an integer (``operator.index`` fails),
+        or is below ``minimum``; the message names ``name``.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ShapeError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ShapeError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def row_normalize(matrix) -> np.ndarray:
@@ -146,18 +168,31 @@ class SpectralSummary:
     subsets_examined: int
 
 
-def _min_over_subsets(a: np.ndarray, subsets: np.ndarray) -> float:
-    # subsets: (chunk, k) integer array of row indices
-    sub = a[subsets]                       # (chunk, k, n)
-    grams = np.einsum("ckn,ckm->cnm", sub, sub)
-    eigs = np.linalg.eigvalsh(grams)       # ascending
-    return float(max(np.min(eigs[:, 0]), 0.0))
+def _min_over_subsets(a: np.ndarray, k: int, subsets) -> float:
+    """Smallest Gram eigenvalue over an iterable of size-k row-index subsets.
+
+    Gathers at most ``_CHUNK_BYTES`` of subset rows at a time (one subset if
+    a single one is larger) and forms each Gram matrix with a BLAS product.
+    """
+    subsets = iter(subsets)
+    per_chunk = max(1, _CHUNK_BYTES // (a.itemsize * k * a.shape[1]))
+    best = np.inf
+    while True:
+        idx = np.fromiter(itertools.islice(subsets, per_chunk), dtype=(np.intp, k))
+        if idx.size == 0:
+            return max(best, 0.0)
+        sub = a[idx]                                       # (chunk, k, n)
+        grams = np.matmul(sub.transpose(0, 2, 1), sub)     # (chunk, n, n)
+        del sub  # free this chunk before the next one is gathered
+        best = min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
 
 
-def _validate_subset_size(a: np.ndarray, k: int) -> None:
+def _validate_subset_size(a: np.ndarray, k) -> int:
     m, n = a.shape
+    k = as_count(k, "k")
     if not n <= k <= m:
         raise ShapeError(f"subset size k={k} must satisfy cols <= k <= rows ({n} <= k <= {m})")
+    return k
 
 
 def restricted_min_sv_bruteforce(
@@ -166,31 +201,27 @@ def restricted_min_sv_bruteforce(
     """Exact infimum of ``sigma_min_sq`` over all row subsets of size ``k``.
 
     Enumerates every subset, so the binomial count must stay below ``cap``.
+    Holds at most ``_CHUNK_BYTES`` (4 MiB) of gathered subset rows at a time,
+    or one subset when a single one is larger.
 
     Raises
     ------
+    ShapeError
+        If ``k`` is not an integer (a bool is not) or lies outside
+        ``[cols, rows]``.
     TooManySubsetsError
         If ``C(rows, k)`` exceeds ``cap``; callers should fall back to
         :func:`restricted_min_sv_sampled`.
     """
     a = as_matrix(matrix)
     m, _ = a.shape
-    _validate_subset_size(a, k)
+    k = _validate_subset_size(a, k)
     total = math.comb(m, k)
     if total > cap:
         raise TooManySubsetsError(
             f"C({m},{k}) = {total} subsets exceeds the enumeration cap {cap}"
         )
-    best = np.inf
-    combos = itertools.combinations(range(m), k)
-    while True:
-        chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, _EIG_CHUNK)),
-            dtype=np.intp,
-        )
-        if chunk.size == 0:
-            break
-        best = min(best, _min_over_subsets(a, chunk.reshape(-1, k)))
+    best = _min_over_subsets(a, k, itertools.combinations(range(m), k))
     return SpectralSummary(
         sigma_max_sq=sigma_max_sq(a),
         sigma_restricted_min_sq=best,
@@ -207,23 +238,23 @@ def restricted_min_sv_sampled(
 
     A heuristic stand-in for the exhaustive infimum when the subset count is
     combinatorially out of reach.  Deterministic given ``seed``; the estimate
-    never undershoots the exact value.
+    never undershoots the exact value.  Holds at most ``_CHUNK_BYTES`` (4 MiB)
+    of gathered subset rows at a time, or one subset when a single one is
+    larger, so memory does not grow with ``samples``.
+
+    Raises
+    ------
+    ShapeError
+        If ``k`` or ``samples`` is not an integer (a bool is not), ``k`` lies
+        outside ``[cols, rows]``, or ``samples`` is below 1.
     """
     a = as_matrix(matrix)
     m, _ = a.shape
-    _validate_subset_size(a, k)
-    if samples < 1:
-        raise ShapeError("samples must be >= 1")
+    k = _validate_subset_size(a, k)
+    samples = as_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
-    best = np.inf
-    done = 0
-    while done < samples:
-        count = min(_EIG_CHUNK, samples - done)
-        idx = np.empty((count, k), dtype=np.intp)
-        for i in range(count):
-            idx[i] = rng.choice(m, size=k, replace=False)
-        best = min(best, _min_over_subsets(a, idx))
-        done += count
+    draws = (rng.choice(m, size=k, replace=False) for _ in range(samples))
+    best = _min_over_subsets(a, k, draws)
     return SpectralSummary(
         sigma_max_sq=sigma_max_sq(a),
         sigma_restricted_min_sq=best,

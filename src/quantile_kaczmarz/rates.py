@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     SUBSET_ENUMERATION_CAP,
     SpectralSummary,
+    as_count,
     quantile_of_multiset,
     restricted_min_sv_bruteforce,
     restricted_min_sv_sampled,
@@ -181,9 +182,12 @@ def _restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: i
                         cap: int = SUBSET_ENUMERATION_CAP) -> SpectralSummary:
     """Spectral summary over the row subsets of size ceil((q - beta) * m):
     exhaustive when there are at most ``cap`` of them, else over ``samples``
-    seeded draws.  Raises :class:`ConditionViolatedError` when the size is
-    below the column count, as every such submatrix is then rank deficient.
+    seeded draws.  ``samples`` must be an integer >= 1 on either path (else
+    :class:`ShapeError`).  Raises :class:`ConditionViolatedError` when the
+    size is below the column count, as every such submatrix is then rank
+    deficient.
     """
+    samples = as_count(samples, "samples", 1)
     m = system.m
     k = math.ceil((q - system.beta) * m)
     if k < system.n:

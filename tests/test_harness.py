@@ -300,6 +300,15 @@ class TestCli:
         assert "optimal step size" in out
         assert (tmp_path / "rate.json").exists()
 
+    @pytest.mark.parametrize("size", [
+        ["--m", "14", "--n", "3", "--q", "0.5"],                      # exhaustive path
+        ["--m", "2000", "--n", "50", "--beta", "0.02", "--q", "0.7"],  # sampled path
+    ])
+    def test_rate_zero_samples_exits_2_on_either_path(self, capsys, size):
+        assert cli_main(["rate", *size, "--seed", "6", "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "samples" in captured.err and "optimal step size" not in captured.out
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {
             "generator": {"family": "gaussian", "m": 90, "n": 6,

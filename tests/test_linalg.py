@@ -1,9 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quantile_kaczmarz import linalg
 from quantile_kaczmarz.errors import ShapeError, TooManySubsetsError, ZeroRowError
 from quantile_kaczmarz.linalg import (
     restricted_min_sv_bruteforce,
@@ -183,6 +187,113 @@ class TestRestrictedSampled:
         exact = restricted_min_sv_bruteforce(a, 4).sigma_restricted_min_sq
         estimate = restricted_min_sv_sampled(a, 4, samples=10, seed=seed)
         assert estimate.sigma_restricted_min_sq >= exact - 1e-12
+
+
+def restricted_sampled_reference(a, k, samples, seed):
+    """Literal reference of ``restricted_min_sv_sampled``: the same draws from
+    the same generator, and one SVD per subset."""
+    rng = np.random.default_rng(seed)
+    return min(
+        np.linalg.svd(a[rng.choice(a.shape[0], size=k, replace=False)], compute_uv=False)[-1] ** 2
+        for _ in range(samples)
+    )
+
+
+@st.composite
+def sampled_inputs(draw):
+    """A unit-row matrix (Gaussian rows, or rows repeated from a pool of n so
+    that many subsets are singular), a subset size, a sample count and a seed."""
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, min(6, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = unit_rows(rng, m, n)
+    if draw(st.booleans()):
+        a = a[rng.integers(0, n, size=m)]
+    return a, draw(st.integers(n, m)), draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestRestrictedAgainstReference:
+    @given(sampled_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_sampled_matches_literal_reference(self, inputs):
+        a, k, samples, seed = inputs
+        summary = restricted_min_sv_sampled(a, k, samples=samples, seed=seed)
+        expected = restricted_sampled_reference(a, k, samples, seed)
+        assert summary.sigma_restricted_min_sq == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert summary.subsets_examined == samples
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_is_chunk_independent(self, monkeypatch, seed):
+        a = unit_rows(np.random.default_rng(400 + seed), 40, 5)
+        results = []
+        for chunk_bytes in (1, 1 << 40):  # one subset per chunk, then one chunk
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", chunk_bytes)
+            results.append(restricted_min_sv_sampled(a, 20, samples=30, seed=seed))
+        single, whole = results
+        assert single.sigma_restricted_min_sq == pytest.approx(
+            whole.sigma_restricted_min_sq, rel=1e-12)
+        assert single.subsets_examined == whole.subsets_examined == 30
+
+    def test_bruteforce_is_chunk_independent(self, monkeypatch):
+        a = unit_rows(np.random.default_rng(500), 9, 3)
+        batches = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(grams):
+            if grams.ndim == 3:  # a chunk of subset Gram matrices, not sigma_max_sq's
+                batches.append(len(grams))
+            return eigvalsh(grams)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        per_subset = 8 * 4 * 3  # bytes of one gathered 4x3 subset
+        expected_batches = {1: [1] * 126, 10: [10] * 12 + [6], 126: [126]}  # C(9,4) = 126
+        results = {}
+        for per_chunk, expected in expected_batches.items():
+            batches.clear()
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * per_subset)
+            results[per_chunk] = restricted_min_sv_bruteforce(a, 4)
+            assert batches == expected
+        values = [r.sigma_restricted_min_sq for r in results.values()]
+        assert values == pytest.approx([values[0]] * 3, rel=1e-12)
+        assert {r.subsets_examined for r in results.values()} == {126}
+
+    def test_sampled_peak_memory_is_bounded_by_the_chunk(self):
+        a = unit_rows(np.random.default_rng(600), 2000, 50)
+        tracemalloc.start()
+        try:
+            restricted_min_sv_sampled(a, 1360, samples=64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * linalg._CHUNK_BYTES + (1 << 20)
+
+
+RESTRICTED_ROUTES = {
+    "bruteforce": (restricted_min_sv_bruteforce, {"k": 4}),
+    "sampled": (restricted_min_sv_sampled, {"k": 4, "samples": 3, "seed": 0}),
+}
+
+
+@pytest.mark.parametrize("route, sizes, name", [
+    ("bruteforce", {"k": 2.5}, "k"),
+    ("bruteforce", {"k": np.float64(4.0)}, "k"),
+    ("bruteforce", {"k": True}, "k"),
+    ("sampled", {"k": 4.0}, "k"),
+    ("sampled", {"samples": 2.5}, "samples"),
+    ("sampled", {"samples": True}, "samples"),
+])
+def test_non_integer_subset_sizes_are_shape_errors(route, sizes, name):
+    a = unit_rows(np.random.default_rng(700), 8, 1)
+    fn, defaults = RESTRICTED_ROUTES[route]
+    with pytest.raises(ShapeError, match=rf"^{name} must be an integer"):
+        fn(a, **{**defaults, **sizes})
+
+
+def test_numpy_integer_sizes_are_accepted():
+    a = unit_rows(np.random.default_rng(701), 8, 2)
+    summary = restricted_min_sv_sampled(a, np.int64(4), samples=np.int32(3), seed=0)
+    assert summary == restricted_min_sv_sampled(a, 4, samples=3, seed=0)
+    assert type(summary.subsets_examined) is int
 
 
 class TestMonotonicity:

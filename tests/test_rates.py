@@ -283,3 +283,9 @@ class TestResolveAlphaAuto:
         )
         alpha, exact = resolve_alpha_auto(system, q=0.1, samples=40, seed=1)
         assert exact is False and alpha > 0
+
+    @pytest.mark.parametrize("samples", [0, 2.5, True])
+    def test_bad_samples_rejected_on_the_exact_route(self, samples):
+        system = small_system(seed=9, m=12, n=3)
+        with pytest.raises(ShapeError, match="samples"):
+            resolve_alpha_auto(system, q=0.5, samples=samples)
