@@ -95,14 +95,14 @@ def convergence_condition(
 
     Returns the verdict together with ``epsilon``, the left side expressed as
     a multiple of the ratio; a contraction exists exactly when epsilon < 1
-    (strictly).
+    (strictly).  A zero restricted value gives epsilon = inf, whatever beta.
     """
     _check_domain(q, beta)
     if sigma_max_sq <= 0 or sigma_restricted_min_sq < 0:
         raise DomainError("spectral inputs must be nonnegative with sigma_max_sq > 0")
     lhs = math.sqrt(beta) / math.sqrt(1.0 - q - beta)
     if sigma_restricted_min_sq == 0.0:
-        return False, math.inf if beta > 0 else 0.0
+        return False, math.inf
     epsilon = lhs * sigma_max_sq / sigma_restricted_min_sq
     return epsilon < 1.0, epsilon
 

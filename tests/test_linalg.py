@@ -237,14 +237,13 @@ class TestRestrictedAgainstReference:
     def test_bruteforce_is_chunk_independent(self, monkeypatch):
         a = unit_rows(np.random.default_rng(500), 9, 3)
         batches = []
-        eigvalsh = np.linalg.eigvalsh
+        slogdet = np.linalg.slogdet
 
-        def recording_eigvalsh(grams):
-            if grams.ndim == 3:  # a chunk of subset Gram matrices, not sigma_max_sq's
-                batches.append(len(grams))
-            return eigvalsh(grams)
+        def recording_slogdet(grams):  # sees every chunk whole, unlike eigvalsh
+            batches.append(len(grams))
+            return slogdet(grams)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
         per_subset = 8 * 4 * 3  # bytes of one gathered 4x3 subset
         expected_batches = {1: [1] * 126, 10: [10] * 12 + [6], 126: [126]}  # C(9,4) = 126
         results = {}
@@ -262,6 +261,96 @@ class TestRestrictedAgainstReference:
         tracemalloc.start()
         try:
             restricted_min_sv_sampled(a, 1360, samples=64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * linalg._CHUNK_BYTES + (1 << 20)
+
+
+def bruteforce_reference(a, k):
+    """Literal reference of ``restricted_min_sv_bruteforce``: every subset
+    from itertools and one ``eigvalsh`` per subset, with no bound."""
+    best = np.inf
+    for idx in itertools.combinations(range(a.shape[0]), k):
+        x = a[list(idx)]
+        best = min(best, np.linalg.eigvalsh(x.T @ x)[0])
+    return max(float(best), 0.0)
+
+
+@st.composite
+def exhaustive_inputs(draw):
+    """A unit-row matrix with m <= 12 and n <= 5 (Gaussian rows, or rows
+    repeated from a pool of n), a subset size and a chunk length."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, min(5, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = unit_rows(rng, m, n)
+    repeated = draw(st.booleans())
+    if repeated:
+        a = a[rng.integers(0, n, size=m)]
+    k = draw(st.integers(n, m))
+    return a, k, draw(st.integers(1, math.comb(m, k))), repeated
+
+
+def assert_matches_bruteforce_reference(a, k, repeated):
+    summary = restricted_min_sv_bruteforce(a, k)
+    expected = bruteforce_reference(a, k)
+    if repeated:  # singular subsets: the smallest eigenvalue is rounding noise
+        assert summary.sigma_restricted_min_sq == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    else:
+        assert summary.sigma_restricted_min_sq == expected  # bit for bit
+    assert summary.subsets_examined == math.comb(a.shape[0], k)
+
+
+class TestPrunedBruteforce:
+    @given(exhaustive_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_literal_reference(self, inputs):
+        a, k, per_chunk, repeated = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * k * a.shape[1])
+            assert_matches_bruteforce_reference(a, k, repeated)
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["gaussian", "repeated"])
+    @pytest.mark.parametrize("m, n, k", [(9, 1, 4), (8, 3, 3), (7, 4, 7), (30, 28, 29)],
+                             ids=["n=1", "k=n", "k=m", "n=28-unpruned"])
+    def test_named_cases_match_literal_reference(self, m, n, k, repeated):
+        rng = np.random.default_rng(800 + m)
+        a = unit_rows(rng, m, n)
+        if repeated:
+            a = a[rng.integers(0, n, size=m)]
+        assert_matches_bruteforce_reference(a, k, repeated)
+
+    def test_combinations_match_itertools_for_every_chunk_length(self):
+        for m in range(10):
+            for k in range(m + 1):
+                expected = list(itertools.combinations(range(m), k))
+                for per_chunk in range(1, len(expected) + 1):
+                    chunks = list(linalg._combinations(m, k, per_chunk))
+                    assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+                    assert 0 < len(chunks[-1]) <= per_chunk
+                    assert [tuple(row) for c in chunks for row in c.tolist()] == expected
+
+    def test_bound_skips_most_eigen_solves(self, monkeypatch):
+        a = unit_rows(np.random.default_rng(602), 20, 4)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(grams):
+            if grams.ndim == 3:  # subset Gram matrices, not sigma_max_sq's
+                solved.append(len(grams))
+            return eigvalsh(grams)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        summary = restricted_min_sv_bruteforce(a, 10)
+        assert summary.subsets_examined == 184_756
+        assert 0 < sum(solved) < 184_756 // 10
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        a = unit_rows(np.random.default_rng(601), 20, 4)
+        tracemalloc.start()
+        try:
+            restricted_min_sv_bruteforce(a, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -58,6 +58,18 @@ class TestConvergenceCondition:
         holds, eps = convergence_condition(0.5, 0.0, s2max, s2r)
         assert holds and eps == 0.0
 
+    @pytest.mark.parametrize("beta", [0.0, 0.1])
+    def test_zero_restricted_value_has_infinite_epsilon(self, beta):
+        # four rows, three of them parallel: every pair holding two of those
+        # is singular, so the restricted value is 0 even with no corruption
+        a = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        summary = restricted_min_sv_bruteforce(a, 2)
+        assert summary.sigma_restricted_min_sq == 0.0
+        holds, eps = convergence_condition(0.5, beta, summary.sigma_max_sq, 0.0)
+        assert not holds and eps == math.inf
+        with pytest.raises(ConditionViolatedError, match=r"epsilon = inf >= 1"):
+            rate_report(0.5, beta, 4, summary.sigma_max_sq, 0.0)
+
     def test_boundary_equality_fails(self):
         # sqrt(beta)/sqrt(1-q-beta) == ratio exactly: strict inequality required
         holds, eps = convergence_condition(0.5, 0.25, 1.0, 1.0)
