@@ -30,7 +30,7 @@ from .harness import (
     run,
 )
 from .problems import FAMILIES, generate, save_system
-from .rates import RateInputs, _restricted_summary, convergence_condition, rate_report
+from .rates import RateInputs, convergence_condition, rate_report, restricted_summary
 from .solvers import COMPARATORS, METHODS, TIMINGS
 
 DESK_M, DESK_N = 2000, 50
@@ -205,7 +205,7 @@ def _cmd_rate(args) -> int:
     system = generate(config.generator)
     q = config.solver.q
     try:
-        summary = _restricted_summary(system, q, config.generator.seed, args.samples)
+        summary = restricted_summary(system, q, config.generator.seed, args.samples)
     except ConditionViolatedError as exc:
         print(f"{exc}: the restricted smallest singular value is zero")
         print("condition holds: False")

@@ -2,8 +2,12 @@
 
 Every package error is a :class:`QkError` that also keeps a stdlib base
 (``ValueError``, ``RuntimeError`` or ``OSError``), and carries the exit code
-and message label the CLI reports it with.
+and message label the CLI reports it with.  The functions at the end state
+the valid values of a configuration field once, at its declaration.
 """
+import dataclasses
+import math
+import numbers
 
 
 class QkError(Exception):
@@ -78,3 +82,33 @@ class IoError(QkError, OSError):
 
     exit_code = 4
     label = "i/o error"
+
+
+def domain(text: str, ok, **kwargs):
+    """A dataclass field whose value must pass ``ok``; ``text`` states that domain."""
+    return dataclasses.field(metadata={"domain": (text, ok)}, **kwargs)
+
+
+def one_of(choices: tuple, **kwargs):
+    """A dataclass field whose value must be one of ``choices``."""
+    return domain(f"one of {choices}", lambda v: v in choices, **kwargs)
+
+
+def is_seed(value) -> bool:
+    """Whether ``value`` can seed a generator: a non-negative integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def domain_check(error: type[QkError]):
+    """A dataclass ``__post_init__`` raising ``error`` on the first field that is a
+    non-finite float, a ``seed`` failing :func:`is_seed` or outside its :func:`domain`."""
+    def check(obj) -> None:
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            text, ok = f.metadata.get("domain", ("finite", lambda v: True))
+            if f.name == "seed":
+                text, ok = "a non-negative integer", is_seed
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if not (finite and ok(value)):
+                raise error(f"{f.name} must be {text if finite else 'finite'}, got {value!r}")
+    return check

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError
+from .errors import ConfigError, DivergedError, domain, domain_check, one_of
 from .problems import (
     CorruptedSystem,
     GeneratorSpec,
     generate,
     generate_adversarial_duplicate,
 )
-from .solvers import IterationTrace, SolverConfig, check_timing, method_spec, solve
+from .solvers import METHOD_TABLE, TIMINGS, IterationTrace, SolverConfig, check_timing, solve
 from .svgplot import emit_svg
 
 SWEEP_CSV_HEADER = "value,repetition,rel_error,diverged,wall_ms"
@@ -42,8 +42,12 @@ _ALPHA_GRID_SCALED = (0.4, 0.8, 1.2, 1.6, 2.0)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    parameter: str  # "alpha" | "q" | "t"
-    values: tuple[float, ...]
+    parameter: str = one_of(("alpha", "q", "t"))
+    values: tuple[float, ...] = domain(
+        "non-empty, finite and strictly increasing",
+        lambda v: len(v) > 0 and all(map(math.isfinite, v)) and list(v) == sorted(set(v)))
+
+    __post_init__ = domain_check(ConfigError)
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,13 @@ class ExperimentConfig:
     generator: GeneratorSpec
     solver: SolverConfig
     sweep: SweepSpec | None = None
-    repetitions: int = 1
+    repetitions: int = domain(">= 1", lambda v: v >= 1, default=1)
     output_dir: str = "artifacts"
-    timing: str = "real"
+    timing: str = one_of(TIMINGS, default="real")
     svg: bool = False
-    start: str = "ones"  # "ones" | "zeros"
+    start: str = one_of(("ones", "zeros"), default="ones")
+
+    __post_init__ = domain_check(ConfigError)
 
 
 @dataclass(frozen=True)
@@ -91,25 +97,9 @@ def derived_seed(base: int, *keys: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, keys)]).generate_state(1)[0])
 
 
-def _validate(config: ExperimentConfig) -> None:
-    if config.repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
-    check_timing(config.timing)
-    if config.start not in ("ones", "zeros"):
-        raise ConfigError(f"start must be 'ones' or 'zeros', got {config.start!r}")
-    if config.sweep is not None:
-        if config.sweep.parameter not in ("alpha", "q", "t"):
-            raise ConfigError(f"unknown sweep parameter {config.sweep.parameter!r}")
-        vals = config.sweep.values
-        if len(vals) < 1:
-            raise ConfigError("sweep needs at least one value")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("sweep values must be strictly increasing")
-
-
 def _write_json(payload: dict, path: Path) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -194,9 +184,8 @@ def _sweep(
     values,
     resolve_solver,
 ) -> SweepResult:
-    _validate(config)
     method = config.solver.method
-    spec = method_spec(method)
+    spec = METHOD_TABLE[method]
     reads = {"alpha": spec.takes_alpha, "q": spec.scope is not None, "t": spec.scope == "t"}
     if not reads[parameter]:
         raise ConfigError(f"method {method!r} never reads {parameter!r}, "
@@ -271,7 +260,7 @@ def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
     explicit alpha is used as-is.
     """
     search = (isinstance(config.solver.alpha, str)
-              and method_spec(config.solver.method).takes_alpha)
+              and METHOD_TABLE[config.solver.method].takes_alpha)
 
     def resolver(system, value, rep):
         q = float(value)
@@ -311,7 +300,6 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     still writes its partial trace and configuration before the error
     propagates; sweeps record divergence per row instead of failing.
     """
-    _validate(config)
     paths: dict[str, Path] = {}
 
     if config.sweep is not None:
@@ -350,7 +338,6 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
     cumulative wall time per iteration, and a combined SVG.  Returns the
     artifact paths plus the traces keyed by list position.
     """
-    _validate(config)
     if not methods:
         raise ConfigError("need at least one method to compare")
     system = generate(config.generator)
@@ -418,20 +405,17 @@ def adversarial_demo(
     system, x0 = generate_adversarial_duplicate(
         n=n, clean_rows=clean_rows, dup_rows=dup_rows, target=target, seed=seed
     )
-    traces: dict[str, IterationTrace] = {}
-    for label, method, cfg_alpha, budget, stop in (
-        ("projective", "quantile-projective-block", 1.0, iterations, 0.0),
-        ("averaged", "quantile-averaged-block", alpha, averaged_max_iters, averaged_stop),
-    ):
-        solver_cfg = SolverConfig(
-            method=method,
-            q=q,
-            alpha=cfg_alpha,
-            max_iters=budget,
-            stop_rel_error=stop,
-            seed=derived_seed(seed, _TAG_METHOD, len(traces)),
-        )
-        traces[label] = _solve(system, solver_cfg, x0, keep_iterates=True)[0]
+    configs = {
+        label: SolverConfig(method=method, q=q, alpha=cfg_alpha, max_iters=budget,
+                            stop_rel_error=stop, seed=derived_seed(seed, _TAG_METHOD, idx))
+        for idx, (label, method, cfg_alpha, budget, stop) in enumerate((
+            ("projective", "quantile-projective-block", 1.0, iterations, 0.0),
+            ("averaged", "quantile-averaged-block", alpha, averaged_max_iters, averaged_stop),
+        ))
+    }
+    traces: dict[str, IterationTrace] = {
+        label: _solve(system, cfg, x0, keep_iterates=True)[0] for label, cfg in configs.items()
+    }
     dup_direction = system.matrix[clean_rows]
     hyperplane_dots = [float(dup_direction @ x) for x in traces["projective"].iterates]
 
@@ -452,10 +436,11 @@ def adversarial_demo(
         "seed": seed,
         "final_rel_error_projective": traces["projective"].rel_error[-1],
         "final_rel_error_averaged": traces["averaged"].rel_error[-1],
-        "max_hyperplane_offset_projective": max(
-            abs(d - target) for d in hyperplane_dots
-        ),
+        "max_hyperplane_offset_projective": max(abs(d - target) for d in hyperplane_dots),
     }
+    # JSON has no NaN or Infinity: a diverged solve's error is written as null.
+    summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in summary.items()}
     results["summary_json"] = _write_json(summary, out / "summary.json")
     if svg:
         _plot(results, out / "adversarial.svg", "projective vs averaged blocking",

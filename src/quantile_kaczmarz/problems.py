@@ -11,12 +11,13 @@ toggling the corruption never perturbs the matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, SpecError
+from .errors import IoError, SpecError, domain, domain_check, is_seed, one_of
 from .linalg import is_row_normalized, row_normalize
 
 FAMILIES = ("gaussian", "coherent")
@@ -30,20 +31,24 @@ class CorruptionSpec:
     """Sparse corruption model: a fraction ``beta`` of rows gets an additive
     offset drawn uniformly from [magnitude_low, magnitude_high]."""
 
-    beta: float = 0.0
+    beta: float = domain("in [0, 1)", lambda v: 0.0 <= v < 1.0, default=0.0)
     magnitude_low: float = -100.0
     magnitude_high: float = 100.0
-    placement: str = "uniform"
+    placement: str = one_of(PLACEMENTS, default="uniform")
     indices: tuple[int, ...] | None = None
+
+    __post_init__ = domain_check(SpecError)
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    family: str
+    family: str = one_of(FAMILIES)
     m: int
     n: int
     seed: int
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
+
+    __post_init__ = domain_check(SpecError)
 
 
 @dataclass(frozen=True)
@@ -93,24 +98,18 @@ class CorruptedSystem:
 
 
 def _validate_spec(spec: GeneratorSpec) -> None:
-    if spec.family not in FAMILIES:
-        raise SpecError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
+    """The rules relating two values; each field was checked when it was built."""
     if not (spec.m > spec.n >= 1):
         raise SpecError(f"need m > n >= 1, got m={spec.m}, n={spec.n}")
     c = spec.corruption
-    if not 0.0 <= c.beta < 1.0:
-        raise SpecError(f"beta must lie in [0, 1), got {c.beta}")
-    if c.magnitude_low >= c.magnitude_high:
-        raise SpecError("magnitude_low must be strictly below magnitude_high")
-    if c.placement not in PLACEMENTS:
-        raise SpecError(f"unknown placement {c.placement!r}")
+    if not 0.0 < c.magnitude_high - c.magnitude_low < math.inf:
+        raise SpecError("magnitude_high - magnitude_low must be positive and finite")
     if c.placement == "given-indices":
         if c.indices is None:
             raise SpecError("placement 'given-indices' requires indices")
-        idx = np.asarray(c.indices, dtype=np.intp)
-        if idx.size != len(set(map(int, idx))):
+        if len(set(c.indices)) != len(c.indices):
             raise SpecError("given indices must be unique")
-        if idx.size and (idx.min() < 0 or idx.max() >= spec.m):
+        if not all(0 <= i < spec.m for i in c.indices):
             raise SpecError("given indices out of range")
 
 
@@ -182,8 +181,10 @@ def generate_adversarial_duplicate(
 
     Returns the system together with that start vector.
     """
-    if n < 2 or clean_rows < 1 or dup_rows < 1:
-        raise SpecError("need n >= 2, clean_rows >= 1, dup_rows >= 1")
+    if n < 2 or clean_rows < 1 or dup_rows < 1 or not is_seed(seed) or not math.isfinite(target):
+        raise SpecError("need n >= 2, clean_rows >= 1, dup_rows >= 1, a non-negative integer "
+                        f"seed and a finite target, got n={n}, clean_rows={clean_rows}, "
+                        f"dup_rows={dup_rows}, seed={seed!r}, target={target!r}")
     rng_matrix, rng_xstar, rng_dup = _streams(seed, 3)
 
     clean = row_normalize(rng_matrix.standard_normal((clean_rows, n)))
@@ -239,7 +240,7 @@ def save_system(
         "spec": asdict(spec) if spec is not None else None,
     }
     with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return out
 

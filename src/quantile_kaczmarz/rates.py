@@ -65,7 +65,7 @@ class RateReport:
     inputs: RateInputs
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2, sort_keys=True)
+        text = json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
         if path is not None:
             Path(path).write_text(text + "\n", encoding="utf-8")
         return text
@@ -178,15 +178,15 @@ def alpha_opt_closed_form(
     )
 
 
-def _restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: int,
-                        cap: int = SUBSET_ENUMERATION_CAP) -> SpectralSummary:
+def restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: int,
+                       cap: int = SUBSET_ENUMERATION_CAP) -> SpectralSummary:
     """Spectral summary over the row subsets of size ceil((q - beta) * m):
     exhaustive when there are at most ``cap`` of them, else over ``samples``
-    seeded draws.  ``samples`` must be an integer >= 1 on either path (else
-    :class:`ShapeError`).  Raises :class:`ConditionViolatedError` when the
-    size is below the column count, as every such submatrix is then rank
-    deficient.
-    """
+    seeded draws.  Raises :class:`DomainError` unless beta < q < 1 - beta,
+    :class:`ShapeError` unless ``samples`` is an integer >= 1 (on either
+    path), and :class:`ConditionViolatedError` when the size is below the
+    column count, as every such submatrix is then rank deficient."""
+    _check_domain(q, system.beta)
     samples = as_count(samples, "samples", 1)
     m = system.m
     k = math.ceil((q - system.beta) * m)
@@ -212,7 +212,7 @@ def resolve_alpha_auto(
     is enumerable under ``cap``, otherwise a seeded sampled estimate.
     Returns ``(alpha_opt, exact_flag)``.
     """
-    summary = _restricted_summary(system, q, seed, samples, cap)
+    summary = restricted_summary(system, q, seed, samples, cap)
     report = rate_report(q, system.beta, system.m, summary.sigma_max_sq,
                          summary.sigma_restricted_min_sq, exact=summary.exact)
     return report.alpha_opt, summary.exact

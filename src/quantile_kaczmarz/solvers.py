@@ -37,6 +37,9 @@ from .errors import (
     DivergedError,
     DomainError,
     ShapeError,
+    domain,
+    domain_check,
+    one_of,
 )
 from .linalg import quantile_of_multiset, sigma_max_sq
 from .problems import CorruptedSystem
@@ -46,28 +49,6 @@ COMPARATORS = ("strict-below", "at-or-below")
 TIMINGS = ("real", "none")
 
 DIVERGENCE_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Method selector plus every tunable the six methods share.
-
-    ``alpha`` may be a positive float or the string ``"auto"``, in which case
-    the step size is resolved from the convergence-rate formulas (only
-    supported for the averaged quantile methods).  ``t`` is the sample size
-    for the sampled methods and defaults to the full row count; ``block_size``
-    is required by the random-block averaged method.
-    """
-
-    method: str
-    q: float = 0.7
-    alpha: float | str = "auto"
-    t: int | None = None
-    block_size: int | None = None
-    max_iters: int = 100
-    stop_rel_error: float = 0.0
-    comparator: str = "strict-below"
-    seed: int = 0
 
 
 @dataclass
@@ -88,7 +69,7 @@ class IterationTrace:
 
     method: str
     q: float
-    alpha: float
+    alpha: float | None  # None for a method without a step size
     alpha_source: str  # "explicit" | "auto-exact" | "auto-sampled" | "none"
     comparator: str
     seed: int
@@ -106,16 +87,8 @@ class IterationTrace:
         return len(self.rel_error)
 
     def config_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "q": self.q,
-            "alpha": self.alpha,
-            "alpha_source": self.alpha_source,
-            "comparator": self.comparator,
-            "seed": self.seed,
-            "base_error": self.base_error,
-            "iterations": self.iterations,
-        }
+        keys = ("method", "q", "alpha", "alpha_source", "comparator", "seed", "base_error")
+        return {**{k: getattr(self, k) for k in keys}, "iterations": self.iterations}
 
     def elapsed(self, timing: str) -> list[int]:
         """The cumulative wall times, zeroed under ``timing="none"`` so that
@@ -227,13 +200,13 @@ def sampled_qabk_step(
 
 
 def _gram_solve(gram_matrix: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    # Cholesky detects rank deficiency; the ridge keeps the projection
-    # well-defined when accepted rows are linearly dependent.
+    # Cholesky (or LU, on a matrix singular to rounding) detects rank deficiency;
+    # the ridge keeps the projection well-defined for dependent accepted rows.
     try:
         np.linalg.cholesky(gram_matrix)
+        return np.linalg.solve(gram_matrix, rhs)
     except np.linalg.LinAlgError:
-        gram_matrix = gram_matrix + ridge * np.eye(gram_matrix.shape[0])
-    return np.linalg.solve(gram_matrix, rhs)
+        return np.linalg.solve(gram_matrix + ridge * np.eye(gram_matrix.shape[0]), rhs)
 
 
 def quantile_pbk_step(
@@ -360,7 +333,7 @@ def _projective(a, b, config, t, alpha) -> Step:
     return lambda x, rng: quantile_pbk_step(a, b, x, config.q, config.comparator, ridge)
 
 
-_METHOD_TABLE = {
+METHOD_TABLE = {
     #                                             scope takes_alpha auto_alpha build
     "rk":                              MethodSpec(None, False, False, _rk),
     "quantile-rk":                     MethodSpec("t",  False, False, _quantile_rk),
@@ -369,51 +342,56 @@ _METHOD_TABLE = {
     "sampled-quantile-averaged-block": MethodSpec("t",  True,  True,  _sampled_quantile_averaged),
     "quantile-projective-block":       MethodSpec("m",  False, False, _projective),
 }
-METHODS = tuple(_METHOD_TABLE)
-
-
-def method_spec(method: str) -> MethodSpec:
-    """The table entry of ``method``; raises :class:`ConfigError` if unknown."""
-    if method not in _METHOD_TABLE:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
-    return _METHOD_TABLE[method]
+METHODS = tuple(METHOD_TABLE)
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
+@dataclass(frozen=True)
+class SolverConfig:
+    """Method selector plus every tunable the six methods share.
+
+    ``alpha`` may be a positive float or the string ``"auto"``, in which case
+    the step size is resolved from the convergence-rate formulas (only
+    supported for the averaged quantile methods).  ``t`` is the sample size
+    for the sampled methods and defaults to the full row count; ``block_size``
+    is required by the random-block averaged method.
+    """
+
+    method: str = one_of(METHODS)
+    q: float = domain("in (0, 1]", lambda v: 0.0 < v <= 1.0, default=0.7)
+    alpha: float | str = domain(
+        "> 0 or 'auto'", lambda v: v == "auto" or not isinstance(v, str) and v > 0, default="auto")
+    t: int | None = domain(">= 1 or None", lambda v: v is None or v >= 1, default=None)
+    block_size: int | None = None
+    max_iters: int = domain(">= 1", lambda v: v >= 1, default=100)
+    stop_rel_error: float = domain(">= 0", lambda v: v >= 0, default=0.0)
+    comparator: str = one_of(COMPARATORS, default="strict-below")
+    seed: int = 0
+
+    __post_init__ = domain_check(ConfigError)
+
+
 def _validate_config(config: SolverConfig, system: CorruptedSystem) -> tuple[MethodSpec, int]:
-    spec = method_spec(config.method)
-    if config.comparator not in COMPARATORS:
-        raise ConfigError(f"unknown comparator {config.comparator!r}")
-    if config.max_iters < 1:
-        raise ConfigError("max_iters must be >= 1")
-    if config.stop_rel_error < 0:
-        raise ConfigError("stop_rel_error must be >= 0")
+    """The method's table entry and sample size, after the rules relating two values."""
+    spec = METHOD_TABLE[config.method]
     m = system.m
     t = config.t if config.t is not None else m
-    if not 1 <= t <= m:
+    if t > m:
         raise ConfigError(f"sample size t={t} must satisfy 1 <= t <= m={m}")
-    if spec.scope is not None:
-        if not 0.0 < config.q <= 1.0:
-            raise ConfigError(f"q must lie in (0, 1], got {config.q}")
-        scope = t if spec.scope == "t" else m
-        if config.q * scope < 1.0:
-            raise ConfigError(f"q*{scope} must be >= 1, got {config.q * scope}")
-    if not isinstance(config.alpha, str):
-        if not config.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {config.alpha}")
-    elif config.alpha != "auto":
-        raise ConfigError(f"alpha must be a positive float or 'auto', got {config.alpha!r}")
+    scope = t if spec.scope == "t" else m
+    if spec.scope is not None and config.q * scope < 1.0:
+        raise ConfigError(f"q*{scope} must be >= 1, got {config.q * scope}")
     return spec, t
 
 
 def _resolve_alpha(
     spec: MethodSpec, config: SolverConfig, system: CorruptedSystem
-) -> tuple[float, str]:
+) -> tuple[float | None, str]:
     if not spec.takes_alpha:
         # Pure projection methods have no step size.
-        return math.nan, "none"
+        return None, "none"
     if not isinstance(config.alpha, str):
         return float(config.alpha), "explicit"
     if not spec.auto_alpha:
@@ -481,30 +459,31 @@ def solve(
 
     x = x0.copy()
     elapsed = 0
-    for _ in range(config.max_iters):
-        started = time.perf_counter_ns()
-        x_next, stats = step(x, rng)
-        elapsed += time.perf_counter_ns() - started
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as divergence
+        for _ in range(config.max_iters):
+            started = time.perf_counter_ns()
+            x_next, stats = step(x, rng)
+            elapsed += time.perf_counter_ns() - started
 
-        rel_k = rel(x_next)
-        trace.rel_error.append(rel_k)
-        trace.quantile.append(stats.quantile)
-        trace.tau_size.append(int(stats.tau.size))
-        trace.tau_corrupted.append(int(np.count_nonzero(corrupted[stats.tau])))
-        trace.elapsed_ns.append(elapsed)
-        if trace.iterates is not None:
-            trace.iterates.append(x_next.copy())
+            rel_k = rel(x_next)
+            trace.rel_error.append(rel_k)
+            trace.quantile.append(stats.quantile)
+            trace.tau_size.append(int(stats.tau.size))
+            trace.tau_corrupted.append(int(np.count_nonzero(corrupted[stats.tau])))
+            trace.elapsed_ns.append(elapsed)
+            if trace.iterates is not None:
+                trace.iterates.append(x_next.copy())
 
-        if not math.isfinite(rel_k) or rel_k > DIVERGENCE_LIMIT:
-            trace.x_final = x_next
-            raise DivergedError(
-                f"relative error {rel_k!r} left the trust region at iteration "
-                f"{trace.iterations}",
-                trace=trace,
-            )
-        x = x_next
-        if rel_k <= config.stop_rel_error:
-            break
+            if not math.isfinite(rel_k) or rel_k > DIVERGENCE_LIMIT:
+                trace.x_final = x_next
+                raise DivergedError(
+                    f"relative error {rel_k!r} left the trust region at iteration "
+                    f"{trace.iterations}",
+                    trace=trace,
+                )
+            x = x_next
+            if rel_k <= config.stop_rel_error:
+                break
 
     trace.x_final = x
     return trace

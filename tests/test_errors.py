@@ -1,17 +1,30 @@
-"""Every package error carries the exit code the CLI returns for it."""
+"""Every package error carries the exit code the CLI returns for it, and every
+configuration field checks its domain when it is built."""
+import dataclasses
 import inspect
+import math
+import re
 
 import pytest
 
 import quantile_kaczmarz.cli as cli
 from quantile_kaczmarz import errors
 from quantile_kaczmarz.errors import (
+    ConfigError,
     EmptyInputError,
     PreconditionViolatedError,
     QkError,
+    SpecError,
     TooManySubsetsError,
     ZeroRowError,
 )
+from quantile_kaczmarz.harness import ExperimentConfig, SweepSpec
+from quantile_kaczmarz.problems import (
+    CorruptionSpec,
+    GeneratorSpec,
+    generate_adversarial_duplicate,
+)
+from quantile_kaczmarz.solvers import SolverConfig
 
 # The stdlib base each error keeps, so that callers catching it still work.
 STDLIB_BASES = {
@@ -64,3 +77,102 @@ def test_raw_os_error_exits_4(tmp_path, capsys):
     assert cli.main([*GENERATE, "--out", str(tmp_path / "file" / "sys")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Field domains: checked when a config is built, so every route exits 2.
+
+GENERATOR = GeneratorSpec("gaussian", 50, 5, 1)
+SOLVER = SolverConfig("quantile-averaged-block", alpha=1.0)
+EXPERIMENT = ExperimentConfig(GENERATOR, SOLVER)
+
+
+@pytest.mark.parametrize("obj, field, value, error", [
+    (CorruptionSpec(), "beta", 1.0, SpecError),
+    (CorruptionSpec(), "beta", math.nan, SpecError),
+    (CorruptionSpec(), "magnitude_low", -math.inf, SpecError),
+    (CorruptionSpec(), "magnitude_high", math.nan, SpecError),
+    (CorruptionSpec(), "placement", "random", SpecError),
+    (GENERATOR, "family", "pareto", SpecError),
+    (GENERATOR, "seed", -1, SpecError),
+    (GENERATOR, "seed", 1.0, SpecError),
+    (GENERATOR, "seed", True, SpecError),
+    (SOLVER, "method", "bogus", ConfigError),
+    (SOLVER, "q", 0.0, ConfigError),
+    (SOLVER, "q", 1.5, ConfigError),
+    (SOLVER, "alpha", 0.0, ConfigError),
+    (SOLVER, "alpha", math.inf, ConfigError),
+    (SOLVER, "alpha", "fast", ConfigError),
+    (SOLVER, "t", 0, ConfigError),
+    (SOLVER, "max_iters", 0, ConfigError),
+    (SOLVER, "stop_rel_error", -1e-3, ConfigError),
+    (SOLVER, "stop_rel_error", math.nan, ConfigError),
+    (SOLVER, "comparator", "close-enough", ConfigError),
+    (SOLVER, "seed", -5, ConfigError),
+    (SweepSpec("q", (0.5,)), "parameter", "gamma", ConfigError),
+    (SweepSpec("q", (0.5,)), "values", (), ConfigError),
+    (SweepSpec("q", (0.5,)), "values", (0.5, 0.5), ConfigError),
+    (SweepSpec("q", (0.5,)), "values", (0.5, math.inf), ConfigError),
+    (EXPERIMENT, "repetitions", 0, ConfigError),
+    (EXPERIMENT, "timing", "bogus", ConfigError),
+    (EXPERIMENT, "start", "twos", ConfigError),
+], ids=lambda v: repr(v) if isinstance(v, (str, float, int, tuple)) else None)
+def test_each_field_checks_its_domain_when_built(obj, field, value, error):
+    with pytest.raises(error, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        dataclasses.replace(obj, **{field: value})
+    with pytest.raises(error, match=f"^{field} must be "):
+        type(obj)(**{**{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
+                     field: value})
+
+
+def test_valid_boundary_values_are_accepted():
+    CorruptionSpec(beta=0.0, magnitude_low=-1e300, magnitude_high=1e300)
+    GeneratorSpec("coherent", 50, 5, 10**30)
+    SolverConfig("rk", q=1.0, alpha="auto", t=1, max_iters=1, stop_rel_error=0.0, seed=0)
+    SweepSpec("t", (1.0,))
+    ExperimentConfig(GENERATOR, SOLVER, repetitions=1, timing="none", start="zeros")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(seed=-2), "seed=-2"),
+    (dict(seed=1.5), "seed=1.5"),
+    (dict(target=math.nan), "target=nan"),
+    (dict(target=math.inf), "target=inf"),
+])
+def test_adversarial_duplicate_checks_its_seed_and_target(kwargs, name):
+    with pytest.raises(SpecError, match=name):
+        generate_adversarial_duplicate(n=4, clean_rows=10, dup_rows=2, **kwargs)
+
+
+# Values outside a domain, given as flags: each exits 2 with one stderr line
+# that names the field, and leaves no output behind.
+BAD_INPUTS = [
+    (["run", "--seed", "-1", "--m", "50", "--n", "5", "--alpha", "1", "--iters", "2"], "seed"),
+    (["adversarial-demo", "--seed", "-2", "--iters", "2"], "seed"),
+    (["rate", "--seed", "-1", "--m", "2000", "--n", "50"], "seed"),
+    (["rate", "--seed", "1", "--m", "50", "--n", "5", "--q", "nan"], "q"),
+    (["run", "--seed", "1", "--m", "50", "--n", "5", "--beta", "0.2", "--mag-low", "nan",
+      "--alpha", "1", "--iters", "2"], "magnitude_low"),
+    (["generate", "--seed", "1", "--m", "50", "--n", "5", "--beta", "0.2",
+      "--mag-high", "inf"], "magnitude_high"),
+    (["run", "--seed", "1", "--m", "50", "--n", "5", "--stop", "nan", "--alpha", "1",
+      "--iters", "2"], "stop_rel_error"),
+    (["run", "--seed", "1", "--m", "50", "--n", "5", "--stop", "inf", "--alpha", "1",
+      "--iters", "2"], "stop_rel_error"),
+    (["run", "--seed", "1", "--m", "50", "--n", "5", "--alpha", "inf", "--iters", "2"], "alpha"),
+    (["adversarial-demo", "--alpha", "inf", "--iters", "2"], "alpha"),
+    (["rate", "--seed", "1", "--m", "40", "--n", "4", "--beta", "0.1", "--q", "0.05"], "q"),
+    (["run", "--seed", "1", "--m", "50", "--n", "5", "--mag-low=-1e308",
+      "--mag-high", "1e308", "--iters", "2"], "magnitude_high - magnitude_low"),
+]
+
+
+@pytest.mark.parametrize("argv, field", BAD_INPUTS, ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else v)
+def test_bad_value_exits_2_naming_the_field(tmp_path, capsys, argv, field):
+    assert cli.main([*argv, "--out" if argv[0] != "rate" else "--json-out",
+                     str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+    assert not (tmp_path / "o").exists()

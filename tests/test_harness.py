@@ -157,6 +157,14 @@ class TestAdversarialDemo:
         assert min(out["traces"]["projective"].rel_error) >= 0.1
         assert out["traces"]["averaged"].rel_error[-1] <= 1e-4
 
+    def test_projective_step_on_a_gram_matrix_singular_to_rounding(self, tmp_path):
+        # With fewer rows than columns, an accepted Gram matrix here passes
+        # Cholesky although LU finds it exactly singular; the ridge solves it.
+        out = adversarial_demo(tmp_path / "demo", n=100, clean_rows=29, dup_rows=2,
+                               target=0.0, iterations=50, averaged_max_iters=5,
+                               timing="none", svg=False)
+        assert out["traces"]["projective"].iterations == 50
+
     def test_bad_timing_rejected_before_any_solve(self, tmp_path, monkeypatch):
         import quantile_kaczmarz.harness as harness
 
@@ -366,6 +374,29 @@ class TestCli:
                        "--iters", "0", "--timing", "none", "--out", str(tmp_path / "d")])
         assert rc == 2
         assert not (tmp_path / "d" / "summary.json").exists()
+
+    def test_json_artifacts_hold_no_nan_or_infinity(self, tmp_path, capsys):
+        def strict(path):
+            def refuse(token):
+                raise AssertionError(f"{path} holds {token}")
+            return json.loads(path.read_text(), parse_constant=refuse)
+
+        small = ["--m", "50", "--n", "5", "--seed", "1"]
+        assert cli_main(["run", *small, "--method", "rk", "--iters", "2", "--timing", "none",
+                         "--out", str(tmp_path / "rk")]) == 0
+        assert strict(tmp_path / "rk" / "config.json")["resolved"]["alpha"] is None
+        assert cli_main(["adversarial-demo", "--alpha", "1e300", "--iters", "2", "--n", "10",
+                         "--clean-rows", "30", "--dup-rows", "5", "--timing", "none",
+                         "--out", str(tmp_path / "adv")]) == 0
+        summary = strict(tmp_path / "adv" / "summary.json")
+        assert summary["final_rel_error_averaged"] is None
+        assert summary["final_rel_error_projective"] > 0
+        assert cli_main(["generate", *small, "--out", str(tmp_path / "sys")]) == 0
+        strict(tmp_path / "sys" / "metadata.json")
+        assert cli_main(["rate", "--m", "14", "--n", "3", "--seed", "6", "--q", "0.5",
+                         "--json-out", str(tmp_path / "rate.json")]) == 0
+        strict(tmp_path / "rate.json")
+        capsys.readouterr()
 
     @pytest.mark.parametrize("flags, cfg, key", [
         (["--alpha", "abc"], None, "--alpha"),

@@ -1,5 +1,5 @@
-"""The package's imports: no cycle between its modules, and a star import
-that yields public names only."""
+"""The package's imports: no cycle between its modules, no private name taken
+from a sibling module, and a star import that yields public names only."""
 import ast
 import inspect
 from pathlib import Path
@@ -48,6 +48,18 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level >= 1 or (node.module or "").startswith("quantile_kaczmarz")
+            ):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, private
 
 
 def test_star_import_exports_public_names_only():

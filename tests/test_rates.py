@@ -301,3 +301,11 @@ class TestResolveAlphaAuto:
         system = small_system(seed=9, m=12, n=3)
         with pytest.raises(ShapeError, match="samples"):
             resolve_alpha_auto(system, q=0.5, samples=samples)
+
+    @pytest.mark.parametrize("q", [0.05, 0.1, 0.9, 5.0, math.nan])
+    def test_q_outside_beta_window_is_a_domain_error(self, q):
+        # The window is checked before (q - beta) * m is formed: otherwise
+        # q = 0.05 gives a subset size of -2, and nan a ValueError from math.ceil.
+        system = small_system(seed=11, m=40, n=4, beta=0.1)
+        with pytest.raises(DomainError, match=r"\(beta, 1-beta\)"):
+            resolve_alpha_auto(system, q)
