@@ -13,15 +13,10 @@ from .errors import (
     ConfigError,
     DivergedError,
     DomainError,
-    EmptyInputError,
     IoError,
     NoConvergenceError,
-    PreconditionViolatedError,
     QkError,
     ShapeError,
-    SpecError,
-    TooManySubsetsError,
-    ZeroRowError,
 )
 from .linalg import (
     SUBSET_ENUMERATION_CAP,

@@ -19,47 +19,27 @@ class QkError(Exception):
 
 
 class ShapeError(QkError, ValueError):
-    """Operands have incompatible or invalid dimensions."""
-
-
-class ZeroRowError(QkError, ValueError):
-    """A matrix row has (numerically) zero norm and cannot be normalized."""
-
-    def __init__(self, row_index: int):
-        self.row_index = row_index
-        super().__init__(f"row {row_index} has zero norm")
+    """Operands have invalid dimensions or contents: incompatible shapes, a
+    zero-norm row, an empty input, or too many subsets to enumerate."""
 
 
 class NoConvergenceError(QkError, RuntimeError):
-    """An iterative routine failed to reach its tolerance within its budget."""
+    """An iterative routine failed to reach its tolerance within its budget.
 
-
-class TooManySubsetsError(QkError, ValueError):
-    """Exhaustive subset enumeration would exceed the configured cap."""
-
-
-class SpecError(QkError, ValueError):
-    """A problem-generator specification is invalid."""
-
-
-class EmptyInputError(QkError, ValueError):
-    """An operation received an empty collection."""
+    Raised nowhere in the package; ``perfbench/`` still catches it."""
 
 
 class ConfigError(QkError, ValueError):
-    """A solver or experiment configuration is invalid."""
+    """A solver, experiment or problem-generator configuration is invalid."""
 
 
 class DomainError(QkError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """An argument lies outside the mathematical domain of the operation, or a
+    certifier precondition fails, so the bound being checked is vacuous."""
 
 
 class ConditionViolatedError(QkError, ValueError):
     """The linear-convergence condition does not hold for these inputs."""
-
-
-class PreconditionViolatedError(QkError, ValueError):
-    """A certifier precondition fails, so the bound being checked is vacuous."""
 
 
 class DivergedError(QkError, RuntimeError):
@@ -99,16 +79,15 @@ def is_seed(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
-def domain_check(error: type[QkError]):
-    """A dataclass ``__post_init__`` raising ``error`` on the first field that is a
-    non-finite float, a ``seed`` failing :func:`is_seed` or outside its :func:`domain`."""
-    def check(obj) -> None:
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            text, ok = f.metadata.get("domain", ("finite", lambda v: True))
-            if f.name == "seed":
-                text, ok = "a non-negative integer", is_seed
-            finite = not isinstance(value, float) or math.isfinite(value)
-            if not (finite and ok(value)):
-                raise error(f"{f.name} must be {text if finite else 'finite'}, got {value!r}")
-    return check
+def domain_check(obj) -> None:
+    """A dataclass ``__post_init__``: raise :class:`ConfigError` on the first field
+    that is a non-finite float, a ``seed`` failing :func:`is_seed` or outside its
+    :func:`domain`."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        text, ok = f.metadata.get("domain", ("finite", lambda v: True))
+        if f.name == "seed":
+            text, ok = "a non-negative integer", is_seed
+        finite = not isinstance(value, float) or math.isfinite(value)
+        if not (finite and ok(value)):
+            raise ConfigError(f"{f.name} must be {text if finite else 'finite'}, got {value!r}")

@@ -47,7 +47,7 @@ class SweepSpec:
         "non-empty, finite and strictly increasing",
         lambda v: len(v) > 0 and all(map(math.isfinite, v)) and list(v) == sorted(set(v)))
 
-    __post_init__ = domain_check(ConfigError)
+    __post_init__ = domain_check
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ExperimentConfig:
     svg: bool = False
     start: str = one_of(("ones", "zeros"), default="ones")
 
-    __post_init__ = domain_check(ConfigError)
+    __post_init__ = domain_check
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def _plot(paths: dict, path: Path, title: str, curves, x_label: str = "iteration
         if pts:
             series.append((label, *zip(*pts)))
     if series:
-        paths["svg"] = emit_svg(series, log_y=True, path=path, title=title,
-                                x_label=x_label, y_label="relative error")
+        paths["svg"] = emit_svg(series, path=path, title=title, x_label=x_label)
 
 
 def start_vector(n: int, start: str = "ones") -> np.ndarray:

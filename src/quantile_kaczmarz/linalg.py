@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyInputError, ShapeError, TooManySubsetsError, ZeroRowError
+from .errors import DomainError, ShapeError
 
 # Exhaustive enumeration refuses to start above this many subsets; callers
 # fall back to the sampled estimator instead of silently degrading exactness.
@@ -76,14 +76,14 @@ def row_normalize(matrix) -> np.ndarray:
 
     Raises
     ------
-    ZeroRowError
+    ShapeError
         If any row norm falls below 1e-300; such a row has no direction.
     """
     a = as_matrix(matrix)
     norms = np.linalg.norm(a, axis=1)
     bad = np.flatnonzero(norms < _ZERO_ROW_FLOOR)
     if bad.size:
-        raise ZeroRowError(int(bad[0]))
+        raise ShapeError(f"row {bad[0]} has zero norm")
     return a / norms[:, None]
 
 
@@ -111,16 +111,11 @@ def quantile_of_multiset(values, q: float) -> float:
     """
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
-        raise EmptyInputError("quantile of an empty multiset")
+        raise ShapeError("quantile of an empty multiset")
     if not 0.0 < q <= 1.0:
         raise DomainError(f"q must lie in (0, 1], got {q}")
     k = math.ceil(q * arr.size)
     return float(np.partition(arr, k - 1)[k - 1])
-
-
-def gram(matrix) -> np.ndarray:
-    a = as_matrix(matrix)
-    return a.T @ a
 
 
 def sigma_max_sq(matrix) -> float:
@@ -129,7 +124,8 @@ def sigma_max_sq(matrix) -> float:
     Uses a dense symmetric eigensolver on the n x n Gram matrix; the result
     is clipped at zero since the Gram matrix is positive semi-definite.
     """
-    return float(max(np.linalg.eigvalsh(gram(matrix))[-1], 0.0))
+    a = as_matrix(matrix)
+    return float(max(np.linalg.eigvalsh(a.T @ a)[-1], 0.0))
 
 
 def sigma_min_sq(matrix) -> float:
@@ -163,7 +159,6 @@ class SpectralSummary:
 
     sigma_max_sq: float
     sigma_restricted_min_sq: float
-    restricted_fraction: float
     exact: bool
     subsets_examined: int
 
@@ -319,15 +314,15 @@ def _det_trace_bound(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bound, trace
 
 
-def _chunk_min(a: np.ndarray, idx: np.ndarray, best: float, prune: bool) -> float:
+def _chunk_min(a: np.ndarray, idx: np.ndarray, best: float) -> float:
     """``min(best, smallest Gram eigenvalue of the subsets in idx)``."""
     n = a.shape[1]
     sub = a[idx]                                       # (chunk, k, n)
     grams = np.matmul(sub.transpose(0, 2, 1), sub)     # (chunk, n, n)
     del sub  # free the gathered rows before the Gram matrices are solved
-    if prune and n == 1:  # a 1x1 Gram matrix is its own eigenvalue
+    if n == 1:  # a 1x1 Gram matrix is its own eigenvalue
         return min(best, float(grams.min()))
-    margin = _prune_margin(n, idx.shape[1]) if prune else None
+    margin = _prune_margin(n, idx.shape[1])
     if margin is not None:
         bound, trace = _det_trace_bound(grams)
         if best == np.inf:  # the first chunk seeds best from its lowest bound
@@ -339,18 +334,18 @@ def _chunk_min(a: np.ndarray, idx: np.ndarray, best: float, prune: bool) -> floa
     return min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
 
 
-def _min_over_subsets(a: np.ndarray, chunks, prune: bool = False) -> float:
+def _min_over_subsets(a: np.ndarray, chunks) -> float:
     """Smallest Gram eigenvalue over chunks of size-k row-index subsets.
 
     Each chunk holds at most ``_CHUNK_BYTES`` of gathered rows (one subset if
     a single one is larger); its Gram matrices come from a BLAS product.
-    With ``prune``, only the subsets whose det-trace bound is at most
-    ``best + margin * trace`` are eigen-solved (:func:`_prune_margin`), and
-    the result is the same.
+    Only the subsets whose det-trace bound is at most ``best + margin *
+    trace`` are eigen-solved (all of them where :func:`_prune_margin` is
+    None), and the result is that of an eigen-solve per subset, bit for bit.
     """
     best = np.inf
     for idx in chunks:
-        best = _chunk_min(a, idx, best, prune)
+        best = _chunk_min(a, idx, best)
     return max(best, 0.0)
 
 
@@ -362,15 +357,14 @@ def _validate_subset_size(a: np.ndarray, k) -> int:
     return k
 
 
-def restricted_min_sv_bruteforce(
-    matrix, k: int, cap: int = SUBSET_ENUMERATION_CAP
-) -> SpectralSummary:
+def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
     """Exact infimum of ``sigma_min_sq`` over all row subsets of size ``k``.
 
-    Enumerates every subset, so the binomial count must stay below ``cap``.
-    Holds at most ``_CHUNK_BYTES`` (4 MiB) of gathered subset rows at a time,
-    or one subset when a single one is larger; numpy builds the index chunks
-    in lexicographic order, never all at once.
+    Enumerates every subset, so the binomial count must stay below
+    ``SUBSET_ENUMERATION_CAP``.  Holds at most ``_CHUNK_BYTES`` (4 MiB) of
+    gathered subset rows at a time, or one subset when a single one is
+    larger; numpy builds the index chunks in lexicographic order, never all
+    at once.
 
     Every subset's Gram matrix G is formed and bounded, and
     ``subsets_examined`` counts them all, but ``eigvalsh`` runs only on those
@@ -390,25 +384,22 @@ def restricted_min_sv_bruteforce(
     Raises
     ------
     ShapeError
-        If ``k`` is not an integer (a bool is not) or lies outside
-        ``[cols, rows]``.
-    TooManySubsetsError
-        If ``C(rows, k)`` exceeds ``cap``; callers should fall back to
-        :func:`restricted_min_sv_sampled`.
+        If ``k`` is not an integer (a bool is not), lies outside
+        ``[cols, rows]``, or ``C(rows, k)`` exceeds ``SUBSET_ENUMERATION_CAP``;
+        callers should then fall back to :func:`restricted_min_sv_sampled`.
     """
     a = as_matrix(matrix)
     m, _ = a.shape
     k = _validate_subset_size(a, k)
     total = math.comb(m, k)
-    if total > cap:
-        raise TooManySubsetsError(
-            f"C({m},{k}) = {total} subsets exceeds the enumeration cap {cap}"
+    if total > SUBSET_ENUMERATION_CAP:
+        raise ShapeError(
+            f"C({m},{k}) = {total} subsets exceeds the enumeration cap {SUBSET_ENUMERATION_CAP}"
         )
-    best = _min_over_subsets(a, _combinations(m, k, _per_chunk(a, k)), prune=True)
+    best = _min_over_subsets(a, _combinations(m, k, _per_chunk(a, k)))
     return SpectralSummary(
         sigma_max_sq=sigma_max_sq(a),
         sigma_restricted_min_sq=best,
-        restricted_fraction=k / m,
         exact=True,
         subsets_examined=total,
     )
@@ -423,7 +414,9 @@ def restricted_min_sv_sampled(
     combinatorially out of reach.  Deterministic given ``seed``; the estimate
     never undershoots the exact value.  Holds at most ``_CHUNK_BYTES`` (4 MiB)
     of gathered subset rows at a time, or one subset when a single one is
-    larger, so memory does not grow with ``samples``.
+    larger, so memory does not grow with ``samples``.  The det-trace test of
+    :func:`restricted_min_sv_bruteforce` skips eigen-solves here too, with the
+    same result.
 
     Raises
     ------
@@ -441,7 +434,6 @@ def restricted_min_sv_sampled(
     return SpectralSummary(
         sigma_max_sq=sigma_max_sq(a),
         sigma_restricted_min_sq=best,
-        restricted_fraction=k / m,
         exact=False,
         subsets_examined=samples,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, SpecError, domain, domain_check, is_seed, one_of
+from .errors import ConfigError, IoError, domain, domain_check, is_seed, one_of
 from .linalg import is_row_normalized, row_normalize
 
 FAMILIES = ("gaussian", "coherent")
@@ -37,7 +37,7 @@ class CorruptionSpec:
     placement: str = one_of(PLACEMENTS, default="uniform")
     indices: tuple[int, ...] | None = None
 
-    __post_init__ = domain_check(SpecError)
+    __post_init__ = domain_check
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class GeneratorSpec:
     seed: int
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
-    __post_init__ = domain_check(SpecError)
+    __post_init__ = domain_check
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class CorruptedSystem:
     the consistent one exactly on ``corrupted_indices``.
 
     The matrix rows are checked for unit norm once, at construction
-    (:class:`SpecError` otherwise), and ``matrix`` is then a read-only view of
+    (:class:`ConfigError` otherwise), and ``matrix`` is then a read-only view of
     the array passed in, so an in-place write cannot break that check.
     """
 
@@ -71,7 +71,7 @@ class CorruptedSystem:
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
         if not is_row_normalized(matrix):
-            raise SpecError("system matrix must have unit-norm rows")
+            raise ConfigError("system matrix must have unit-norm rows")
         view = matrix.view()
         view.flags.writeable = False
         object.__setattr__(self, "matrix", view)
@@ -89,28 +89,21 @@ class CorruptedSystem:
         mask[self.corrupted_indices] = True
         return mask
 
-    def validate(self, atol: float = 1e-10) -> None:
-        if np.max(np.abs(self.matrix @ self.x_star - self.b_true), initial=0.0) > atol:
-            raise SpecError("b_true is not consistent with x_star")
-        diff = np.flatnonzero(self.b_observed != self.b_true)
-        if not np.array_equal(np.sort(diff), np.sort(self.corrupted_indices)):
-            raise SpecError("b_observed differs from b_true off the corrupted index set")
-
 
 def _validate_spec(spec: GeneratorSpec) -> None:
     """The rules relating two values; each field was checked when it was built."""
     if not (spec.m > spec.n >= 1):
-        raise SpecError(f"need m > n >= 1, got m={spec.m}, n={spec.n}")
+        raise ConfigError(f"need m > n >= 1, got m={spec.m}, n={spec.n}")
     c = spec.corruption
     if not 0.0 < c.magnitude_high - c.magnitude_low < math.inf:
-        raise SpecError("magnitude_high - magnitude_low must be positive and finite")
+        raise ConfigError("magnitude_high - magnitude_low must be positive and finite")
     if c.placement == "given-indices":
         if c.indices is None:
-            raise SpecError("placement 'given-indices' requires indices")
+            raise ConfigError("placement 'given-indices' requires indices")
         if len(set(c.indices)) != len(c.indices):
-            raise SpecError("given indices must be unique")
+            raise ConfigError("given indices must be unique")
         if not all(0 <= i < spec.m for i in c.indices):
-            raise SpecError("given indices out of range")
+            raise ConfigError("given indices out of range")
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -182,9 +175,9 @@ def generate_adversarial_duplicate(
     Returns the system together with that start vector.
     """
     if n < 2 or clean_rows < 1 or dup_rows < 1 or not is_seed(seed) or not math.isfinite(target):
-        raise SpecError("need n >= 2, clean_rows >= 1, dup_rows >= 1, a non-negative integer "
-                        f"seed and a finite target, got n={n}, clean_rows={clean_rows}, "
-                        f"dup_rows={dup_rows}, seed={seed!r}, target={target!r}")
+        raise ConfigError("need n >= 2, clean_rows >= 1, dup_rows >= 1, a non-negative integer "
+                          f"seed and a finite target, got n={n}, clean_rows={clean_rows}, "
+                          f"dup_rows={dup_rows}, seed={seed!r}, target={target!r}")
     rng_matrix, rng_xstar, rng_dup = _streams(seed, 3)
 
     clean = row_normalize(rng_matrix.standard_normal((clean_rows, n)))
@@ -215,21 +208,13 @@ def generate_adversarial_duplicate(
 # On-disk round trip: matrix.csv, b_observed.csv, metadata.json.  Floats are
 # written with 17 significant digits so the decimal form round-trips exactly.
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def save_system(
     system: CorruptedSystem, directory, spec: GeneratorSpec | None = None
 ) -> Path:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "matrix.csv", "w", encoding="utf-8") as fh:
-        for row in system.matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    with open(out / "b_observed.csv", "w", encoding="utf-8") as fh:
-        for v in system.b_observed:
-            fh.write(_fmt(v) + "\n")
+    np.savetxt(out / "matrix.csv", system.matrix, fmt="%.17g", delimiter=",")
+    np.savetxt(out / "b_observed.csv", system.b_observed, fmt="%.17g")
     meta = {
         "format_version": _FORMAT_VERSION,
         "m": system.m,

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ConditionViolatedError,
     DomainError,
-    PreconditionViolatedError,
     ShapeError,
 )
 from .linalg import (
@@ -178,11 +177,11 @@ def alpha_opt_closed_form(
     )
 
 
-def restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: int,
-                       cap: int = SUBSET_ENUMERATION_CAP) -> SpectralSummary:
+def restricted_summary(system: CorruptedSystem, q: float, seed: int,
+                       samples: int) -> SpectralSummary:
     """Spectral summary over the row subsets of size ceil((q - beta) * m):
-    exhaustive when there are at most ``cap`` of them, else over ``samples``
-    seeded draws.  Raises :class:`DomainError` unless beta < q < 1 - beta,
+    exhaustive when there are at most ``SUBSET_ENUMERATION_CAP`` of them, else
+    over ``samples`` seeded draws.  Raises :class:`DomainError` unless beta < q < 1 - beta,
     :class:`ShapeError` unless ``samples`` is an integer >= 1 (on either
     path), and :class:`ConditionViolatedError` when the size is below the
     column count, as every such submatrix is then rank deficient."""
@@ -194,8 +193,8 @@ def restricted_summary(system: CorruptedSystem, q: float, seed: int, samples: in
         raise ConditionViolatedError(
             f"restricted subset size {k} is below the column count {system.n}"
         )
-    if math.comb(m, k) <= cap:
-        return restricted_min_sv_bruteforce(system.matrix, k, cap=cap)
+    if math.comb(m, k) <= SUBSET_ENUMERATION_CAP:
+        return restricted_min_sv_bruteforce(system.matrix, k)
     return restricted_min_sv_sampled(system.matrix, k, samples=samples, seed=seed)
 
 
@@ -204,15 +203,15 @@ def resolve_alpha_auto(
     q: float,
     seed: int = 0,
     samples: int = 500,
-    cap: int = SUBSET_ENUMERATION_CAP,
 ) -> tuple[float, bool]:
     """Resolve the optimal step size for a concrete system.
 
     Uses the exact restricted smallest singular value when the subset count
-    is enumerable under ``cap``, otherwise a seeded sampled estimate.
+    is enumerable under ``SUBSET_ENUMERATION_CAP``, otherwise a seeded sampled
+    estimate.
     Returns ``(alpha_opt, exact_flag)``.
     """
-    summary = restricted_summary(system, q, seed, samples, cap)
+    summary = restricted_summary(system, q, seed, samples)
     report = rate_report(q, system.beta, system.m, summary.sigma_max_sq,
                          summary.sigma_restricted_min_sq, exact=summary.exact)
     return report.alpha_opt, summary.exact
@@ -281,7 +280,7 @@ def certify_iteration(
     ------
     ShapeError
         If the accepted uncorrupted block is not tall.
-    PreconditionViolatedError
+    DomainError
         If ``2*alpha/|tau| - alpha^2*sigma_max^2/|tau|^2 < 0``, in which case
         the first bound is vacuous.
     """
@@ -309,7 +308,7 @@ def certify_iteration(
     c = alpha / tau.size
     g = 2.0 * c - c * c * s2max
     if g < 0.0:
-        raise PreconditionViolatedError(
+        raise DomainError(
             f"2a/|tau| - a^2 s2max/|tau|^2 = {g:.6g} < 0 at alpha={alpha}"
         )
 

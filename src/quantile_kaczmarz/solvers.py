@@ -206,7 +206,12 @@ def _gram_solve(gram_matrix: np.ndarray, rhs: np.ndarray, ridge: float) -> np.nd
         np.linalg.cholesky(gram_matrix)
         return np.linalg.solve(gram_matrix, rhs)
     except np.linalg.LinAlgError:
+        pass
+    try:
         return np.linalg.solve(gram_matrix + ridge * np.eye(gram_matrix.shape[0]), rhs)
+    except np.linalg.LinAlgError:
+        raise ShapeError("the accepted rows are linearly dependent; "
+                         "a positive ridge is needed") from None
 
 
 def quantile_pbk_step(
@@ -223,7 +228,8 @@ def quantile_pbk_step(
     two Gram systems.  When the accepted submatrix has full row rank this is
     the exact projection onto {x : A_tau x = b_tau}; otherwise it lands on
     the least-squares affine set, with ``ridge`` regularizing a rank-deficient
-    factorization.
+    factorization; with ``ridge=0`` a singular Gram system raises
+    :class:`ShapeError`.
     """
     r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
     tau = np.flatnonzero(keep)
@@ -370,7 +376,7 @@ class SolverConfig:
     comparator: str = one_of(COMPARATORS, default="strict-below")
     seed: int = 0
 
-    __post_init__ = domain_check(ConfigError)
+    __post_init__ = domain_check
 
 
 def _validate_config(config: SolverConfig, system: CorruptedSystem) -> tuple[MethodSpec, int]:

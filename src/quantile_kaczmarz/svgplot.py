@@ -1,7 +1,7 @@
 """Minimal deterministic SVG line charts (no plotting dependency).
 
-Fixed 800x600 viewport, one polyline per series, optional log y-axis.
-Identical input produces identical bytes.
+Fixed 800x600 viewport, one polyline per series, relative error on a log
+y-axis.  Identical input produces identical bytes.
 """
 from __future__ import annotations
 
@@ -16,10 +16,6 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 80, 30, 40, 60
 PALETTE = ("#1f6f8b", "#d1495b", "#66a182", "#edae49", "#55505c", "#8d6a9f")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
         return [lo]
@@ -27,18 +23,11 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def emit_svg(
-    series,
-    log_y: bool,
-    path,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> Path:
-    """Write a standalone SVG line chart.
+def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
+    """Write a standalone SVG line chart of relative error on a log axis.
 
-    ``series`` is a list of ``(label, xs, ys)`` triples.  With ``log_y`` every
-    y value must be strictly positive.
+    ``series`` is a list of ``(label, xs, ys)`` triples; every y value must be
+    strictly positive.
     """
     series = [(str(label), list(map(float, xs)), list(map(float, ys))) for label, xs, ys in series]
     if not series:
@@ -46,14 +35,11 @@ def emit_svg(
     for label, xs, ys in series:
         if len(xs) != len(ys) or not xs:
             raise DomainError(f"series {label!r} must have matching nonempty x and y")
-        if log_y and min(ys) <= 0.0:
+        if min(ys) <= 0.0:
             raise DomainError(f"series {label!r} has nonpositive values on a log axis")
 
-    def ty(v: float) -> float:
-        return math.log10(v) if log_y else v
-
     all_x = [x for _, xs, _ in series for x in xs]
-    all_y = [ty(y) for _, _, ys in series for y in ys]
+    all_y = [math.log10(y) for _, _, ys in series for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -68,7 +54,7 @@ def emit_svg(
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        return MARGIN_TOP + (y_hi - ty(y)) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + (y_hi - math.log10(y)) / (y_hi - y_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -87,38 +73,36 @@ def emit_svg(
             f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle" '
             f'font-family="monospace" font-size="13">{x_label}</text>'
         )
-    if y_label:
-        out.append(
-            f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="monospace" font-size="13" '
-            f'transform="rotate(-90 18 {HEIGHT // 2})">{y_label}</text>'
-        )
+    out.append(
+        f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
+        f'font-family="monospace" font-size="13" '
+        f'transform="rotate(-90 18 {HEIGHT // 2})">relative error</text>'
+    )
 
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
         out.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_TOP + plot_h}" x2="{_fmt(x)}" '
+            f'<line x1="{x:.2f}" y1="{MARGIN_TOP + plot_h}" x2="{x:.2f}" '
             f'y2="{MARGIN_TOP + plot_h + 5}" stroke="#444444"/>'
         )
         out.append(
-            f'<text x="{_fmt(x)}" y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
+            f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
             f'font-family="monospace" font-size="11">{tick:.4g}</text>'
         )
     for tick in _ticks(y_lo, y_hi):
         y = MARGIN_TOP + (y_hi - tick) / (y_hi - y_lo) * plot_h
-        label = f"1e{tick:.2f}" if log_y else f"{tick:.4g}"
         out.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(y)}" x2="{MARGIN_LEFT}" '
-            f'y2="{_fmt(y)}" stroke="#444444"/>'
+            f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" '
+            f'y2="{y:.2f}" stroke="#444444"/>'
         )
         out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{label}</text>'
+            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-family="monospace" font-size="11">1e{tick:.2f}</text>'
         )
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

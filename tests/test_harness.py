@@ -179,24 +179,24 @@ class TestAdversarialDemo:
 
 class TestSvg:
     def test_single_series_single_polyline(self, tmp_path):
-        path = emit_svg([("s", [0, 1], [1.0, 2.0])], log_y=False, path=tmp_path / "p.svg")
+        path = emit_svg([("s", [0, 1], [1.0, 2.0])], path=tmp_path / "p.svg")
         text = path.read_text()
         assert text.count("<polyline") == 1
         assert 'width="800" height="600"' in text
 
     def test_deterministic_bytes(self, tmp_path):
-        args = ([("a", [0, 1, 2], [3.0, 1.0, 2.0]), ("b", [0, 1, 2], [1.0, 1.5, 0.5])], True)
-        one = emit_svg(args[0], args[1], tmp_path / "one.svg", title="t")
-        two = emit_svg(args[0], args[1], tmp_path / "two.svg", title="t")
+        series = [("a", [0, 1, 2], [3.0, 1.0, 2.0]), ("b", [0, 1, 2], [1.0, 1.5, 0.5])]
+        one = emit_svg(series, tmp_path / "one.svg", title="t")
+        two = emit_svg(series, tmp_path / "two.svg", title="t")
         assert one.read_bytes() == two.read_bytes()
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            emit_svg([], log_y=False, path=tmp_path / "x.svg")
+            emit_svg([], path=tmp_path / "x.svg")
 
     def test_log_requires_positive(self, tmp_path):
         with pytest.raises(DomainError):
-            emit_svg([("s", [0, 1], [1.0, 0.0])], log_y=True, path=tmp_path / "x.svg")
+            emit_svg([("s", [0, 1], [1.0, 0.0])], path=tmp_path / "x.svg")
 
 
 class TestDerivedSeeds:

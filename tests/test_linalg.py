@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import linalg
-from quantile_kaczmarz.errors import ShapeError, TooManySubsetsError, ZeroRowError
+from quantile_kaczmarz.errors import ShapeError
 from quantile_kaczmarz.linalg import (
     restricted_min_sv_bruteforce,
     restricted_min_sv_sampled,
@@ -40,9 +40,8 @@ class TestRowNormalize:
         np.testing.assert_array_equal(row_normalize(eye), eye)
 
     def test_zero_row_raises(self):
-        with pytest.raises(ZeroRowError) as exc:
+        with pytest.raises(ShapeError, match=r"^row 1 has zero norm$"):
             row_normalize([[1.0, 0.0], [0.0, 0.0]])
-        assert exc.value.row_index == 1
 
     def test_unit_norms_and_directions(self):
         rng = np.random.default_rng(0)
@@ -113,7 +112,6 @@ class TestRestrictedBruteforce:
         assert summary.sigma_restricted_min_sq == pytest.approx(1 - SQRT2 / 2, rel=1e-10)
         assert summary.exact is True
         assert summary.subsets_examined == 6
-        assert summary.restricted_fraction == pytest.approx(0.5)
 
     def test_parallel_pair_is_singular(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -127,7 +125,7 @@ class TestRestrictedBruteforce:
 
     def test_cap_exceeded(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(TooManySubsetsError):
+        with pytest.raises(ShapeError, match="exceeds the enumeration cap"):
             restricted_min_sv_bruteforce(unit_rows(rng, 30, 2), 15)
 
     def test_bad_subset_size(self):
@@ -191,35 +189,42 @@ class TestRestrictedSampled:
 
 def restricted_sampled_reference(a, k, samples, seed):
     """Literal reference of ``restricted_min_sv_sampled``: the same draws from
-    the same generator, and one SVD per subset."""
+    the same generator, and one ``eigvalsh`` per subset, with no bound."""
     rng = np.random.default_rng(seed)
-    return min(
-        np.linalg.svd(a[rng.choice(a.shape[0], size=k, replace=False)], compute_uv=False)[-1] ** 2
-        for _ in range(samples)
-    )
+    best = np.inf
+    for _ in range(samples):
+        x = a[rng.choice(a.shape[0], size=k, replace=False)]
+        best = min(best, np.linalg.eigvalsh(x.T @ x)[0])
+    return max(float(best), 0.0)
 
 
 @st.composite
 def sampled_inputs(draw):
     """A unit-row matrix (Gaussian rows, or rows repeated from a pool of n so
-    that many subsets are singular), a subset size, a sample count and a seed."""
+    that many subsets are singular), a subset size, a sample count, a seed and
+    whether the rows were repeated."""
     m = draw(st.integers(1, 60))
     n = draw(st.integers(1, min(6, m)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = unit_rows(rng, m, n)
-    if draw(st.booleans()):
+    repeated = draw(st.booleans())
+    if repeated:
         a = a[rng.integers(0, n, size=m)]
-    return a, draw(st.integers(n, m)), draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(n, m))
+    return a, k, draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1)), repeated
 
 
 class TestRestrictedAgainstReference:
     @given(sampled_inputs())
     @settings(max_examples=150, deadline=None)
     def test_sampled_matches_literal_reference(self, inputs):
-        a, k, samples, seed = inputs
+        a, k, samples, seed, repeated = inputs
         summary = restricted_min_sv_sampled(a, k, samples=samples, seed=seed)
         expected = restricted_sampled_reference(a, k, samples, seed)
-        assert summary.sigma_restricted_min_sq == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        if repeated:  # singular subsets: the smallest eigenvalue is rounding noise
+            assert summary.sigma_restricted_min_sq == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        else:
+            assert summary.sigma_restricted_min_sq == expected  # bit for bit
         assert summary.subsets_examined == samples
 
     @pytest.mark.parametrize("seed", range(4))

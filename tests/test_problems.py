@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quantile_kaczmarz.errors import IoError, SpecError
+from quantile_kaczmarz.errors import ConfigError, IoError
 from quantile_kaczmarz.problems import (
     CorruptedSystem,
     CorruptionSpec,
@@ -23,6 +23,14 @@ def spec(family="gaussian", m=120, n=10, seed=0, beta=0.0, **corruption):
         family=family, m=m, n=n, seed=seed,
         corruption=CorruptionSpec(beta=beta, **corruption),
     )
+
+
+def validate(system: CorruptedSystem, atol: float = 1e-10) -> None:
+    """b_true is consistent with x_star, and b_observed differs from it exactly
+    on the corrupted index set."""
+    assert np.max(np.abs(system.matrix @ system.x_star - system.b_true), initial=0.0) <= atol
+    diff = np.flatnonzero(system.b_observed != system.b_true)
+    assert np.array_equal(np.sort(diff), np.sort(system.corrupted_indices))
 
 
 class TestGenerate:
@@ -47,7 +55,7 @@ class TestGenerate:
 
     def test_consistency_and_corruption_support(self):
         system = generate(spec(m=200, n=15, seed=9, beta=0.25))
-        system.validate()
+        validate(system)
         assert np.max(np.abs(system.matrix @ system.x_star - system.b_true)) <= 1e-10
 
     def test_rows_unit_norm(self):
@@ -119,11 +127,11 @@ class TestGenerate:
     def test_spec_errors(self, kwargs):
         base = dict(family="gaussian", m=100, n=10, seed=0, beta=0.1)
         base.update(kwargs)
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError):
             generate(spec(**base))
 
     def test_adversarial_family_needs_dedicated_constructor(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError):
             generate(GeneratorSpec(family="adversarial-duplicate", m=100, n=10, seed=0))
 
 
@@ -161,11 +169,11 @@ class TestAdversarialDuplicate:
         assert np.all(system.b_observed[:20] == system.b_true[:20])
 
     def test_degenerate_counts_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError):
             generate_adversarial_duplicate(n=1)
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError):
             generate_adversarial_duplicate(clean_rows=0)
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError):
             generate_adversarial_duplicate(dup_rows=0)
 
 
@@ -181,7 +189,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.corrupted_indices, original.corrupted_indices)
         np.testing.assert_array_equal(loaded.b_true, original.b_true)
         assert loaded.beta == original.beta
-        loaded.validate()
+        validate(loaded)
 
     def test_metadata_contents(self, tmp_path):
         original = generate(spec(m=20, n=3, seed=2, beta=0.5))
@@ -197,6 +205,19 @@ class TestRoundTrip:
         save_system(system, tmp_path / "b")
         for name in ("matrix.csv", "b_observed.csv", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_csv_holds_each_float_as_format_17g(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e-300, 0.1, 1.2345678901234568e+17]
+        matrix = np.array([[v, math.sqrt(1.0 - v * v)] for v in edge[:4]])
+        system = CorruptedSystem(matrix=matrix, x_star=np.zeros(2), b_true=np.zeros(4),
+                                 b_observed=np.array(edge[1:]), corrupted_indices=np.arange(4),
+                                 beta=0.0)
+        save_system(system, tmp_path / "sys")
+        lines = {"matrix.csv": [",".join(format(v, ".17g") for v in row) for row in matrix],
+                 "b_observed.csv": [format(v, ".17g") for v in edge[1:]]}
+        for name, expected in lines.items():
+            text = "".join(line + "\n" for line in expected)
+            assert (tmp_path / "sys" / name).read_bytes() == text.encode()
 
 
 class TestLoadValidation:
@@ -292,14 +313,14 @@ class TestUnitRowInvariant:
     def test_row_of_norm_two_rejected(self):
         matrix = self.unit_matrix()
         matrix[4] *= 2.0
-        with pytest.raises(SpecError, match="unit-norm"):
+        with pytest.raises(ConfigError, match="unit-norm"):
             CorruptedSystem(**self.parts(matrix))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entry_rejected(self, bad):
         matrix = self.unit_matrix()
         matrix[2, 1] = bad
-        with pytest.raises(SpecError, match="unit-norm"):
+        with pytest.raises(ConfigError, match="unit-norm"):
             CorruptedSystem(**self.parts(matrix))
 
     def test_matrix_is_read_only_view(self):
@@ -314,5 +335,5 @@ class TestUnitRowInvariant:
         system = CorruptedSystem(**self.parts(self.unit_matrix()))
         bad = self.unit_matrix()
         bad[0] *= 0.5
-        with pytest.raises(SpecError, match="unit-norm"):
+        with pytest.raises(ConfigError, match="unit-norm"):
             dataclasses.replace(system, matrix=bad)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from quantile_kaczmarz.errors import (
     ConditionViolatedError,
     DomainError,
-    PreconditionViolatedError,
     ShapeError,
 )
 from quantile_kaczmarz.linalg import restricted_min_sv_bruteforce, sigma_max_sq
@@ -245,7 +244,7 @@ class TestCertifyIteration:
         rng = np.random.default_rng(1)
         x = system.x_star + rng.standard_normal(2)
         x_next, stats = self.run_step(system, 0.5, 1.0, x)
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(DomainError, match="< 0 at alpha"):
             certify_iteration(system, x, x_next, 0.5, 1e6, stats.tau)
 
     def test_empty_tau_rejected(self):

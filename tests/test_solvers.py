@@ -9,7 +9,6 @@ from quantile_kaczmarz.errors import (
     ConfigError,
     DivergedError,
     DomainError,
-    EmptyInputError,
     ShapeError,
 )
 from quantile_kaczmarz.problems import CorruptedSystem, CorruptionSpec, GeneratorSpec, generate
@@ -62,7 +61,7 @@ class TestQuantileOfMultiset:
         assert quantile_of_multiset([1, 1, 2, 2], 0.75) == 2
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ShapeError, match="empty multiset"):
             quantile_of_multiset([], 0.5)
 
     def test_bad_q(self):
@@ -233,6 +232,12 @@ class TestProjectiveStep:
         assert stats.tau.size == 3
         assert np.all(np.isfinite(x_next))
         np.testing.assert_allclose(a[0] @ x_next, 2.0, atol=1e-6)
+
+    def test_dependent_rows_without_ridge_are_a_shape_error(self):
+        a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        b = np.array([1.0, 1.0, 5.0, 7.0])
+        with pytest.raises(ShapeError, match="linearly dependent.*positive ridge"):
+            quantile_pbk_step(a, b, np.zeros(3), 0.5, "at-or-below")
 
 
 class TestSingleRowSteps:
