@@ -70,7 +70,9 @@ def _add_generator_flags(p: argparse.ArgumentParser, seed_required: bool = False
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--q", type=float)
-    p.add_argument("--alpha", type=_alpha, help="step size, or 'auto'")
+    p.add_argument("--alpha", type=_alpha,
+                   help="step size, or 'auto': sweep-q searches 11 trial step sizes at "
+                        "each (q, rep); the other commands use the rate formula")
     p.add_argument("--t", type=int, help="sample size")
     p.add_argument("--block-size", type=int)
     p.add_argument("--iters", dest="max_iters", type=int)

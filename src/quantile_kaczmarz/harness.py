@@ -26,7 +26,15 @@ from .problems import (
     generate,
     generate_adversarial_duplicate,
 )
-from .solvers import METHOD_TABLE, TIMINGS, IterationTrace, SolverConfig, check_timing, solve
+from .solvers import (
+    METHOD_TABLE,
+    TIMINGS,
+    IterationTrace,
+    SolverConfig,
+    check_timing,
+    lane_errors,
+    solve,
+)
 from .svgplot import emit_svg
 
 SWEEP_CSV_HEADER = "value,repetition,rel_error,diverged,wall_ms"
@@ -226,40 +234,42 @@ def empirical_alpha(
 ) -> float:
     """Pick a step size for quantile ``q`` by a short trial sweep.
 
-    Runs the solver for a few iterations at each candidate on a dedicated
-    derived stream and returns the candidate with the smallest finite
-    relative error.  This mirrors how the optimal step size is located
-    experimentally; the closed-form optimum is unavailable for quantiles
-    near the corruption boundary.
+    Runs ``solver``'s method for ``iterations`` steps (default
+    ``min(solver.max_iters, 10)``) at each of 11 candidates, 6 absolute and
+    5 scaled by n, as the lanes of one :func:`solvers.lane_errors` call.
+    All lanes share one sample stream, derived from ``seed``, so they see
+    the same rows at every step.  Returns the candidate with the smallest
+    relative error among those that end finite and at most 1, the lower
+    step size on a tie, or the first candidate if none does.  This mirrors
+    how the optimal step size is located experimentally; the closed-form
+    optimum is unavailable for quantiles near the corruption boundary.
+    Only the averaged quantile methods can be searched; any other method
+    raises :class:`ConfigError`.
     """
     n = system.n
     candidates = sorted(set(_ALPHA_GRID_ABS) | {r * n for r in _ALPHA_GRID_SCALED})
-    budget = iterations if iterations is not None else min(solver.max_iters, 10)
-    best_alpha, best_rel = candidates[0], math.inf
-    for cidx, alpha in enumerate(candidates):
-        trial = dataclasses.replace(
-            solver,
-            q=q,
-            alpha=alpha,
-            max_iters=budget,
-            stop_rel_error=0.0,
-            seed=derived_seed(seed, _TAG_ALPHA_SEARCH, cidx),
-        )
-        rel, diverged, _ = _solve_outcome(system, trial, start_vector(system.n, start), "none")
-        if not diverged and rel < best_rel:
-            best_alpha, best_rel = alpha, rel
-    return best_alpha
+    trial = dataclasses.replace(
+        solver,
+        q=q,
+        max_iters=iterations if iterations is not None else min(solver.max_iters, 10),
+        stop_rel_error=0.0,
+        seed=derived_seed(seed, _TAG_ALPHA_SEARCH),
+    )
+    errors = lane_errors(system, trial, start_vector(n, start), candidates)
+    # argmin takes the first of equal errors, and the first candidate when
+    # every lane diverged.
+    return candidates[int(np.argmin(np.where(errors <= 1.0, errors, np.inf)))]
 
 
 def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
     """Sweep the quantile parameter, resolving the step size per q.
 
-    With ``solver.alpha == "auto"`` each (q, repetition) pair gets an
-    empirically resolved step size, unless the method takes none; an
+    With ``solver.alpha == "auto"`` each (q, repetition) pair gets a step
+    size from :func:`empirical_alpha`, unless the method takes none; an
     explicit alpha is used as-is.
     """
     search = (isinstance(config.solver.alpha, str)
-              and METHOD_TABLE[config.solver.method].takes_alpha)
+              and METHOD_TABLE[config.solver.method].auto_alpha)
 
     def resolver(system, value, rep):
         q = float(value)

@@ -103,19 +103,25 @@ def is_row_normalized(matrix, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(norms - 1.0) <= tol))
 
 
-def quantile_of_multiset(values, q: float) -> float:
+def quantile_of_multiset(values, q: float, axis: int | None = None) -> float | np.ndarray:
     """The ceil(q*S)-th smallest element of a multiset of S reals.
 
     Duplicates count; selection is 1-indexed, so ``q=1`` returns the maximum.
-    Uses a partial sort, O(S) expected time.
+    Uses a partial sort, O(S) expected time.  With ``axis``, each slice
+    along that axis is one multiset, and the result is the array of their
+    quantiles: ``axis=0`` on an S×L block gives L values.
     """
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
+    arr = np.asarray(values, dtype=float)
+    if axis is None:
+        arr, axis = arr.ravel(), 0
+    size = arr.shape[axis]
+    if size == 0:
         raise ShapeError("quantile of an empty multiset")
     if not 0.0 < q <= 1.0:
         raise DomainError(f"q must lie in (0, 1], got {q}")
-    k = math.ceil(q * arr.size)
-    return float(np.partition(arr, k - 1)[k - 1])
+    k = math.ceil(q * size)
+    kth = np.partition(arr, k - 1, axis=axis).take(k - 1, axis=axis)
+    return float(kth) if kth.ndim == 0 else kth
 
 
 def sigma_max_sq(matrix) -> float:

@@ -124,11 +124,15 @@ def generate(spec: GeneratorSpec) -> CorruptedSystem:
     _validate_spec(spec)
     rng_matrix, rng_xstar, rng_place, rng_mag = _streams(spec.seed, 4)
 
-    if spec.family == "coherent":
-        entries = rng_matrix.uniform(0.0, 1.0, size=(spec.m, spec.n))
-    else:
-        entries = rng_matrix.standard_normal((spec.m, spec.n))
-    a = row_normalize(entries)
+    try:
+        if spec.family == "coherent":
+            entries = rng_matrix.uniform(0.0, 1.0, size=(spec.m, spec.n))
+        else:
+            entries = rng_matrix.standard_normal((spec.m, spec.n))
+        a = row_normalize(entries)
+    except MemoryError:
+        raise ConfigError(f"an m={spec.m} by n={spec.n} matrix needs {8 * spec.m * spec.n} "
+                          "bytes, more than could be allocated") from None
 
     x_star = rng_xstar.standard_normal(spec.n)
     b_true = a @ x_star

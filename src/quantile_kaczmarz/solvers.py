@@ -53,8 +53,12 @@ DIVERGENCE_LIMIT = 1e12
 
 @dataclass
 class StepStats:
-    quantile: float
-    tau: np.ndarray  # accepted row indices; empty for a no-op step
+    """A step's threshold and accepted row indices (empty for a no-op step);
+    a step over an n×L block of lanes gives an array of L thresholds and a
+    list of L index arrays."""
+
+    quantile: float | np.ndarray
+    tau: np.ndarray | list[np.ndarray]
 
 
 @dataclass
@@ -144,11 +148,48 @@ def _accepted_mask(abs_residual: np.ndarray, threshold: float, comparator: str) 
 
 def _quantile_test(rows, b, x, q: float, comparator: str):
     """The residual ``rows @ x - b``, the ``q``-quantile of its magnitudes and
-    the mask of the rows that pass ``comparator`` against it."""
-    r = rows @ x - b
+    the mask of the rows that pass ``comparator`` against it.  For an n×L
+    block ``x``, one lane per column, the residual is one GEMM and each lane
+    has its own threshold and mask, taken over its own column."""
+    lanes = np.ndim(x) == 2
+    if lanes:
+        # The same product with the lanes on the left: OpenBLAS runs this
+        # shape several times faster than rows @ x, and touches less memory.
+        r = (x.T @ rows.T).T - b[:, None]
+    else:
+        r = rows @ x - b
     abs_r = np.abs(r)
-    threshold = quantile_of_multiset(abs_r, q)
+    threshold = quantile_of_multiset(abs_r, q, axis=0 if lanes else None)
     return r, threshold, _accepted_mask(abs_r, threshold, comparator)
+
+
+def _accepted_rows(keep: np.ndarray, index) -> np.ndarray | list[np.ndarray]:
+    """The system rows a mask over ``rows`` accepts, one array per lane of a
+    block; ``index[i]`` is the system row of ``rows[i]`` (None: row ``i``)."""
+    if keep.ndim == 2:
+        return [_accepted_rows(lane, index) for lane in keep.T]
+    return np.flatnonzero(keep) if index is None else index[keep]
+
+
+def _averaged_update(rows, index, x, r, keep, alpha, threshold):
+    """The averaged step ``x - (alpha/|tau|) A_tau^T r_tau`` after a quantile
+    test over ``rows`` (see :func:`_accepted_rows` for ``index``), taken as
+    one masked pass over them, so no accepted row is copied.  An empty
+    accepted set is a defined no-op, never an error.
+
+    For an n×L block ``x`` with L step sizes ``alpha`` the pass is one GEMM,
+    and a lane that accepts no row keeps its iterate.
+    """
+    tau = _accepted_rows(keep, index)
+    if np.ndim(x) == 1:
+        if tau.size == 0:
+            return x.copy(), StepStats(threshold, tau)
+        scale = alpha / tau.size
+    else:
+        # An empty lane's masked sum is exactly zero, so any positive divisor
+        # leaves its iterate in place.
+        scale = alpha / np.maximum(np.count_nonzero(keep, axis=0), 1)
+    return x - scale * (np.where(keep, r, 0.0).T @ rows).T, StepStats(threshold, tau)
 
 
 def quantile_abk_step(
@@ -159,14 +200,11 @@ def quantile_abk_step(
     The update ``A_tau^T r_tau`` is taken as one masked pass over the whole
     matrix, so no accepted row is copied.  An empty accepted set (e.g. at the
     exact solution under the strict comparator) is a defined no-op, never an
-    error.
+    error.  ``x`` may also be an n×L block of lanes, with ``alpha`` holding
+    one step size per lane.
     """
     r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
-    tau = np.flatnonzero(keep)
-    if tau.size == 0:
-        return x.copy(), StepStats(threshold, tau)
-    x_next = x - (alpha / tau.size) * (np.where(keep, r, 0.0) @ matrix)
-    return x_next, StepStats(threshold, tau)
+    return _averaged_update(matrix, None, x, r, keep, alpha, threshold)
 
 
 def sampled_qabk_step(
@@ -182,9 +220,10 @@ def sampled_qabk_step(
     """Averaged quantile step restricted to a uniform sample of ``t`` rows.
 
     The sample's rows are gathered once; the residual and the masked update
-    both read that one copy.  Full-sample policy: when ``t`` equals the row
-    count, the sample is the identity ordering, which makes the step bitwise
-    identical to :func:`quantile_abk_step`.
+    both read that one copy, and so do all lanes when ``x`` is an n×L block
+    (``alpha`` then holds one step size per lane).  Full-sample policy: when
+    ``t`` equals the row count, the sample is the identity ordering, which
+    makes the step bitwise identical to :func:`quantile_abk_step`.
     """
     m = matrix.shape[0]
     if t == m:
@@ -192,11 +231,7 @@ def sampled_qabk_step(
     sample = rng.choice(m, size=t, replace=False)
     rows = matrix[sample]
     r_s, threshold, keep = _quantile_test(rows, b[sample], x, q, comparator)
-    tau = sample[keep]
-    if tau.size == 0:
-        return x.copy(), StepStats(threshold, tau)
-    x_next = x - (alpha / tau.size) * (np.where(keep, r_s, 0.0) @ rows)
-    return x_next, StepStats(threshold, tau)
+    return _averaged_update(rows, sample, x, r_s, keep, alpha, threshold)
 
 
 def _gram_solve(gram_matrix: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
@@ -352,7 +387,7 @@ METHODS = tuple(METHOD_TABLE)
 
 
 # ---------------------------------------------------------------------------
-# Driver
+# Drivers
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -379,8 +414,20 @@ class SolverConfig:
     __post_init__ = domain_check
 
 
-def _validate_config(config: SolverConfig, system: CorruptedSystem) -> tuple[MethodSpec, int]:
-    """The method's table entry and sample size, after the rules relating two values."""
+def _validate_config(
+    config: SolverConfig, system: CorruptedSystem, x0
+) -> tuple[MethodSpec, int, np.ndarray]:
+    """The method's table entry, the sample size and ``x0`` as a float array,
+    after the checks every solve makes: ``x0`` has shape (n,) and is finite,
+    ``system.b_observed`` is finite (it stays writable, so it can change
+    between calls), and the rules relating two values hold."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.n,):
+        raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError("x0 must be finite")
+    if not np.all(np.isfinite(system.b_observed)):
+        raise ConfigError("b_observed must be finite")
     spec = METHOD_TABLE[config.method]
     m = system.m
     t = config.t if config.t is not None else m
@@ -389,7 +436,7 @@ def _validate_config(config: SolverConfig, system: CorruptedSystem) -> tuple[Met
     scope = t if spec.scope == "t" else m
     if spec.scope is not None and config.q * scope < 1.0:
         raise ConfigError(f"q*{scope} must be >= 1, got {config.q * scope}")
-    return spec, t
+    return spec, t, x0
 
 
 def _resolve_alpha(
@@ -409,6 +456,13 @@ def _resolve_alpha(
     return alpha, "auto-exact" if exact else "auto-sampled"
 
 
+def _relative_error(system: CorruptedSystem, x: np.ndarray, base: float) -> float:
+    err = float(np.linalg.norm(x - system.x_star))
+    # Degenerate start at the exact solution: report the absolute distance
+    # instead of 0/0.
+    return err if base == 0.0 else err / base
+
+
 def solve(
     system: CorruptedSystem,
     config: SolverConfig,
@@ -422,33 +476,15 @@ def solve(
     partial trace) if the relative error exceeds 1e12 or turns non-finite.
 
     Each call checks, at O(m + n) cost, that ``x0`` has shape (n,) and is
-    finite and that ``system.b_observed`` is finite (it stays writable, so it
-    can change between calls), then validates ``config`` against the system;
-    any failure raises :class:`ConfigError`.  Unit-norm rows are not checked
-    here: :class:`CorruptedSystem` checks them once, when it is built.
+    finite and that ``system.b_observed`` is finite, then validates
+    ``config`` against the system; any failure raises :class:`ConfigError`.
+    Unit-norm rows are not checked here: :class:`CorruptedSystem` checks them
+    once, when it is built.
     """
-    a = system.matrix
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.n,):
-        raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError("x0 must be finite")
-    if not np.all(np.isfinite(system.b_observed)):
-        raise ConfigError("b_observed must be finite")
-    spec, t = _validate_config(config, system)
+    spec, t, x0 = _validate_config(config, system, x0)
     alpha, alpha_source = _resolve_alpha(spec, config, system)
-    step = spec.build(a, system.b_observed, config, t, alpha)
-
+    step = spec.build(system.matrix, system.b_observed, config, t, alpha)
     base = float(np.linalg.norm(x0 - system.x_star))
-
-    def rel(x: np.ndarray) -> float:
-        err = float(np.linalg.norm(x - system.x_star))
-        if base == 0.0:
-            # Degenerate start at the exact solution: report the absolute
-            # distance instead of 0/0.
-            return err
-        return err / base
-
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     corrupted = system.corrupted_mask()
 
@@ -471,7 +507,7 @@ def solve(
             x_next, stats = step(x, rng)
             elapsed += time.perf_counter_ns() - started
 
-            rel_k = rel(x_next)
+            rel_k = _relative_error(system, x_next, base)
             trace.rel_error.append(rel_k)
             trace.quantile.append(stats.quantile)
             trace.tau_size.append(int(stats.tau.size))
@@ -493,3 +529,42 @@ def solve(
 
     trace.x_final = x
     return trace
+
+
+def lane_errors(system: CorruptedSystem, config: SolverConfig, x0, alphas) -> np.ndarray:
+    """The relative error that ``config``'s method reaches from ``x0`` at each
+    step size in ``alphas``, run as the lanes of one batched solve.
+
+    Lane ``j`` runs :func:`solve` with ``alpha=alphas[j]``, up to the rounding
+    of a GEMM against a vector product: all lanes read the one sample stream
+    of ``config.seed``, so each step draws and gathers one sample for all of
+    them.  A lane stops where that solve stops (the budget, ``stop_rel_error``
+    or an error that is non-finite or above 1e12, where the solve raises
+    :class:`DivergedError`), and its result is the error it stopped at.
+    ``config.alpha`` is not read.  A method without ``auto_alpha`` raises
+    :class:`ConfigError`, as do non-positive step sizes and whatever
+    :func:`solve` refuses.
+    """
+    spec, t, x0 = _validate_config(config, system, x0)
+    if not spec.auto_alpha:
+        raise ConfigError(f"method {config.method!r} does not run step-size lanes")
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise ConfigError(f"alphas must be a list of finite positive step sizes, got {alphas}")
+    base = float(np.linalg.norm(x0 - system.x_star))
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+
+    x = np.repeat(x0[:, None], alphas.size, axis=1)  # the live lanes' iterates
+    errors = np.empty(alphas.size)
+    live = np.arange(alphas.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as divergence
+        for _ in range(config.max_iters):
+            step = spec.build(system.matrix, system.b_observed, config, t, alphas[live])
+            x, _ = step(x, rng)
+            err = np.array([_relative_error(system, lane, base) for lane in x.T])
+            errors[live] = err
+            going = np.isfinite(err) & (err <= DIVERGENCE_LIMIT) & (err > config.stop_rel_error)
+            live, x = live[going], x[:, going]
+            if live.size == 0:
+                break
+    return errors

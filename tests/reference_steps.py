@@ -1,10 +1,11 @@
-"""Literal gather references of the averaged step kernels, and the forward
-error bound within which a kernel that sums in another order must agree
+"""Literal gather references of the step kernels, and the forward error
+bound within which an averaged kernel that sums in another order must agree
 with them.  The tests check the package against these; they are not part of
 its API.
 
-Each reference copies the rows it uses and forms the paper's update
-``x - (alpha/|tau|) A_tau^T r_tau`` as written.  The threshold is the
+Each averaged reference copies the rows it uses and forms the paper's update
+``x - (alpha/|tau|) A_tau^T r_tau`` as written; the projective reference
+forms ``x + pinv(A_tau)(b_tau - A_tau x)``.  The threshold is the
 ceil(q*S)-th smallest residual magnitude, taken from a full sort.
 """
 import math
@@ -59,6 +60,19 @@ def sampled_qabk_reference(matrix, b, x, q: float, t: int, alpha: float, rng,
     return x - (alpha / tau.size) * (matrix[tau].T @ r[keep]), threshold, tau
 
 
+def quantile_pbk_reference(matrix, b, x, q: float, comparator: str = "strict-below"):
+    """``(x_next, threshold, tau)`` of the projective step, through numpy's
+    SVD-based pseudoinverse of the accepted rows."""
+    r = matrix @ x - b
+    abs_r = np.abs(r)
+    threshold = _threshold(abs_r, q)
+    tau = np.flatnonzero(_accepted(abs_r, threshold, comparator))
+    if tau.size == 0:
+        return x.copy(), threshold, tau
+    sub = matrix[tau]
+    return x + np.linalg.pinv(sub) @ (b[tau] - sub @ x), threshold, tau
+
+
 def gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u)."""
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
@@ -96,3 +110,25 @@ def update_bound(matrix, b, x, tau, alpha: float, rows_summed: int) -> np.ndarra
     scale = alpha / tau.size
     s_abs = np.abs(matrix[tau]).T @ np.abs(r_tau)
     return 2 * gamma(rows_summed + 2) * scale * s_abs + 2 * UNIT_ROUNDOFF * np.abs(x)
+
+
+def residual_bound(matrix, b, x) -> np.ndarray:
+    """Per row, a bound on the gap between the exact residual ``A x - b`` and
+    one computed in any order, as a vector product or as a column of a GEMM:
+    n products and a subtraction give ``gamma_{n+1} (|A||x| + |b|)``."""
+    return gamma(matrix.shape[1] + 1) * (np.abs(matrix) @ np.abs(x) + np.abs(b))
+
+
+def lane_update_bound(matrix, b, x, tau, alpha: float, rows_summed: int) -> np.ndarray:
+    """:func:`update_bound` for two evaluations of the averaged step whose
+    residuals were computed in different orders too, as a GEMM over lanes
+    and a vector product.  Their residuals then differ by at most twice
+    :func:`residual_bound` per row, a gap that the step carries through
+    ``c |A_tau|^T`` with ``c = alpha/|tau|``; doubling that term covers the
+    rounding of the sum and of the scale applied to it."""
+    tau = np.asarray(tau, dtype=np.intp)
+    if tau.size == 0:
+        return np.zeros_like(x)
+    gap = 2 * residual_bound(matrix[tau], b[tau], x)
+    carried = (alpha / tau.size) * (np.abs(matrix[tau]).T @ gap)
+    return update_bound(matrix, b, x, tau, alpha, rows_summed) + 2 * carried

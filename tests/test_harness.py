@@ -1,23 +1,27 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import quantile_kaczmarz.harness as harness
+import quantile_kaczmarz.solvers as solvers
 from quantile_kaczmarz.cli import main as cli_main
-from quantile_kaczmarz.errors import ConfigError, DomainError
+from quantile_kaczmarz.errors import ConfigError, DivergedError, DomainError
 from quantile_kaczmarz.harness import (
     ExperimentConfig,
     SweepSpec,
     adversarial_demo,
     compare_methods,
     derived_seed,
+    empirical_alpha,
     run,
     sweep_quantile,
     sweep_step_size,
 )
-from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec
-from quantile_kaczmarz.solvers import SolverConfig
+from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate
+from quantile_kaczmarz.solvers import METHOD_TABLE, SolverConfig, lane_errors, solve
 from quantile_kaczmarz.svgplot import emit_svg
 
 
@@ -116,6 +120,109 @@ class TestSweeps:
         assert result.argmin_value() == 2.0
         assert result.all_diverged(5000.0)
         assert not result.all_diverged(2.0)
+
+
+def candidates(n: int) -> list[float]:
+    """The search's 11 step sizes: 6 absolute and 5 scaled by n."""
+    return sorted({0.25, 0.5, 1.0, 1.5, 2.0, 2.5} | {r * n for r in (0.4, 0.8, 1.2, 1.6, 2.0)})
+
+
+def search_system(idx: int):
+    family = "coherent" if idx % 3 == 0 else "gaussian"
+    return generate(GeneratorSpec(family, 60 + 7 * idx, 3 + idx % 5, idx,
+                                  CorruptionSpec(beta=0.1 * (idx % 3))))
+
+
+class TestEmpiricalAlpha:
+    def test_picks_what_eleven_solves_on_the_shared_seed_pick(self):
+        for idx in range(24):
+            system = search_system(idx)
+            sampled = idx % 2 == 1
+            solver = SolverConfig(
+                "sampled-quantile-averaged-block" if sampled else "quantile-averaged-block",
+                q=0.5 + 0.05 * (idx % 5), t=system.m // 3 if sampled else None,
+                comparator=("strict-below", "at-or-below")[idx % 4 // 2], max_iters=40, seed=idx)
+            seed = 1000 + idx
+            errors = []
+            for alpha in candidates(system.n):
+                trial = dataclasses.replace(
+                    solver, alpha=alpha, max_iters=10, stop_rel_error=0.0,
+                    seed=derived_seed(seed, harness._TAG_ALPHA_SEARCH))
+                try:
+                    rel = solve(system, trial, np.ones(system.n)).rel_error[-1]
+                except DivergedError:
+                    rel = math.inf
+                errors.append(rel if rel <= 1.0 else math.inf)
+            expected = candidates(system.n)[int(np.argmin(errors))]
+            assert empirical_alpha(system, solver, solver.q, seed) == expected, idx
+
+    def test_lanes_stop_where_their_solves_stop(self):
+        system = search_system(4)
+        alphas = np.array([0.5, 2.0, 5.0, 1e4])  # the last diverges
+        for stop in (0.0, 0.2):
+            config = SolverConfig("sampled-quantile-averaged-block", q=0.6, t=30,
+                                  max_iters=12, stop_rel_error=stop, seed=8)
+            errors = lane_errors(system, config, np.ones(system.n), alphas)
+            for alpha, error in zip(alphas, errors):
+                one = dataclasses.replace(config, alpha=float(alpha))
+                try:
+                    trace = solve(system, one, np.ones(system.n))
+                except DivergedError as exc:
+                    trace = exc.trace
+                # The lane's error is the one its solve stopped at, to rounding.
+                assert error == pytest.approx(trace.rel_error[-1], rel=1e-9)
+        assert errors[-1] > 1e12 and math.isfinite(errors[-1])
+
+    def test_diverged_lane_is_never_picked(self, monkeypatch):
+        system = search_system(1)
+        solver = SolverConfig("quantile-averaged-block", q=0.7, max_iters=10, seed=3)
+
+        def pick(errors):
+            monkeypatch.setattr(harness, "lane_errors", lambda *a, **k: np.array(errors))
+            return empirical_alpha(system, solver, 0.7, 5)
+
+        grid = candidates(system.n)
+        inf, nan = math.inf, math.nan
+        # A diverged lane stops above 1e12 or non-finite; a lane above 1 made
+        # no progress.  None of them is picked, and a tie goes to the lower.
+        assert pick([2e12, nan, inf, 1.5, 0.4, 0.3, 0.3, 0.9, 1.0, 5.0, 2e12]) == grid[5]
+        assert pick([inf] * 5 + [nan] * 3 + [2e12] * 3) == grid[0]
+        assert pick([1.0 + 1e-9] * 11) == grid[0]
+
+    def test_runs_no_solve(self, monkeypatch):
+        calls = []
+
+        def counting(original):
+            def call(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(solvers, "solve", counting(solvers.solve))
+        monkeypatch.setattr(harness, "solve", counting(harness.solve))
+        system = search_system(2)
+        for method, t in (("quantile-averaged-block", None),
+                          ("sampled-quantile-averaged-block", 20)):
+            solver = SolverConfig(method, q=0.7, t=t, max_iters=10, seed=1)
+            assert empirical_alpha(system, solver, 0.7, 9) in candidates(system.n)
+        assert calls == []
+
+    @pytest.mark.parametrize("method", [m for m, spec in METHOD_TABLE.items()
+                                        if not spec.auto_alpha])
+    def test_method_without_auto_alpha_is_a_config_error(self, method):
+        system = search_system(2)
+        solver = SolverConfig(method, q=0.7, t=20, block_size=5, max_iters=10, seed=1)
+        with pytest.raises(ConfigError, match="step-size lanes"):
+            empirical_alpha(system, solver, 0.7, 9)
+
+    def test_validates_like_solve(self):
+        system = search_system(2)
+        solver = SolverConfig("sampled-quantile-averaged-block", q=0.7, t=system.m + 1, seed=1)
+        with pytest.raises(ConfigError, match="sample size"):
+            empirical_alpha(system, solver, 0.7, 9)
+        system.b_observed[0] = math.nan
+        with pytest.raises(ConfigError, match="b_observed"):
+            empirical_alpha(system, dataclasses.replace(solver, t=None), 0.7, 9)
 
 
 class TestCompare:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import quantile_kaczmarz.cli as cli
+import quantile_kaczmarz.problems as problems
 from quantile_kaczmarz.errors import ConfigError, IoError
 from quantile_kaczmarz.problems import (
     CorruptedSystem,
@@ -133,6 +135,25 @@ class TestGenerate:
     def test_adversarial_family_needs_dedicated_constructor(self):
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(family="adversarial-duplicate", m=100, n=10, seed=0))
+
+    def test_unallocatable_matrix_is_a_config_error(self, monkeypatch, capsys, tmp_path):
+        # Nothing is allocated: every draw of the patched streams fails the
+        # way numpy fails on a matrix too large for memory.
+        class OutOfMemory:
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    raise MemoryError
+                return draw
+
+        monkeypatch.setattr(problems, "_streams", lambda seed, count: [OutOfMemory()] * count)
+        for family in ("gaussian", "coherent"):
+            with pytest.raises(ConfigError, match=r"m=1000000000 by n=50 .* 400000000000 bytes"):
+                generate(GeneratorSpec(family, 10**9, 50, 1))
+        argv = ["run", "--m", "1000000000", "--n", "50", "--seed", "1",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "400000000000 bytes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAdversarialDuplicate:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz.errors import (
@@ -26,8 +26,12 @@ from quantile_kaczmarz.solvers import (
     solve,
 )
 from reference_steps import (
+    UNIT_ROUNDOFF,
     averaged_rbk_reference,
+    lane_update_bound,
     quantile_abk_reference,
+    quantile_pbk_reference,
+    residual_bound,
     sampled_qabk_reference,
     update_bound,
 )
@@ -405,6 +409,107 @@ class TestKernelsMatchGatherReferences:
         got, stats = averaged_rbk_step(matrix, b, x, block, alpha)
         np.testing.assert_array_equal(got, averaged_rbk_reference(matrix, b, x, block, alpha))
         np.testing.assert_array_equal(stats.tau, block)
+
+
+@st.composite
+def lane_inputs(draw):
+    """:func:`step_inputs` widened to a block of 1 to 11 lanes, each with its
+    own step size.  About half the lanes keep the drawn iterate, so the
+    exact ties that ``step_inputs`` makes reach the block too."""
+    matrix, b, x, q, alpha = draw(step_inputs())
+    lanes = draw(st.integers(1, 11))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moved = data.random(lanes) < 0.5
+    xs = x[:, None] + moved * data.standard_normal((x.size, lanes))
+    return matrix, b, xs, q, alpha * data.uniform(0.1, 2.0, lanes)
+
+
+class TestLanesMatchGatherReferences:
+    """Each lane of a block step against the gather reference run on that
+    lane's iterate alone.  The block takes its residuals as one GEMM, so
+    they may differ from the reference's by twice ``residual_bound`` per
+    row, and the lane's threshold from the reference's by the largest such
+    gap.  So the accepted sets must agree except on rows whose reference
+    residual lies within those two gaps of the threshold, and the lane's
+    iterate must lie within ``lane_update_bound`` of the gather update over
+    the lane's own accepted set."""
+
+    @given(lane_inputs(), st.sampled_from(["strict-below", "at-or-below"]), st.booleans(),
+           st.floats(min_value=0.0, max_value=1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_each_lane(self, inputs, comparator, sampled, fraction, seed):
+        # fraction 1.0 gives t == m, the full-sample path of the sampled step.
+        matrix, b, xs, q, alphas = inputs
+        m = matrix.shape[0]
+        t = max(1, round(fraction * m)) if sampled else m
+        rng = np.random.default_rng(seed)
+        if sampled:
+            got, stats = sampled_qabk_step(matrix, b, xs, q, t, alphas, rng, comparator)
+        else:
+            got, stats = quantile_abk_step(matrix, b, xs, q, alphas, comparator)
+        assert got.shape == xs.shape and len(stats.tau) == alphas.size
+        for j, alpha in enumerate(alphas):
+            x, lane_tau = xs[:, j], stats.tau[j]
+            ref_rng = np.random.default_rng(seed)
+            if sampled:
+                _, threshold, tau = sampled_qabk_reference(matrix, b, x, q, t, alpha, ref_rng,
+                                                           comparator)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            else:
+                _, threshold, tau = quantile_abk_reference(matrix, b, x, q, alpha, comparator)
+            gap = 2 * residual_bound(matrix, b, x)
+            assert abs(stats.quantile[j] - threshold) <= gap.max()
+            differ = np.setxor1d(lane_tau, tau)
+            near = np.abs(np.abs(matrix @ x - b) - threshold) <= gap + gap.max()
+            assert np.all(near[differ]), differ
+            if differ.size == 0:
+                np.testing.assert_array_equal(lane_tau, tau)
+            if lane_tau.size == 0:
+                np.testing.assert_array_equal(got[:, j], x)
+                continue
+            want = averaged_rbk_reference(matrix, b, x, lane_tau, alpha)
+            excess = np.abs(got[:, j] - want) - lane_update_bound(matrix, b, x, lane_tau, alpha, t)
+            assert np.all(excess <= 0), excess.max()
+
+
+class TestProjectiveMatchesPinvReference:
+    """``quantile_pbk_step`` against ``x + pinv(A_tau)(b_tau - A_tau x)``:
+    the accepted set and threshold exactly, the iterate within
+
+        ||x_step - x_ref|| <= 4 (|tau| + n) kappa^2 u (||x|| + ||x_ref - x|| + ||b_tau||)
+
+    with kappa = cond(A_tau) and u the unit roundoff.  The step solves a Gram
+    system, A_tau A_tau^T when |tau| <= n and A_tau^T A_tau otherwise, and
+    forming it squares the condition number, so the step's forward error
+    grows like kappa times the kappa u of the SVD behind pinv; the second
+    factor is the scale of the vectors the step adds and subtracts.  The
+    rows are well-conditioned unit Gaussian rows (kappa < 1e3)."""
+
+    @given(st.integers(1, 8), st.integers(2, 30), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from(["strict-below", "at-or-below"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pinv_reference(self, n, extra, seed, wide, comparator):
+        m = n + extra
+        data = np.random.default_rng(seed)
+        matrix = data.standard_normal((m, n))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        b = data.standard_normal(m) * data.choice([1.0, 100.0], size=m)  # some rows corrupted
+        x = data.standard_normal(n)
+        # Distinct magnitudes put k rows at or below the ceil(q m)-th smallest
+        # when q m = k - 1/2, and k strictly below it when q m = k + 1/2; so
+        # |tau| = k, on the branch |tau| <= n or |tau| > n that was drawn.
+        k = int(data.integers(n + 1, m)) if wide else int(data.integers(1, n + 1))
+        q = (k - 0.5) / m if comparator == "at-or-below" else (k + 0.5) / m
+        kappa = np.linalg.cond(matrix[np.argsort(np.abs(matrix @ x - b))[:k]])
+        assume(kappa < 1e3)
+        got, stats = quantile_pbk_step(matrix, b, x, q, comparator)
+        want, threshold, tau = quantile_pbk_reference(matrix, b, x, q, comparator)
+        np.testing.assert_array_equal(stats.tau, tau)
+        assert stats.quantile == threshold
+        assert tau.size == k
+        scale = np.linalg.norm(x) + np.linalg.norm(want - x) + np.linalg.norm(b[tau])
+        gap = np.linalg.norm(got - want)
+        assert gap <= 4 * (k + n) * kappa**2 * UNIT_ROUNDOFF * scale, (gap, kappa)
 
 
 class TestSolve:
