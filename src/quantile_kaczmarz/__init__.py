@@ -70,9 +70,7 @@ from .harness import (
     empirical_alpha,
     run,
     start_vector,
-    sweep_quantile,
-    sweep_sample_size,
-    sweep_step_size,
+    sweep,
 )
 
 __version__ = "0.1.0"

@@ -71,7 +71,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--q", type=float)
     p.add_argument("--alpha", type=_alpha,
-                   help="step size, or 'auto': sweep-q searches 11 trial step sizes at "
+                   help="step size, or 'auto': sweep-q searches up to 11 trial step sizes at "
                         "each (q, rep); the other commands use the rate formula")
     p.add_argument("--t", type=int, help="sample size")
     p.add_argument("--block-size", type=int)

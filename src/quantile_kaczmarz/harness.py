@@ -94,12 +94,6 @@ class SweepResult:
         finite = [r for r in rels if math.isfinite(r)]
         return sum(finite) / len(finite) if finite else math.inf
 
-    def argmin_value(self) -> float:
-        return min(self.values(), key=self.mean_rel_error)
-
-    def all_diverged(self, value: float) -> bool:
-        return all(p.diverged for p in self.points if p.value == value)
-
 
 def derived_seed(base: int, *keys: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, keys)]).generate_state(1)[0])
@@ -157,19 +151,6 @@ def _solve(
         return exc.trace, exc
 
 
-def _solve_outcome(
-    system: CorruptedSystem, solver_cfg: SolverConfig, x0, timing: str
-) -> tuple[float, bool, float]:
-    """Final relative error, divergence flag, and wall time of one solve.
-
-    A run counts as diverged if the solver raised, or if the final relative
-    error is non-finite or exceeds 1 (no progress from the start)."""
-    trace, failure = _solve(system, solver_cfg, x0)
-    rel = trace.rel_error[-1]
-    diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
-    return rel, diverged, trace.elapsed(timing)[-1] / 1e6
-
-
 def write_sweep_csv(result: SweepResult, path) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,18 +166,54 @@ def write_sweep_csv(result: SweepResult, path) -> Path:
 # ---------------------------------------------------------------------------
 # Sweeps
 
-def _sweep(
-    config: ExperimentConfig,
-    parameter: str,
-    values,
-    resolve_solver,
-) -> SweepResult:
+def empirical_alpha(system: CorruptedSystem, solver: SolverConfig, q: float, seed: int,
+                    start: str = "ones") -> float:
+    """Pick a step size for quantile ``q`` by a short trial sweep.
+
+    Runs ``solver``'s method for ``min(solver.max_iters, 10)`` steps at each
+    candidate, 6 absolute step sizes and 5 scaled by n (11 in all, or 10
+    where a scaled one equals an absolute one: n = 1 and n = 5), as the lanes
+    of one :func:`solvers.lane_errors` call.  All lanes share one sample
+    stream, derived from ``seed``, so they see the same rows at every step.
+    Returns the candidate with the smallest relative error among those that
+    end finite and at most 1, the lower step size on a tie, or the first
+    candidate if none does.  This mirrors how the optimal step size is
+    located experimentally; the closed-form optimum is unavailable for
+    quantiles near the corruption boundary.  Only the averaged quantile
+    methods can be searched; any other method raises :class:`ConfigError`.
+    """
+    n = system.n
+    candidates = sorted(set(_ALPHA_GRID_ABS) | {r * n for r in _ALPHA_GRID_SCALED})
+    trial = dataclasses.replace(solver, q=q, max_iters=min(solver.max_iters, 10),
+                                stop_rel_error=0.0, seed=derived_seed(seed, _TAG_ALPHA_SEARCH))
+    errors = lane_errors(system, trial, start_vector(n, start), candidates)
+    # argmin takes the first of equal errors, and the first candidate when
+    # every lane diverged.
+    return candidates[int(np.argmin(np.where(errors <= 1.0, errors, np.inf)))]
+
+
+def sweep(config: ExperimentConfig) -> SweepResult:
+    """The sweep that ``config.sweep`` names: one point per value and
+    repetition, in that order, each a solve of ``config.solver`` with the
+    swept field set to the value (an ``int`` for ``t``) and a seed derived
+    from both.  A ``q`` sweep with ``alpha="auto"`` on a searchable method
+    takes each point's step size from :func:`empirical_alpha`.  A point
+    counts as diverged if the solver raised, or if its final relative error
+    is non-finite or exceeds 1.
+    """
+    if config.sweep is None:
+        raise ConfigError("config.sweep is unset, so there is nothing to sweep")
+    parameter, values = config.sweep.parameter, config.sweep.values
+    fractional = [v for v in values if parameter == "t" and not float(v).is_integer()]
+    if fractional:
+        raise ConfigError(f"sample size must be a whole number, got {fractional[0]!r}")
     method = config.solver.method
     spec = METHOD_TABLE[method]
     reads = {"alpha": spec.takes_alpha, "q": spec.scope is not None, "t": spec.scope == "t"}
     if not reads[parameter]:
         raise ConfigError(f"method {method!r} never reads {parameter!r}, "
                           f"so a sweep over it changes nothing")
+    search = parameter == "q" and config.solver.alpha == "auto" and spec.auto_alpha
     result = SweepResult(parameter=parameter)
     systems = [
         generate(dataclasses.replace(
@@ -206,97 +223,18 @@ def _sweep(
     for vidx, value in enumerate(values):
         for rep, system in enumerate(systems):
             solver_cfg = dataclasses.replace(
-                resolve_solver(system, value, rep),
-                seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
-            )
-            x0 = start_vector(system.n, config.start)
-            rel, diverged, wall = _solve_outcome(system, solver_cfg, x0, config.timing)
-            result.points.append(SweepPoint(float(value), rep, rel, diverged, wall))
+                config.solver, seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
+                **{parameter: int(value) if parameter == "t" else float(value)})
+            if search:
+                solver_cfg = dataclasses.replace(solver_cfg, alpha=empirical_alpha(
+                    system, config.solver, float(value),
+                    derived_seed(config.solver.seed, _TAG_ALPHA_SEARCH, rep), start=config.start))
+            trace, failure = _solve(system, solver_cfg, start_vector(system.n, config.start))
+            rel = trace.rel_error[-1]
+            diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
+            result.points.append(SweepPoint(float(value), rep, rel, diverged,
+                                            trace.elapsed(config.timing)[-1] / 1e6))
     return result
-
-
-def sweep_step_size(config: ExperimentConfig, alphas) -> SweepResult:
-    """Relative error after the configured iteration budget for each step size."""
-
-    def resolver(system, value, rep):
-        return dataclasses.replace(config.solver, alpha=float(value))
-
-    return _sweep(config, "alpha", alphas, resolver)
-
-
-def empirical_alpha(
-    system: CorruptedSystem,
-    solver: SolverConfig,
-    q: float,
-    seed: int,
-    iterations: int | None = None,
-    start: str = "ones",
-) -> float:
-    """Pick a step size for quantile ``q`` by a short trial sweep.
-
-    Runs ``solver``'s method for ``iterations`` steps (default
-    ``min(solver.max_iters, 10)``) at each of 11 candidates, 6 absolute and
-    5 scaled by n, as the lanes of one :func:`solvers.lane_errors` call.
-    All lanes share one sample stream, derived from ``seed``, so they see
-    the same rows at every step.  Returns the candidate with the smallest
-    relative error among those that end finite and at most 1, the lower
-    step size on a tie, or the first candidate if none does.  This mirrors
-    how the optimal step size is located experimentally; the closed-form
-    optimum is unavailable for quantiles near the corruption boundary.
-    Only the averaged quantile methods can be searched; any other method
-    raises :class:`ConfigError`.
-    """
-    n = system.n
-    candidates = sorted(set(_ALPHA_GRID_ABS) | {r * n for r in _ALPHA_GRID_SCALED})
-    trial = dataclasses.replace(
-        solver,
-        q=q,
-        max_iters=iterations if iterations is not None else min(solver.max_iters, 10),
-        stop_rel_error=0.0,
-        seed=derived_seed(seed, _TAG_ALPHA_SEARCH),
-    )
-    errors = lane_errors(system, trial, start_vector(n, start), candidates)
-    # argmin takes the first of equal errors, and the first candidate when
-    # every lane diverged.
-    return candidates[int(np.argmin(np.where(errors <= 1.0, errors, np.inf)))]
-
-
-def sweep_quantile(config: ExperimentConfig, qs) -> SweepResult:
-    """Sweep the quantile parameter, resolving the step size per q.
-
-    With ``solver.alpha == "auto"`` each (q, repetition) pair gets a step
-    size from :func:`empirical_alpha`, unless the method takes none; an
-    explicit alpha is used as-is.
-    """
-    search = (isinstance(config.solver.alpha, str)
-              and METHOD_TABLE[config.solver.method].auto_alpha)
-
-    def resolver(system, value, rep):
-        q = float(value)
-        alpha = config.solver.alpha
-        if search:
-            alpha = empirical_alpha(
-                system,
-                config.solver,
-                q,
-                derived_seed(config.solver.seed, _TAG_ALPHA_SEARCH, rep),
-                start=config.start,
-            )
-        return dataclasses.replace(config.solver, q=q, alpha=alpha)
-
-    return _sweep(config, "q", qs, resolver)
-
-
-def sweep_sample_size(config: ExperimentConfig, ts) -> SweepResult:
-    """Sweep the sample size ``t`` of a sampled quantile method."""
-    fractional = [t for t in ts if not float(t).is_integer()]
-    if fractional:
-        raise ConfigError(f"sample size must be a whole number, got {fractional[0]!r}")
-
-    def resolver(system, value, rep):
-        return dataclasses.replace(config.solver, t=int(value))
-
-    return _sweep(config, "t", ts, resolver)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +250,16 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     paths: dict[str, Path] = {}
 
     if config.sweep is not None:
-        parameter = config.sweep.parameter
-        sweepers = {"alpha": sweep_step_size, "q": sweep_quantile, "t": sweep_sample_size}
-        result = sweepers[parameter](config, config.sweep.values)
+        result = sweep(config)
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths["sweep_csv"] = write_sweep_csv(result, out / "sweep.csv")
         paths["config_json"] = _write_config(config, out)
         if config.svg:
             xs = result.values()
-            _plot(paths, out / "sweep.svg", f"sweep {parameter}",
+            _plot(paths, out / "sweep.svg", f"sweep {result.parameter}",
                   [("rel error", [result.mean_rel_error(v) for v in xs])],
-                  x_label=parameter, xs=xs)
+                  x_label=result.parameter, xs=xs)
         return paths
 
     system = generate(config.generator)

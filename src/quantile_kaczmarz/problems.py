@@ -239,21 +239,42 @@ def _check(ok, path: Path, mismatch: str) -> None:
         raise IoError(f"{path}: {mismatch}")
 
 
+def _parse(path: Path, read):
+    """``read(path)``, with the ``ValueError`` of a malformed file raised as
+    an :class:`IoError` naming it."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise IoError(f"{path}: {exc}") from exc
+
+
+# The metadata values load_system reads, with the types their numbers may
+# have (a JSON true or false is neither); a list type means a list of them.
+_META_TYPES = {"m": (int,), "n": (int,), "beta": (int, float),
+               "x_star": [int, float], "corrupted_indices": [int]}
+
+
 def load_system(directory) -> CorruptedSystem:
     """Read a system written by :func:`save_system`; raises :class:`IoError`
-    naming the file when what it holds disagrees with the metadata, repeats
-    or leaves [0, m) in the corrupted indices, is not finite, or has matrix
-    rows that are not unit-norm."""
+    naming the file when it is not JSON or CSV of numbers, when a metadata
+    value is missing or of the wrong type, or when what it holds disagrees
+    with the metadata, repeats or leaves [0, m) in the corrupted indices, is
+    not finite, or has matrix rows that are not unit-norm."""
     src = Path(directory)
     meta_path = src / "metadata.json"
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _parse(meta_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
+    _check(isinstance(meta, dict), meta_path, "not a JSON object")
     version = meta.get("format_version")
     _check(version == _FORMAT_VERSION, meta_path,
            f"format_version {version!r}, expected {_FORMAT_VERSION}")
+    for key, kinds in _META_TYPES.items():
+        value = meta.get(key)
+        _check(isinstance(value, list) and all(type(v) in kinds for v in value)
+               if isinstance(kinds, list) else type(value) in kinds,
+               meta_path, f"{key} is missing or of the wrong type")
     m, n = meta["m"], meta["n"]
-    matrix = np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2)
-    b_observed = np.loadtxt(src / "b_observed.csv", ndmin=1)
+    matrix = _parse(src / "matrix.csv", lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
+    b_observed = _parse(src / "b_observed.csv", lambda p: np.loadtxt(p, ndmin=1))
     x_star = np.asarray(meta["x_star"], dtype=float)
     indices = np.asarray(meta["corrupted_indices"], dtype=np.intp)
     _check(matrix.shape == (m, n), src / "matrix.csv",

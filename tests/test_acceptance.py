@@ -18,6 +18,7 @@ from quantile_kaczmarz.harness import derived_seed, empirical_alpha
 from quantile_kaczmarz.rates import rate_constants
 from quantile_kaczmarz.solvers import quantile_abk_step
 from rate_identities import scaled_step_decrease
+from sweep_stats import all_diverged, argmin_value
 
 N_DESK = 50
 M_DESK = 2000
@@ -373,10 +374,11 @@ def test_criterion_7_gaussian_step_size_sweep(tmp_path):
         output_dir=str(tmp_path),
         timing="none",
     )
-    result = qk.sweep_step_size(config, tuple(r * N_DESK for r in ratios))
-    argmin = result.argmin_value()
+    result = qk.sweep(dataclasses.replace(
+        config, sweep=qk.SweepSpec("alpha", tuple(r * N_DESK for r in ratios))))
+    argmin = argmin_value(result)
     in_window = 1.3 * N_DESK <= argmin <= 2.1 * N_DESK
-    diverged = all(result.all_diverged(v) for v in result.values() if v >= 3.5 * N_DESK)
+    diverged = all(all_diverged(result, v) for v in result.values() if v >= 3.5 * N_DESK)
     elapsed = time.perf_counter() - started
     ok = in_window and diverged and elapsed < 120.0
     assert _report(7, ok, f"argmin {argmin / N_DESK:.2f}n, divergence beyond 3.5n: "
@@ -395,10 +397,10 @@ def test_criterion_8_coherent_step_size_sweep(tmp_path):
         timing="none",
     )
     values = tuple(float(v) for v in np.arange(0.25, 4.01, 0.25))
-    result = qk.sweep_step_size(config, values)
-    argmin = result.argmin_value()
+    result = qk.sweep(dataclasses.replace(config, sweep=qk.SweepSpec("alpha", values)))
+    argmin = argmin_value(result)
     in_window = 1.5 <= argmin <= 2.3
-    diverged = all(result.all_diverged(v) for v in result.values() if v >= 3.0)
+    diverged = all(all_diverged(result, v) for v in result.values() if v >= 3.0)
     elapsed = time.perf_counter() - started
     ok = in_window and diverged and elapsed < 120.0
     assert _report(8, ok, f"argmin {argmin:.2f}, divergence beyond 3: {diverged}, "
@@ -419,7 +421,8 @@ def test_criterion_9_quantile_robustness(tmp_path):
         output_dir=str(tmp_path),
         timing="none",
     )
-    result = qk.sweep_quantile(config, (0.3, 0.4, 0.5, 0.6, 0.7, 0.75))
+    result = qk.sweep(dataclasses.replace(
+        config, sweep=qk.SweepSpec("q", (0.3, 0.4, 0.5, 0.6, 0.7, 0.75))))
     worst = max(p.rel_error for p in result.points)
     elapsed = time.perf_counter() - started
     ok = worst < 0.9 and elapsed < 120.0

@@ -17,12 +17,13 @@ from quantile_kaczmarz.harness import (
     derived_seed,
     empirical_alpha,
     run,
-    sweep_quantile,
-    sweep_step_size,
+    sweep,
+    write_sweep_csv,
 )
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate
 from quantile_kaczmarz.solvers import METHOD_TABLE, SolverConfig, lane_errors, solve
 from quantile_kaczmarz.svgplot import emit_svg
+from sweep_stats import all_diverged, argmin_value
 
 
 def experiment(tmp_path, sweep=None, reps=1, m=150, n=8, beta=0.2, **solver_kwargs):
@@ -84,19 +85,19 @@ class TestSweeps:
         # alpha=0 is rejected by the solver config, so approximate with the
         # smallest representable positive step and a true zero row via alpha
         # sweep semantics: the first value must leave rel_error at 1.
-        result = sweep_step_size(experiment(tmp_path, reps=2), (1e-300, 1.0))
+        result = sweep(experiment(tmp_path, sweep=SweepSpec("alpha", (1e-300, 1.0)), reps=2))
         first = [p for p in result.points if p.value == 1e-300]
         for point in first:
             assert point.rel_error == pytest.approx(1.0, abs=1e-12)
 
     def test_points_are_value_major(self, tmp_path):
-        result = sweep_step_size(experiment(tmp_path, reps=2), (1.0, 2.0))
+        result = sweep(experiment(tmp_path, sweep=SweepSpec("alpha", (1.0, 2.0)), reps=2))
         keys = [(p.value, p.repetition) for p in result.points]
         assert keys == [(1.0, 0), (1.0, 1), (2.0, 0), (2.0, 1)]
 
     def test_quantile_sweep_resolves_alpha_per_q(self, tmp_path):
-        config = experiment(tmp_path, reps=1, alpha="auto")
-        result = sweep_quantile(config, (0.4, 0.7))
+        config = experiment(tmp_path, sweep=SweepSpec("q", (0.4, 0.7)), reps=1, alpha="auto")
+        result = sweep(config)
         assert len(result.points) == 2
         assert all(math.isfinite(p.rel_error) for p in result.points)
 
@@ -109,17 +110,32 @@ class TestSweeps:
         original = harness.empirical_alpha
         monkeypatch.setattr(harness, "empirical_alpha",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
-        sweep_quantile(experiment(tmp_path, method="quantile-rk", alpha="auto", t=50),
-                       (0.5, 0.7))
+        qs = SweepSpec("q", (0.5, 0.7))
+        sweep(experiment(tmp_path, sweep=qs, method="quantile-rk", alpha="auto", t=50))
         assert calls == []
-        sweep_quantile(experiment(tmp_path, alpha="auto"), (0.5, 0.7))
+        sweep(experiment(tmp_path, sweep=qs, alpha="auto"))
         assert len(calls) == 2
 
     def test_argmin_and_divergence_helpers(self, tmp_path):
-        result = sweep_step_size(experiment(tmp_path, reps=2), (0.5, 2.0, 5000.0))
-        assert result.argmin_value() == 2.0
-        assert result.all_diverged(5000.0)
-        assert not result.all_diverged(2.0)
+        result = sweep(experiment(tmp_path, sweep=SweepSpec("alpha", (0.5, 2.0, 5000.0)),
+                                  reps=2))
+        assert argmin_value(result) == 2.0
+        assert all_diverged(result, 5000.0)
+        assert not all_diverged(result, 2.0)
+
+    def test_sweep_without_a_sweep_spec_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="sweep") as info:
+            sweep(experiment(tmp_path))
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("spec", [SweepSpec("alpha", (1.0, 5000.0)),
+                                      SweepSpec("q", (0.5, 0.7)),
+                                      SweepSpec("t", (50.0, 100.0))])
+    def test_run_writes_the_rows_of_sweep(self, tmp_path, spec):
+        config = experiment(tmp_path, sweep=spec, reps=2, method="sampled-quantile-averaged-block",
+                            t=100, alpha="auto" if spec.parameter == "q" else 3.0)
+        written = run(config)["sweep_csv"].read_bytes()
+        assert write_sweep_csv(sweep(config), tmp_path / "direct.csv").read_bytes() == written
 
 
 def candidates(n: int) -> list[float]:

@@ -1,7 +1,9 @@
 """The package's imports: no cycle between its modules, no private name taken
-from a sibling module, and a star import that yields public names only."""
+from a sibling module, a star import that yields public names only, and no
+public name that only the tests use."""
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import quantile_kaczmarz
@@ -68,3 +70,34 @@ def test_star_import_exports_public_names_only():
     del names["__builtins__"]
     assert "QkError" in names
     assert not [n for n, v in names.items() if n.startswith("_") or inspect.ismodule(v)]
+
+
+def _references(node: ast.AST) -> list[str]:
+    """Every name and attribute name read or written inside ``node``."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _public_definitions(tree: ast.Module):
+    """The public module-level functions and classes of ``tree``, and the
+    public methods and properties of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (f for f in node.body if isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("_"))
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public function, class, method or property that the rest of the
+    package never refers to and the benchmark never names is one that only
+    the tests need."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    used = Counter(name for tree in trees for name in _references(tree))
+    named = {name for p in (PACKAGE.parents[1] / "perfbench").glob("*.py")
+             for name in _references(ast.parse(p.read_text(encoding="utf-8")))}
+    unused = [node.name for tree in trees for node in _public_definitions(tree)
+              if used[node.name] == _references(node).count(node.name)
+              and node.name not in named]
+    assert unused == []

@@ -314,6 +314,24 @@ class TestLoadValidation:
         with pytest.raises(IoError, match="matrix.csv"):
             load_system(saved)
 
+    @pytest.mark.parametrize("name, edit", [
+        ("metadata.json", lambda text: text[:-3]),
+        ("metadata.json", lambda text: "[" + text + "]"),
+        ("metadata.json", lambda text: text.replace('"m":', '"rows":')),
+        ("metadata.json", lambda text: text.replace('"x_star": [', '"x_star": ["one", ')),
+        ("metadata.json", lambda text: text.replace('"beta": ', '"beta": "a quarter", "was": ')),
+        ("metadata.json", lambda text: text.replace('"corrupted_indices": [',
+                                                    '"corrupted_indices": [1.5, ')),
+        ("matrix.csv", lambda text: "one" + text[text.index(","):]),
+        ("b_observed.csv", lambda text: "one" + text[text.index("\n"):]),
+    ], ids=["not-json", "json-list", "missing-m", "string-in-x-star", "string-beta",
+            "fractional-index", "word-in-matrix", "word-in-b"])
+    def test_malformed_file_is_an_io_error_naming_it(self, saved, name, edit):
+        path = saved / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(IoError, match=name):
+            load_system(saved)
+
     def test_non_finite_x_star(self, saved):
         meta = json.loads((saved / "metadata.json").read_text())
         self.edit_meta(saved, x_star=[math.inf] + meta["x_star"][1:])
