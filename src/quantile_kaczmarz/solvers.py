@@ -17,9 +17,13 @@ Six methods behind one trace-producing entry point :func:`solve`:
 
 Each method is one entry of a table that states its quantile scope, whether
 it takes a step size, and how to build its step; validation, step-size
-resolution and dispatch read only that table.  All step functions are pure;
-:func:`solve` owns the RNG stream, the stopping rules, and the per-iteration
-trace.
+resolution and dispatch read only that table.  The ``*_step`` functions are
+pure, and :func:`solve` owns the RNG stream, the stopping rules, and the
+per-iteration trace.  One step is not pure: where its sample is large
+enough, quantile-rk's solve keeps the residual from step to step in a
+:class:`_QuantileRkRun`, for which :func:`quantile_rk_step` is the one-step
+reference; such a solve does not call it, so rebinding that name does not
+change it.
 """
 from __future__ import annotations
 
@@ -288,6 +292,15 @@ def rk_step(matrix, b, x, rng: np.random.Generator) -> tuple[np.ndarray, StepSta
     return x_next, StepStats(math.nan, np.array([i], dtype=np.intp))
 
 
+def _gate(x, row, j: int, gap, threshold: float, comparator: str) -> tuple[np.ndarray, StepStats]:
+    """The single-row verdict: ``x - gap * row`` with tau ``[j]`` if the
+    candidate's residual ``gap`` passes ``comparator`` against ``threshold``,
+    else a copy of ``x`` with an empty tau."""
+    if _accepted_mask(abs(gap), threshold, comparator):
+        return x - gap * row, StepStats(threshold, np.array([j], dtype=np.intp))
+    return x.copy(), StepStats(threshold, np.array([], dtype=np.intp))
+
+
 def quantile_rk_step(
     matrix, b, x, q: float, t: int, rng: np.random.Generator, comparator: str = "strict-below"
 ) -> tuple[np.ndarray, StepStats]:
@@ -296,18 +309,23 @@ def quantile_rk_step(
     The quantile is computed over a uniform sample of ``t`` rows, then one
     candidate row is sampled uniformly from the whole system and used only
     if its absolute residual passes ``comparator`` against that quantile.
-    Full-sample policy: when ``t`` equals the row count, the quantile ranks
-    every row in identity order and no sample is drawn.
+    A row has one residual per step: a candidate in the sample takes its
+    gap from the sample's residual, so the comparator sees the value that
+    was ranked.  Full-sample policy: when ``t`` equals the row count, the
+    quantile ranks every row in identity order and no sample is drawn.
+
+    :func:`solve` calls this function only where ``t`` is small (see
+    :func:`_quantile_rk`); elsewhere it is the one-step reference of the
+    :class:`_QuantileRkRun` that the solve uses.
     """
     m = matrix.shape[0]
     rows = slice(None) if t == m else rng.choice(m, size=t, replace=False)
-    abs_r = np.abs(matrix[rows] @ x - b[rows])
-    threshold = quantile_of_multiset(abs_r, q)
+    r = matrix[rows] @ x - b[rows]
+    threshold = quantile_of_multiset(np.abs(r), q)
     j = int(rng.integers(m))
-    gap = matrix[j] @ x - b[j]
-    if _accepted_mask(abs(gap), threshold, comparator):
-        return x - gap * matrix[j], StepStats(threshold, np.array([j], dtype=np.intp))
-    return x.copy(), StepStats(threshold, np.array([], dtype=np.intp))
+    at = [j] if t == m else np.flatnonzero(rows == j)
+    gap = r[at[0]] if len(at) else matrix[j] @ x - b[j]
+    return _gate(x, matrix[j], j, gap, threshold, comparator)
 
 
 def averaged_rbk_step(
@@ -335,8 +353,9 @@ class MethodSpec:
     ``"t"``: the sampled ones, None: no quantile test), whether a step size
     applies and whether ``alpha="auto"`` resolves it, and ``build(matrix, b,
     config, t, alpha)``, which returns one solve's step ``(x, rng) -> (x_next,
-    stats)``.  The step calls its kernel by module-global name, so a kernel
-    rebound in this module takes effect."""
+    stats)``.  A step calls its kernel by module-global name, so a kernel
+    rebound in this module takes effect, except where quantile-rk's step is a
+    :class:`_QuantileRkRun`, which keeps state and calls no step kernel."""
 
     scope: str | None
     takes_alpha: bool
@@ -348,8 +367,81 @@ def _rk(a, b, config, t, alpha) -> Step:
     return lambda x, rng: rk_step(a, b, x, rng)
 
 
+_PLAN_BYTES = 2 << 20  # the most one quantile-rk block's Gram rows may hold
+_GEMM_GAIN = 100  # a GEMM row costs ~1/100 of a gathered row (2-core Xeon, OpenBLAS)
+
+
 def _quantile_rk(a, b, config, t, alpha) -> Step:
+    """quantile-rk's step: a :class:`_QuantileRkRun` where the pure step's
+    gather costs more, else :func:`quantile_rk_step` by module-global name.
+
+    The gather reads ``t`` rows of A per step.  The run reads all ``m`` rows
+    once per block of ``block`` steps and multiplies each step's candidate
+    against all ``m`` rows, a GEMM row that costs about ``1/_GEMM_GAIN`` of a
+    gathered row.  So the run is used when ``t >= m / block + m /
+    _GEMM_GAIN``: ``t >= 485`` at 10000x100 (26-step blocks), ``t >= 10500``
+    at 50000x200 (5-step blocks) and always at ``t == m`` unless a block is
+    one step.
+    """
+    m = a.shape[0]
+    if t >= m / _plan_steps(m) + m / _GEMM_GAIN:
+        return _QuantileRkRun(a, b, config, t)
     return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng, config.comparator)
+
+
+def _plan_steps(m: int) -> int:
+    """Steps in one quantile-rk block on ``m`` rows: its Gram rows fit
+    ``_PLAN_BYTES``."""
+    return max(1, _PLAN_BYTES // (8 * m))
+
+
+class _QuantileRkRun:
+    """One solve's quantile-rk step, which keeps the residual ``r = A x - b``
+    instead of gathering its ``t`` sampled rows again at every step.
+
+    It works one block of steps at a time, :func:`_plan_steps` steps, but
+    never more than are left of ``max_iters``.  A block first draws its
+    samples and candidates with the calls :func:`quantile_rk_step` makes, in
+    the same order.  One GEMM, ``vstack([x, A[J]]) @ A.T``, then gives the
+    fresh residual at ``x`` and the Gram rows ``A a_j`` of the block's
+    candidates ``J``.  Each step reads its threshold from ``|r[sample]|``
+    (all of ``r`` when ``t == m``) and its gap from ``r[j]``, so a row has
+    one residual per step, as in the reference.  An accepted step sets ``x
+    <- x - r_j a_j`` and ``r <- r - r_j (A a_j)``.  Called with an ``x`` it
+    did not return last, the run recomputes ``r``.
+    """
+
+    def __init__(self, a, b, config: SolverConfig, t: int):
+        self.a, self.b, self.t = a, b, t
+        self.q, self.comparator = config.q, config.comparator
+        self.block = _plan_steps(a.shape[0])
+        self.left = config.max_iters  # steps not yet drawn
+        self.plan: list = []  # the block's steps still to take, last first
+        self.x = self.r = None
+
+    def _draw(self, x, rng) -> None:
+        m = self.a.shape[0]
+        size = max(1, min(self.block, self.left))
+        self.left -= size
+        draws = [(None if self.t == m else rng.choice(m, size=self.t, replace=False),
+                  int(rng.integers(m))) for _ in range(size)]
+        fresh = np.vstack([x, self.a[[j for _, j in draws]]]) @ self.a.T
+        self.r = fresh[0] - self.b
+        self.plan = [(*draw, gram) for draw, gram in zip(draws, fresh[1:])][::-1]
+
+    def __call__(self, x, rng) -> tuple[np.ndarray, StepStats]:
+        if not self.plan:
+            self._draw(x, rng)
+        elif x is not self.x:
+            self.r = self.a @ x - self.b
+        sample, j, gram = self.plan.pop()
+        r = self.r
+        threshold = quantile_of_multiset(np.abs(r if sample is None else r[sample]), self.q)
+        gap = r[j]
+        self.x, stats = _gate(x, self.a[j], j, gap, threshold, self.comparator)
+        if stats.tau.size:
+            r -= gap * gram
+        return self.x, stats
 
 
 def _averaged(a, b, config, t, alpha) -> Step:

@@ -132,3 +132,58 @@ def lane_update_bound(matrix, b, x, tau, alpha: float, rows_summed: int) -> np.n
     gap = 2 * residual_bound(matrix[tau], b[tau], x)
     carried = (alpha / tau.size) * (np.abs(matrix[tau]).T @ gap)
     return update_bound(matrix, b, x, tau, alpha, rows_summed) + 2 * carried
+
+
+def quantile_rk_run_bound(matrix, b, xs, taus, block: int) -> np.ndarray:
+    """Bounds on ``||x~_k - x_k||_2``, k = 1..K, between the iterates ``x~``
+    of a quantile-rk solve that keeps its residual and the iterates ``xs =
+    [x_0, ..., x_K]`` of a loop of one-step references from the same
+    ``x_0``, when both take the same decisions ``taus`` (``[j]`` or empty)
+    and the solve recomputes its residual every ``block`` steps, at steps 0,
+    block, 2 block, ...
+
+    Rows are unit-norm, so ``|a_i|.|v| <= ||v||`` and ``I - a_j a_j^T`` is
+    an orthogonal projector.  The reference computes its gap ``g = a_j.x -
+    b_j + eta`` as one inner product of length n and a subtraction, so
+    ``|eta| <= gamma_{n+1} (||x|| + |b_j|)``; it then forms ``fl(x - fl(g
+    a_j)) = x - g a_j + rho`` with ``|rho| <= gamma_2 (|x| + |g||a_j|)``
+    componentwise, so ``||rho|| <= gamma_2 (||x|| + |g|)``.  The solve reads
+    its gap from the kept residual, ``a_j.x~ - b_j + D_j``, and rounds its
+    update the same way.  With ``e = x~ - x`` an accepted step gives
+
+        e' = (I - a_j a_j^T) e - (D_j - eta) a_j + rho~ - rho,
+        ||e'|| <= ||e|| + |D_j| + |eta| + ||rho~|| + ||rho||,
+
+    and a rejected step keeps both iterates, so ``e' = e``.
+
+    The drift ``D`` of the kept residual from the exact residual of ``x~``
+    starts each block at ``|D_i| <= gamma_{n+1} (||x~|| + |b_i|)`` (a GEMM
+    entry is such an inner product too).  The Gram entry ``G_i = a_i.a_c +
+    zeta`` has ``|zeta| <= gamma_n``.  An accepted step with candidate ``c``
+    and gap ``g`` stores ``r_i' = fl(r_i - fl(g G_i))`` while ``x~`` moves by
+    ``-g a_c + rho~``, whose exact residual moves by ``-g a_i.a_c + a_i.rho~``.
+    Taking the two roundings apart (``gamma_n + gamma_2 + gamma_n gamma_2 <=
+    gamma_{n+2}``) gives
+
+        |D_i'| <= |D_i| + gamma_{n+2} |g| + gamma_1 |r_i'| + ||rho~||.
+
+    Every quantity is evaluated on the reference's iterates, in floating
+    point; the solve's differ by ``e``, so this changes the bound only at
+    order u^2.
+    """
+    matrix, b = np.asarray(matrix), np.asarray(b)
+    n = matrix.shape[1]
+    bound, out, drift = 0.0, [], None
+    for k, tau in enumerate(taus):
+        x, x_next = xs[k], xs[k + 1]
+        size = float(np.linalg.norm(x))
+        if k % block == 0:
+            drift = gamma(n + 1) * (size + np.abs(b))
+        if len(tau):
+            j = int(tau[0])
+            g = abs(float(matrix[j] @ x - b[j]))
+            rho = gamma(2) * (size + g)
+            bound += drift[j] + gamma(n + 1) * (size + abs(b[j])) + 2 * rho
+            drift = drift + gamma(n + 2) * g + gamma(1) * np.abs(matrix @ x_next - b) + rho
+        out.append(bound)
+    return np.array(out)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from quantile_kaczmarz.errors import (
     DomainError,
     ShapeError,
 )
+from quantile_kaczmarz import solvers
 from quantile_kaczmarz.problems import CorruptedSystem, CorruptionSpec, GeneratorSpec, generate
 from quantile_kaczmarz.solvers import (
+    METHOD_TABLE,
     METHODS,
     SolverConfig,
     averaged_rbk_step,
@@ -31,6 +34,7 @@ from reference_steps import (
     lane_update_bound,
     quantile_abk_reference,
     quantile_pbk_reference,
+    quantile_rk_run_bound,
     residual_bound,
     sampled_qabk_reference,
     update_bound,
@@ -290,15 +294,38 @@ class TestSingleRowSteps:
         a, b = system.matrix, system.b_observed
         x = np.random.default_rng(seed).standard_normal(6)
         x_next, stats = quantile_rk_step(a, b, x, 0.7, 80, np.random.default_rng(seed))
-        # Reference: rank the gathered rows in identity order, then draw the candidate.
+        # Reference: rank the gathered rows in identity order, then draw the
+        # candidate, whose gap is its entry of the residual just ranked.
         rng = np.random.default_rng(seed)
         rows = np.arange(80)
-        threshold = quantile_of_multiset(np.abs(a[rows] @ x - b[rows]), 0.7)
+        r = a[rows] @ x - b[rows]
+        threshold = quantile_of_multiset(np.abs(r), 0.7)
         j = int(rng.integers(80))
-        gap = a[j] @ x - b[j]
+        gap = r[j]
         expected = x - gap * a[j] if abs(gap) < threshold else x
         np.testing.assert_array_equal(x_next, expected)
         assert stats.quantile == threshold
+
+    @pytest.mark.parametrize("comparator, admitted", [("strict-below", 0), ("at-or-below", 1)])
+    def test_quantile_row_as_candidate_ties_its_own_threshold(self, comparator, admitted):
+        # The candidate is the row the quantile picked, on a system where its
+        # own dot product rounds differently from its entry of the residual
+        # that was ranked; one residual per row makes it tie the threshold.
+        k = math.ceil(0.7 * 80) - 1
+        for seed in range(300):
+            system = corrupted_system(m=80, n=6, seed=seed)
+            a, b = system.matrix, system.b_observed
+            x = np.random.default_rng(seed).standard_normal(6)
+            r = a @ x - b
+            row = int(np.argsort(np.abs(r))[k])
+            if abs(a[row] @ x - b[row]) != abs(r[row]):
+                break
+        else:
+            pytest.fail("no seed where the dot and the gemv round differently")
+        x_next, stats = quantile_rk_step(a, b, x, 0.7, 80, FixedRng([row]), comparator)
+        assert stats.quantile == abs(r[row])
+        assert stats.tau.size == admitted
+        np.testing.assert_array_equal(x_next, x - r[row] * a[row] if admitted else x)
 
 
 class TestAveragedBlockStep:
@@ -708,6 +735,126 @@ class TestSolve:
                               max_iters=8, seed=0)
         trace = solve(system, config, np.zeros(system.n))
         assert all(b >= a for a, b in zip(trace.elapsed_ns, trace.elapsed_ns[1:]))
+
+
+def plan_steps(monkeypatch, m, steps):
+    """Make quantile-rk's solve on m rows keep its residual, whatever its
+    sample size, in blocks of ``steps`` steps."""
+    monkeypatch.setattr(solvers, "_PLAN_BYTES", 8 * m * steps)
+    spec = METHOD_TABLE["quantile-rk"]
+    run = lambda a, b, config, t, alpha: solvers._QuantileRkRun(a, b, config, t)
+    monkeypatch.setitem(METHOD_TABLE, "quantile-rk", dataclasses.replace(spec, build=run))
+
+
+class CountingRng:
+    """A generator that records the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def choice(self, *args, **kwargs):
+        self.calls.append("choice")
+        return self.rng.choice(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls.append("integers")
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestQuantileRkRun:
+    """The solve's kept-residual quantile-rk path against the pure
+    :func:`quantile_rk_step`."""
+
+    M, N, ITERS = 300, 20, 300
+
+    @pytest.mark.parametrize("comparator", ["strict-below", "at-or-below"])
+    @pytest.mark.parametrize("t", [120, None])
+    @pytest.mark.parametrize("steps", [1, 7, ITERS])
+    def test_solve_matches_loop_of_pure_steps(self, monkeypatch, steps, t, comparator):
+        system = corrupted_system(m=self.M, n=self.N, seed=41)
+        a, b = system.matrix, system.b_observed
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=self.ITERS,
+                              comparator=comparator, seed=9)
+        x0 = np.zeros(self.N)
+        plan_steps(monkeypatch, self.M, steps)
+        trace = solve(system, config, x0, keep_iterates=True)
+
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        xs, taus = [x0], []
+        for _ in range(self.ITERS):
+            x, stats = quantile_rk_step(a, b, xs[-1], 0.7, t or self.M, rng, comparator)
+            xs.append(x)
+            taus.append(stats.tau)
+        assert trace.tau_size == [tau.size for tau in taus]
+        # Decisions are taken far above rounding, where the data decide them.
+        assert trace.rel_error[-1] > 1e-6
+        bound = quantile_rk_run_bound(a, b, xs, taus, steps)
+        gaps = [np.linalg.norm(got - want) for got, want in zip(trace.iterates, xs[1:])]
+        assert np.all(np.array(gaps) <= bound)
+
+    @pytest.mark.parametrize("m, n, t, kept", [
+        (10_000, 100, 484, False), (10_000, 100, 485, True), (10_000, 100, 10_000, True),
+        (50_000, 200, 2_500, False), (50_000, 200, 10_500, True), (200, 10, 3, True),
+    ])
+    def test_residual_is_kept_where_the_gather_costs_more(self, m, n, t, kept):
+        # The gather reads t rows per step; the run m / block (26 steps at
+        # m = 10000, 5 at m = 50000) plus m / 100 for its GEMM row.
+        a = np.zeros((m, n))
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t)
+        step = METHOD_TABLE["quantile-rk"].build(a, np.zeros(m), config, t, None)
+        assert isinstance(step, solvers._QuantileRkRun) == kept
+
+    def test_small_sample_solve_calls_the_pure_step(self, monkeypatch):
+        system = corrupted_system(m=10_000, n=5, seed=46)
+        made = []
+        pure = solvers.quantile_rk_step
+        monkeypatch.setattr(solvers, "quantile_rk_step",
+                            lambda *args: made.append(1) or pure(*args))
+        config = SolverConfig(method="quantile-rk", q=0.7, t=50, max_iters=5, seed=2)
+        assert solve(system, config, np.zeros(5)).iterations == len(made) == 5
+
+    @pytest.mark.parametrize("t", [60, None])
+    def test_foreign_x_gets_the_pure_decision(self, t):
+        system = corrupted_system(m=200, n=10, seed=42)
+        a, b = system.matrix, system.b_observed
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=20, seed=3)
+        step = METHOD_TABLE["quantile-rk"].build(a, b, config, t or 200, None)
+        assert isinstance(step, solvers._QuantileRkRun)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        x = np.zeros(10)
+        for _ in range(4):  # into the middle of the run's one 20-step block
+            x, _ = step(x, ours)
+            quantile_rk_step(a, b, x, 0.7, t or 200, theirs)
+        foreign = np.random.default_rng(4).standard_normal(10) * 50
+        got, got_stats = step(foreign, ours)
+        want, want_stats = quantile_rk_step(a, b, foreign, 0.7, t or 200, theirs)
+        np.testing.assert_array_equal(got_stats.tau, want_stats.tau)
+        assert got_stats.quantile == pytest.approx(want_stats.quantile, rel=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_timing_none_is_deterministic_across_blocks(self, monkeypatch, tmp_path):
+        system = corrupted_system(seed=43)
+        plan_steps(monkeypatch, system.m, 4)
+        config = SolverConfig(method="quantile-rk", q=0.7, t=50, max_iters=30, seed=6)
+        blobs = [solve(system, config, np.zeros(system.n))
+                 .write_csv(tmp_path / f"{name}.csv", timing="none").read_bytes()
+                 for name in ("a", "b")]
+        assert blobs[0] == blobs[1]
+        assert blobs[0].count(b"\n") == 31
+
+    @pytest.mark.parametrize("t, draws", [(50, ["choice", "integers"]), (None, ["integers"])])
+    def test_one_step_solve_draws_one_step(self, monkeypatch, t, draws):
+        system = corrupted_system(seed=44)
+        plan_steps(monkeypatch, system.m, 100)
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(CountingRng(default_rng(seed))) or made[-1])
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=1, seed=8)
+        trace = solve(system, config, np.zeros(system.n))
+        assert trace.iterations == 1
+        assert [rng.calls for rng in made] == [draws]
 
 
 class TestTraceSerialization:
