@@ -19,18 +19,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError, domain, domain_check, one_of
+from .errors import (ConditionViolatedError, ConfigError, DivergedError, DomainError,
+                     ShapeError, domain, domain_check, one_of)
 from .problems import (
     CorruptedSystem,
     GeneratorSpec,
     generate,
     generate_adversarial_duplicate,
 )
+from .rates import resolve_alpha_auto
 from .solvers import (
     METHOD_TABLE,
     TIMINGS,
     IterationTrace,
     SolverConfig,
+    check_config,
     check_timing,
     lane_errors,
     solve,
@@ -140,6 +143,23 @@ def start_vector(n: int, start: str = "ones") -> np.ndarray:
     return np.ones(n) if start == "ones" else np.zeros(n)
 
 
+def _resolved(system: CorruptedSystem, solver: SolverConfig, x0,
+              methods=None) -> tuple[list[SolverConfig], str]:
+    """``solver`` per method of ``methods`` (default: its own), checked, with
+    ``alpha="auto"`` set once to the rate formula's optimum at its q and seed,
+    and the step size's source: none, explicit, auto-exact or auto-sampled."""
+    configs = [dataclasses.replace(solver, method=m) for m in methods or [solver.method]]
+    takes = [check_config(c, system, x0, allow_auto=True)[0].takes_alpha for c in configs]
+    if not any(takes) or solver.alpha != "auto":
+        return configs, "explicit" if any(takes) else "none"
+    try:
+        alpha, exact = resolve_alpha_auto(system, solver.q, seed=solver.seed)
+    except (ConditionViolatedError, DomainError, ShapeError) as exc:
+        raise ConfigError(f"automatic step-size resolution failed: {exc}") from exc
+    return ([dataclasses.replace(c, alpha=alpha) for c in configs],
+            "auto-exact" if exact else "auto-sampled")
+
+
 def _solve(
     system: CorruptedSystem, solver_cfg: SolverConfig, x0, keep_iterates: bool = False
 ) -> tuple[IterationTrace, DivergedError | None]:
@@ -197,9 +217,9 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     repetition, in that order, each a solve of ``config.solver`` with the
     swept field set to the value (an ``int`` for ``t``) and a seed derived
     from both.  A ``q`` sweep with ``alpha="auto"`` on a searchable method
-    takes each point's step size from :func:`empirical_alpha`.  A point
-    counts as diverged if the solver raised, or if its final relative error
-    is non-finite or exceeds 1.
+    takes each point's step size from :func:`empirical_alpha`; other sweeps
+    resolve one per repetition's system.  A point counts as diverged if the
+    solver raised, or if its final relative error is non-finite or above 1.
     """
     if config.sweep is None:
         raise ConfigError("config.sweep is unset, so there is nothing to sweep")
@@ -207,6 +227,7 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     fractional = [v for v in values if parameter == "t" and not float(v).is_integer()]
     if fractional:
         raise ConfigError(f"sample size must be a whole number, got {fractional[0]!r}")
+    values = [int(v) if parameter == "t" else float(v) for v in values]
     method = config.solver.method
     spec = METHOD_TABLE[method]
     reads = {"alpha": spec.takes_alpha, "q": spec.scope is not None, "t": spec.scope == "t"}
@@ -220,16 +241,19 @@ def sweep(config: ExperimentConfig) -> SweepResult:
             config.generator, seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep)))
         for rep in range(config.repetitions)
     ]
+    x0 = start_vector(config.generator.n, config.start)
+    first = dataclasses.replace(config.solver, **{parameter: values[0]})
+    resolved = [first if search else _resolved(system, first, x0)[0][0] for system in systems]
     for vidx, value in enumerate(values):
         for rep, system in enumerate(systems):
             solver_cfg = dataclasses.replace(
-                config.solver, seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
-                **{parameter: int(value) if parameter == "t" else float(value)})
+                resolved[rep], seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
+                **{parameter: value})
             if search:
                 solver_cfg = dataclasses.replace(solver_cfg, alpha=empirical_alpha(
-                    system, config.solver, float(value),
+                    system, config.solver, value,
                     derived_seed(config.solver.seed, _TAG_ALPHA_SEARCH, rep), start=config.start))
-            trace, failure = _solve(system, solver_cfg, start_vector(system.n, config.start))
+            trace, failure = _solve(system, solver_cfg, x0)
             rel = trace.rel_error[-1]
             diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
             result.points.append(SweepPoint(float(value), rep, rel, diverged,
@@ -263,11 +287,14 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
         return paths
 
     system = generate(config.generator)
-    trace, failure = _solve(system, config.solver, start_vector(system.n, config.start))
+    x0 = start_vector(system.n, config.start)
+    (solver,), alpha_source = _resolved(system, config.solver, x0)
+    trace, failure = _solve(system, solver, x0)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths["trace_csv"] = trace.write_csv(out / "trace.csv", timing=config.timing)
-    paths["config_json"] = _write_config(config, out, resolved=trace.config_dict())
+    paths["config_json"] = _write_config(
+        config, out, resolved={**trace.config_dict(), "alpha_source": alpha_source})
     if config.svg:
         method = config.solver.method
         _plot(paths, out / "trace.svg", method, [(method, trace.rel_error)])
@@ -277,7 +304,7 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
 
 
 def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
-    """Run several methods on one shared system and budget.
+    """Run several methods on one shared system, budget and step size.
 
     Writes one trace CSV per method, an aligned CSV of relative error and
     cumulative wall time per iteration, and a combined SVG.  Returns the
@@ -289,9 +316,8 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
     x0 = start_vector(system.n, config.start)
     traces = [
         _solve(system, dataclasses.replace(
-            config.solver, method=method,
-            seed=derived_seed(config.solver.seed, _TAG_METHOD, midx)), x0)[0]
-        for midx, method in enumerate(methods)
+            solver, seed=derived_seed(config.solver.seed, _TAG_METHOD, midx)), x0)[0]
+        for midx, solver in enumerate(_resolved(system, config.solver, x0, methods)[0])
     ]
 
     out = Path(config.output_dir)

@@ -16,14 +16,14 @@ Six methods behind one trace-producing entry point :func:`solve`:
   intersection of all accepted rows' hyperplanes via the pseudoinverse.
 
 Each method is one entry of a table that states its quantile scope, whether
-it takes a step size, and how to build its step; validation, step-size
-resolution and dispatch read only that table.  The ``*_step`` functions are
-pure, and :func:`solve` owns the RNG stream, the stopping rules, and the
-per-iteration trace.  One step is not pure: where its sample is large
-enough, quantile-rk's solve keeps the residual from step to step in a
-:class:`_QuantileRkRun`, for which :func:`quantile_rk_step` is the one-step
-reference; such a solve does not call it, so rebinding that name does not
-change it.
+it takes a step size, and how to build its step; validation, dispatch and
+the harness's step-size resolution read only that table.  The ``*_step``
+functions are pure, and :func:`solve` owns the RNG stream, the stopping
+rules, and the per-iteration trace.  One step is not pure: where its sample
+is large enough, quantile-rk's solve keeps the residual from step to step in
+a :class:`_QuantileRkRun`, for which :func:`quantile_rk_step` is the
+one-step reference; such a solve does not call it, so rebinding that name
+does not change it.
 """
 from __future__ import annotations
 
@@ -35,19 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConditionViolatedError,
-    ConfigError,
-    DivergedError,
-    DomainError,
-    ShapeError,
-    domain,
-    domain_check,
-    one_of,
-)
+from .errors import ConfigError, DivergedError, ShapeError, domain, domain_check, one_of
 from .linalg import quantile_of_multiset, sigma_max_sq
 from .problems import CorruptedSystem
-from .rates import resolve_alpha_auto
 
 COMPARATORS = ("strict-below", "at-or-below")
 TIMINGS = ("real", "none")
@@ -78,7 +68,6 @@ class IterationTrace:
     method: str
     q: float
     alpha: float | None  # None for a method without a step size
-    alpha_source: str  # "explicit" | "auto-exact" | "auto-sampled" | "none"
     comparator: str
     seed: int
     base_error: float
@@ -95,7 +84,7 @@ class IterationTrace:
         return len(self.rel_error)
 
     def config_dict(self) -> dict:
-        keys = ("method", "q", "alpha", "alpha_source", "comparator", "seed", "base_error")
+        keys = ("method", "q", "alpha", "comparator", "seed", "base_error")
         return {**{k: getattr(self, k) for k in keys}, "iterations": self.iterations}
 
     def elapsed(self, timing: str) -> list[int]:
@@ -485,9 +474,9 @@ METHODS = tuple(METHOD_TABLE)
 class SolverConfig:
     """Method selector plus every tunable the six methods share.
 
-    ``alpha`` may be a positive float or the string ``"auto"``, in which case
-    the step size is resolved from the convergence-rate formulas (only
-    supported for the averaged quantile methods).  ``t`` is the sample size
+    ``alpha`` may be a positive float or ``"auto"``, which the harness
+    resolves to a number before it solves (only for the averaged quantile
+    methods); :func:`solve` itself takes a number.  ``t`` is the sample size
     for the sampled methods and defaults to the full row count; ``block_size``
     is required by the random-block averaged method.
     """
@@ -506,13 +495,14 @@ class SolverConfig:
     __post_init__ = domain_check
 
 
-def _validate_config(
-    config: SolverConfig, system: CorruptedSystem, x0
+def check_config(
+    config: SolverConfig, system: CorruptedSystem, x0, allow_auto: bool = False
 ) -> tuple[MethodSpec, int, np.ndarray]:
     """The method's table entry, the sample size and ``x0`` as a float array,
     after the checks every solve makes: ``x0`` has shape (n,) and is finite,
     ``system.b_observed`` is finite (it stays writable, so it can change
-    between calls), and the rules relating two values hold."""
+    between calls), the rules relating two values hold, and ``alpha`` is a
+    number where a step size applies (or, with ``allow_auto``, ``"auto"``)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.n,):
         raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
@@ -528,24 +518,10 @@ def _validate_config(
     scope = t if spec.scope == "t" else m
     if spec.scope is not None and config.q * scope < 1.0:
         raise ConfigError(f"q*{scope} must be >= 1, got {config.q * scope}")
+    if spec.takes_alpha and config.alpha == "auto" and not (allow_auto and spec.auto_alpha):
+        raise ConfigError(f"method {config.method!r} needs a numeric alpha: the harness resolves "
+                          f"'auto' with qk.resolve_alpha_auto, for averaged quantile methods only")
     return spec, t, x0
-
-
-def _resolve_alpha(
-    spec: MethodSpec, config: SolverConfig, system: CorruptedSystem
-) -> tuple[float | None, str]:
-    if not spec.takes_alpha:
-        # Pure projection methods have no step size.
-        return None, "none"
-    if not isinstance(config.alpha, str):
-        return float(config.alpha), "explicit"
-    if not spec.auto_alpha:
-        raise ConfigError(f"alpha='auto' is not supported for method {config.method!r}")
-    try:
-        alpha, exact = resolve_alpha_auto(system, config.q, seed=config.seed)
-    except (ConditionViolatedError, DomainError, ShapeError) as exc:
-        raise ConfigError(f"automatic step-size resolution failed: {exc}") from exc
-    return alpha, "auto-exact" if exact else "auto-sampled"
 
 
 def _relative_error(system: CorruptedSystem, x: np.ndarray, base: float) -> float:
@@ -567,14 +543,13 @@ def solve(
     drops to ``stop_rel_error``.  Raises :class:`DivergedError` (carrying the
     partial trace) if the relative error exceeds 1e12 or turns non-finite.
 
-    Each call checks, at O(m + n) cost, that ``x0`` has shape (n,) and is
-    finite and that ``system.b_observed`` is finite, then validates
-    ``config`` against the system; any failure raises :class:`ConfigError`.
-    Unit-norm rows are not checked here: :class:`CorruptedSystem` checks them
-    once, when it is built.
+    Each call first runs :func:`check_config`, at O(m + n) cost, so a bad
+    ``x0``, system or ``config`` raises :class:`ConfigError`.  Unit-norm rows
+    are not checked here: :class:`CorruptedSystem` checks them once, when it
+    is built.
     """
-    spec, t, x0 = _validate_config(config, system, x0)
-    alpha, alpha_source = _resolve_alpha(spec, config, system)
+    spec, t, x0 = check_config(config, system, x0)
+    alpha = float(config.alpha) if spec.takes_alpha else None  # no step size: pure projection
     step = spec.build(system.matrix, system.b_observed, config, t, alpha)
     base = float(np.linalg.norm(x0 - system.x_star))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -584,7 +559,6 @@ def solve(
         method=config.method,
         q=config.q,
         alpha=alpha,
-        alpha_source=alpha_source,
         comparator=config.comparator,
         seed=config.seed,
         base_error=base,
@@ -635,11 +609,11 @@ def lane_errors(system: CorruptedSystem, config: SolverConfig, x0, alphas) -> np
     :class:`DivergedError`), and its result is the error it stopped at.
     ``config.alpha`` is not read.  A method without ``auto_alpha`` raises
     :class:`ConfigError`, as do non-positive step sizes and whatever
-    :func:`solve` refuses.
+    :func:`check_config` refuses.
     """
-    spec, t, x0 = _validate_config(config, system, x0)
-    if not spec.auto_alpha:
+    if not METHOD_TABLE[config.method].auto_alpha:
         raise ConfigError(f"method {config.method!r} does not run step-size lanes")
+    spec, t, x0 = check_config(config, system, x0, allow_auto=True)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or not np.all(np.isfinite(alphas) & (alphas > 0)):
         raise ConfigError(f"alphas must be a list of finite positive step sizes, got {alphas}")

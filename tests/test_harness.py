@@ -259,6 +259,116 @@ class TestCompare:
         assert abk.rel_error[-1] < qrk.rel_error[-1]
 
 
+def sampled_route(tmp_path, **solver_kwargs):
+    """An experiment whose rate formula takes the sampled route (the subsets
+    of size 55 of 80 rows cannot be enumerated) and whose convergence
+    condition holds on the run's system and on the first three sweep
+    repetitions' systems."""
+    solver = dict(method="sampled-quantile-averaged-block", t=40, alpha="auto")
+    return experiment(tmp_path, m=80, n=5, beta=0.02, **{**solver, **solver_kwargs})
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Record the arguments of each call to ``harness.<name>``."""
+    calls, original = [], getattr(harness, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, record)
+    return calls
+
+
+class TestStepSize:
+    """alpha="auto" is resolved by the harness, once per system."""
+
+    @pytest.mark.parametrize("command, calls", [
+        (run, 1),
+        (lambda c: compare_methods(c, ["quantile-averaged-block", "rk",
+                                       "sampled-quantile-averaged-block"]), 1),
+        (lambda c: sweep(dataclasses.replace(c, sweep=SweepSpec("t", (20.0, 40.0, 60.0)),
+                                             repetitions=3)), 3),
+        (lambda c: sweep(dataclasses.replace(c, sweep=SweepSpec("alpha", (1.0, 2.0)),
+                                             repetitions=2)), 0),
+        (lambda c: sweep(dataclasses.replace(c, sweep=SweepSpec("q", (0.6, 0.7)),
+                                             repetitions=2)), 0),
+    ], ids=["run", "compare", "sweep-t", "sweep-alpha", "sweep-q"])
+    def test_rate_formula_runs_once_per_system(self, tmp_path, monkeypatch, command, calls):
+        resolutions = spy(monkeypatch, "resolve_alpha_auto")
+        command(sampled_route(tmp_path))
+        assert len(resolutions) == calls
+        assert all(kwargs["seed"] == 5 for _, kwargs in resolutions)  # the solver seed
+
+    def test_sweep_t_runs_each_repetition_at_one_step_size(self, tmp_path, monkeypatch):
+        solves = spy(monkeypatch, "solve")
+        config = dataclasses.replace(sampled_route(tmp_path), repetitions=3,
+                                     sweep=SweepSpec("t", (20.0, 40.0, 60.0)))
+        points = sweep(config).points
+        assert len(solves) == len(points) == 9  # one solve per point
+        alphas = {}
+        for point, ((_, solver, *_), _) in zip(points, solves):
+            assert solver.t == int(point.value)
+            alphas.setdefault(point.repetition, set()).add(solver.alpha)
+        assert [len(alphas[rep]) for rep in range(3)] == [1, 1, 1]
+        distinct = set.union(*alphas.values())
+        assert len(distinct) == 3  # each system has its own
+        assert all(isinstance(alpha, float) for alpha in distinct)
+
+    def test_compare_shares_one_step_size(self, tmp_path):
+        out = compare_methods(sampled_route(tmp_path), [
+            "quantile-averaged-block", "sampled-quantile-averaged-block", "quantile-rk"])
+        qab, sampled, qrk = out["traces"]
+        assert qab.alpha == sampled.alpha > 0
+        assert qrk.alpha is None
+
+    @pytest.mark.parametrize("method", ["quantile-averaged-block",
+                                        "sampled-quantile-averaged-block"])
+    def test_auto_run_matches_a_run_at_the_recorded_step_size(self, tmp_path, method):
+        auto = run(sampled_route(tmp_path / "auto", method=method))
+        resolved = json.loads(auto["config_json"].read_text())["resolved"]
+        assert resolved["alpha_source"] == "auto-sampled"
+        explicit = run(sampled_route(tmp_path / "explicit", method=method,
+                                     alpha=resolved["alpha"]))
+        assert explicit["trace_csv"].read_bytes() == auto["trace_csv"].read_bytes()
+        payload = json.loads(explicit["config_json"].read_text())["resolved"]
+        assert payload == {**resolved, "alpha_source": "explicit"}
+
+    def test_auto_alpha_resolves_exactly_on_small_system(self, tmp_path):
+        config = experiment(tmp_path, m=14, n=3, beta=0.0, q=0.5, alpha="auto", max_iters=5)
+        resolved = json.loads(run(config)["config_json"].read_text())["resolved"]
+        assert resolved["alpha_source"] == "auto-exact"
+        assert resolved["alpha"] > 0
+
+    def test_auto_alpha_requires_supported_method(self, tmp_path):
+        config = experiment(tmp_path, m=30, n=3, beta=0.0, method="averaged-block",
+                            alpha="auto", block_size=5, max_iters=2)
+        with pytest.raises(ConfigError, match="averaged-block"):
+            run(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_auto_alpha_propagates_programming_errors(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the step-size resolution")
+
+        monkeypatch.setattr(harness, "resolve_alpha_auto", broken)
+        config = experiment(tmp_path, m=14, n=3, beta=0.0, q=0.5, alpha="auto", max_iters=5)
+        with pytest.raises(TypeError):
+            run(config)
+
+    def test_configuration_is_checked_before_the_step_size_is_resolved(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        resolutions = spy(monkeypatch, "resolve_alpha_auto")
+        rc = cli_main(["run", "--method", "sampled-quantile-averaged-block", "--t", "5000",
+                       "--beta", "0.2", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sample size t=5000 must satisfy 1 <= t <= m=2000" in err
+        assert resolutions == []
+        assert not (tmp_path / "o").exists()
+
+
 class TestAdversarialDemo:
     def test_demo_shapes_and_artifacts(self, tmp_path):
         out = adversarial_demo(tmp_path / "demo", n=25, clean_rows=120, dup_rows=30,

@@ -33,9 +33,23 @@ def sibling_imports(path: Path, modules: set[str]) -> set[str]:
     return found & modules
 
 
-def test_import_graph_is_acyclic():
+def import_graph() -> dict[str, set[str]]:
     modules = {p.stem for p in PACKAGE.glob("*.py")}
-    graph = {name: sibling_imports(PACKAGE / f"{name}.py", modules) for name in modules}
+    return {name: sibling_imports(PACKAGE / f"{name}.py", modules) for name in modules}
+
+
+def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The modules that ``start`` imports, directly or through others."""
+    seen, todo = set(), [start]
+    while todo:
+        for target in graph[todo.pop()] - seen:
+            seen.add(target)
+            todo.append(target)
+    return seen
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
     done: set[str] = set()
 
     def visit(name: str, path: list[str]) -> None:
@@ -50,6 +64,12 @@ def test_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+def test_solvers_never_reaches_the_rate_formulas():
+    """The step size is the harness's policy: a solve takes a number and
+    never evaluates the rate formula, so ``solvers`` reaches no ``rates``."""
+    assert "rates" not in reachable(import_graph(), "solvers")
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
