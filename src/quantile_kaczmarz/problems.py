@@ -100,6 +100,8 @@ def _validate_spec(spec: GeneratorSpec) -> None:
     if c.placement == "given-indices":
         if c.indices is None:
             raise ConfigError("placement 'given-indices' requires indices")
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in c.indices):
+            raise ConfigError(f"given indices must be integers, got {c.indices!r}")
         if len(set(c.indices)) != len(c.indices):
             raise ConfigError("given indices must be unique")
         if not all(0 <= i < spec.m for i in c.indices):

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergedError, ShapeError, domain, domain_check, one_of
-from .linalg import quantile_of_multiset, sigma_max_sq
+from .linalg import quantile_of_multiset
 from .problems import CorruptedSystem
 
 COMPARATORS = ("strict-below", "at-or-below")
@@ -48,8 +48,8 @@ DIVERGENCE_LIMIT = 1e12
 @dataclass
 class StepStats:
     """A step's threshold and accepted row indices (empty for a no-op step);
-    a step over an n×L block of lanes gives an array of L thresholds and a
-    list of L index arrays."""
+    an averaged step over an n×L block of lanes gives L thresholds and a list
+    of L index arrays, and over an n-vector, its one-lane case, one of each."""
 
     quantile: float | np.ndarray
     tau: np.ndarray | list[np.ndarray]
@@ -141,18 +141,14 @@ def _accepted_mask(abs_residual: np.ndarray, threshold: float, comparator: str) 
 
 def _quantile_test(rows, b, x, q: float, comparator: str):
     """The residual ``rows @ x - b``, the ``q``-quantile of its magnitudes and
-    the mask of the rows that pass ``comparator`` against it.  For an n×L
-    block ``x``, one lane per column, the residual is one GEMM and each lane
-    has its own threshold and mask, taken over its own column."""
-    lanes = np.ndim(x) == 2
-    if lanes:
-        # The same product with the lanes on the left: OpenBLAS runs this
-        # shape several times faster than rows @ x, and touches less memory.
-        r = (x.T @ rows.T).T - b[:, None]
-    else:
-        r = rows @ x - b
+    the mask of the rows that pass ``comparator`` against it.  An n×L block
+    ``x`` holds one lane per column, and each lane has its own threshold and
+    mask, taken over its own column; an n-vector is the one-lane case."""
+    # The iterate on the left: OpenBLAS runs a block of lanes several times
+    # faster in this shape than as rows @ x, and a vector at the same speed.
+    r = (x.T @ rows.T - b).T
     abs_r = np.abs(r)
-    threshold = quantile_of_multiset(abs_r, q, axis=0 if lanes else None)
+    threshold = quantile_of_multiset(abs_r, q, axis=0)
     return r, threshold, _accepted_mask(abs_r, threshold, comparator)
 
 
@@ -167,22 +163,14 @@ def _accepted_rows(keep: np.ndarray, index) -> np.ndarray | list[np.ndarray]:
 def _averaged_update(rows, index, x, r, keep, alpha, threshold):
     """The averaged step ``x - (alpha/|tau|) A_tau^T r_tau`` after a quantile
     test over ``rows`` (see :func:`_accepted_rows` for ``index``), taken as
-    one masked pass over them, so no accepted row is copied.  An empty
-    accepted set is a defined no-op, never an error.
-
-    For an n×L block ``x`` with L step sizes ``alpha`` the pass is one GEMM,
-    and a lane that accepts no row keeps its iterate.
+    one masked pass over them, so no accepted row is copied.  For an n×L
+    block ``x``, ``alpha`` holds one step size per lane and the pass is one
+    GEMM.  The masked sum over an empty accepted set is exactly zero, so such
+    a step (or lane) keeps its iterate: a defined no-op, never an error.
     """
-    tau = _accepted_rows(keep, index)
-    if np.ndim(x) == 1:
-        if tau.size == 0:
-            return x.copy(), StepStats(threshold, tau)
-        scale = alpha / tau.size
-    else:
-        # An empty lane's masked sum is exactly zero, so any positive divisor
-        # leaves its iterate in place.
-        scale = alpha / np.maximum(np.count_nonzero(keep, axis=0), 1)
-    return x - scale * (np.where(keep, r, 0.0).T @ rows).T, StepStats(threshold, tau)
+    scale = alpha / np.maximum(keep.sum(axis=0), 1)
+    x_next = x - scale * (np.where(keep, r, 0.0).T @ rows).T
+    return x_next, StepStats(threshold, _accepted_rows(keep, index))
 
 
 def quantile_abk_step(
@@ -193,8 +181,9 @@ def quantile_abk_step(
     The update ``A_tau^T r_tau`` is taken as one masked pass over the whole
     matrix, so no accepted row is copied.  An empty accepted set (e.g. at the
     exact solution under the strict comparator) is a defined no-op, never an
-    error.  ``x`` may also be an n×L block of lanes, with ``alpha`` holding
-    one step size per lane.
+    error.  ``x`` is an n-vector or an n×L block of lanes (``alpha`` then
+    holds one step size per lane); a one-lane block is the vector step, bit
+    for bit.
     """
     r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
     return _averaged_update(matrix, None, x, r, keep, alpha, threshold)
@@ -451,7 +440,9 @@ def _sampled_quantile_averaged(a, b, config, t, alpha) -> Step:
 
 
 def _projective(a, b, config, t, alpha) -> Step:
-    ridge = 1e-12 * sigma_max_sq(a)
+    # Unit rows give sigma_max^2 <= ||A||_F^2 = m, so the ridge scales with m
+    # and the solve computes no spectrum.
+    ridge = 1e-12 * a.shape[0]
     return lambda x, rng: quantile_pbk_step(a, b, x, config.q, config.comparator, ridge)
 
 

@@ -541,6 +541,13 @@ class TestCli:
         assert "optimal step size" in out
         assert (tmp_path / "rate.json").exists()
 
+    def test_rate_below_the_column_count_is_a_verdict(self, capsys):
+        # ceil((0.5 - 0.1) * 20) = 8 rows cannot have full column rank 10.
+        assert cli_main(["rate", "--m", "20", "--n", "10", "--beta", "0.1", "--q", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "restricted subset size 8 is below the column count 10" in out
+        assert "condition holds: False" in out
+
     @pytest.mark.parametrize("size", [
         ["--m", "14", "--n", "3", "--q", "0.5"],                      # exhaustive path
         ["--m", "2000", "--n", "50", "--beta", "0.02", "--q", "0.7"],  # sampled path

@@ -95,6 +95,9 @@ class TestGenerate:
         )
         np.testing.assert_array_equal(system.corrupted_indices, indices)
         assert system.beta == pytest.approx(3 / 50)
+        numpy_ints = tuple(np.array(indices))  # numpy integers are integers too
+        again = generate(spec(m=50, n=5, seed=1, placement="given-indices", indices=numpy_ints))
+        np.testing.assert_array_equal(again.corrupted_indices, indices)
 
     def test_coherent_rows_strongly_aligned(self):
         # sample-mean of pairwise inner products over 10^4 pairs must exceed 1/2
@@ -124,6 +127,12 @@ class TestGenerate:
             dict(beta=1.0),
             dict(magnitude_low=5.0, magnitude_high=5.0),
             dict(family="pareto"),
+            dict(placement="given-indices"),                      # no indices
+            dict(placement="given-indices", indices=(3, 3)),
+            dict(placement="given-indices", indices=(3, 100)),    # out of range
+            dict(placement="given-indices", indices=(1.5, 2.7)),  # not truncated to 1, 2
+            dict(placement="given-indices", indices=(1.0, 2.0)),
+            dict(placement="given-indices", indices=(True, 3)),   # not taken as row 1
         ],
     )
     def test_spec_errors(self, kwargs):

@@ -280,6 +280,22 @@ class TestCertifyIteration:
             assert cert.passed(tol=1e-9)
             x = x_next
 
+    def test_bounds_hold_with_accepted_corrupted_rows(self):
+        # Offsets of +-0.05 sit among the clean residuals, so every step
+        # accepts corrupted rows and the cross and corrupted terms are live.
+        system = generate(GeneratorSpec(
+            family="gaussian", m=200, n=5, seed=0,
+            corruption=CorruptionSpec(beta=0.1, magnitude_low=-0.05, magnitude_high=0.05)))
+        s2max = sigma_max_sq(system.matrix)
+        x = np.zeros(5)
+        for _ in range(100):
+            x_next, stats = self.run_step(system, 0.7, 1.0, x)
+            cert = certify_iteration(system, x, x_next, 0.7, 1.0, stats.tau,
+                                     sigma_max_sq_value=s2max)
+            assert cert.tau_corrupted > 0 and cert.term2.bound > 0 and cert.term3.actual > 0
+            assert cert.passed(tol=1e-9), cert
+            x = x_next
+
 
 class TestResolveAlphaAuto:
     def test_exact_route_on_enumerable_system(self):

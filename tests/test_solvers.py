@@ -498,6 +498,28 @@ class TestLanesMatchGatherReferences:
             excess = np.abs(got[:, j] - want) - lane_update_bound(matrix, b, x, lane_tau, alpha, t)
             assert np.all(excess <= 0), excess.max()
 
+    @given(step_inputs(), st.sampled_from(["strict-below", "at-or-below"]), st.booleans(),
+           st.floats(min_value=0.0, max_value=1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_lane_is_the_vector_step(self, inputs, comparator, sampled, fraction, seed):
+        # A solve is the one-lane case: the same arithmetic, bit for bit.
+        matrix, b, x, q, alpha = inputs
+        t = max(1, round(fraction * matrix.shape[0]))
+        rng, lane_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if sampled:
+            got, stats = sampled_qabk_step(matrix, b, x, q, t, alpha, rng, comparator)
+            lane, lane_stats = sampled_qabk_step(matrix, b, x[:, None], q, t, np.array([alpha]),
+                                                 lane_rng, comparator)
+        else:
+            got, stats = quantile_abk_step(matrix, b, x, q, alpha, comparator)
+            lane, lane_stats = quantile_abk_step(matrix, b, x[:, None], q, np.array([alpha]),
+                                                 comparator)
+        assert rng.bit_generator.state == lane_rng.bit_generator.state
+        np.testing.assert_array_equal(lane[:, 0], got)
+        np.testing.assert_array_equal(lane_stats.quantile, [stats.quantile])
+        assert len(lane_stats.tau) == 1
+        np.testing.assert_array_equal(lane_stats.tau[0], stats.tau)
+
 
 class TestProjectiveMatchesPinvReference:
     """``quantile_pbk_step`` against ``x + pinv(A_tau)(b_tau - A_tau x)``:
@@ -656,6 +678,33 @@ class TestSolve:
         with pytest.raises(ConfigError, match="b_observed"):
             solve(system, config, np.zeros(system.n))
 
+    @pytest.mark.parametrize("x0, match", [
+        (np.zeros(11), r"x0 must have shape \(10,\)"),
+        (np.zeros((10, 1)), r"x0 must have shape \(10,\)"),
+        ([0.0] * 9 + [math.nan], "x0 must be finite"),
+        ([0.0] * 9 + [-math.inf], "x0 must be finite"),
+    ])
+    def test_bad_x0_rejected(self, x0, match):
+        system = corrupted_system(seed=31)
+        config = SolverConfig(method="quantile-averaged-block", q=0.7, alpha=10.0,
+                              max_iters=3, seed=0)
+        with pytest.raises(ConfigError, match=match):
+            solve(system, config, x0)
+
+    @pytest.mark.parametrize("method, alphas, match", [
+        ("quantile-averaged-block", [1.0, 0.0], "finite positive"),
+        ("quantile-averaged-block", [-1.0], "finite positive"),
+        ("sampled-quantile-averaged-block", [1.0, math.nan], "finite positive"),
+        ("sampled-quantile-averaged-block", [math.inf], "finite positive"),
+        ("quantile-averaged-block", [[1.0, 2.0]], "finite positive"),
+        ("averaged-block", [1.0], "does not run step-size lanes"),
+    ])
+    def test_lane_errors_rejects_bad_lanes(self, method, alphas, match):
+        system = corrupted_system(seed=31)
+        config = SolverConfig(method=method, q=0.7, block_size=5, max_iters=3, seed=0)
+        with pytest.raises(ConfigError, match=match):
+            solvers.lane_errors(system, config, np.zeros(system.n), alphas)
+
     def test_unit_rows_checked_once_per_system(self, monkeypatch):
         import quantile_kaczmarz.problems as problems
 
@@ -675,8 +724,8 @@ class TestSolve:
         assert len(calls) == 1
 
     def test_projective_solves_slowly_separated_spectrum(self):
-        # The ridge of the projective step needs sigma_max^2; on this system
-        # a power iteration failed to converge and the solve could not start.
+        # On this system a power iteration for sigma_max^2 once failed to
+        # converge, so the solve could not start; the ridge now scales with m.
         system = generate(GeneratorSpec("gaussian", 10000, 100, 3809353120,
                                         CorruptionSpec(beta=0.2)))
         config = SolverConfig(method="quantile-projective-block", q=0.7, max_iters=2, seed=0)
