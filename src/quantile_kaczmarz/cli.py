@@ -21,7 +21,7 @@ import sys
 import types
 import typing
 
-from .errors import ConditionViolatedError, ConfigError, IoError, QkError
+from .errors import ConfigError, IoError, QkError
 from .harness import (
     ExperimentConfig,
     SweepSpec,
@@ -30,7 +30,7 @@ from .harness import (
     run,
 )
 from .problems import FAMILIES, generate, save_system
-from .rates import RateInputs, convergence_condition, rate_report, restricted_summary
+from .rates import rate_report, restricted_summary
 from .solvers import COMPARATORS, METHODS, TIMINGS
 
 DESK_M, DESK_N = 2000, 50
@@ -206,23 +206,9 @@ def _cmd_rate(args) -> int:
     config = _experiment(args)
     system = generate(config.generator)
     q = config.solver.q
-    try:
-        summary = restricted_summary(system, q, config.generator.seed, args.samples)
-    except ConditionViolatedError as exc:
-        print(f"{exc}: the restricted smallest singular value is zero")
-        print("condition holds: False")
-        return 0
-    s2max = summary.sigma_max_sq
-    holds, epsilon = convergence_condition(q, system.beta, s2max, summary.sigma_restricted_min_sq)
-    if not holds:
-        # A failed condition is an analytic verdict, not a usage error.
-        print(f"condition holds: False (epsilon = {epsilon:.6g})")
-        print("no step size carries a guaranteed contraction for these inputs")
-        print(RateInputs(q, system.beta, system.m, s2max, summary.sigma_restricted_min_sq,
-                         summary.exact).summary())
-        return 0
-    report = rate_report(q, system.beta, system.m, s2max, summary.sigma_restricted_min_sq,
-                         exact=summary.exact)
+    summary = restricted_summary(system, q, config.generator.seed, args.samples)
+    report = rate_report(q, system.beta, system.m, summary.sigma_max_sq,
+                         summary.sigma_restricted_min_sq, exact=summary.exact)
     print(report.summary())
     if args.json_out:
         report.to_json(args.json_out)

@@ -158,9 +158,11 @@ def sigma_min_sq(matrix) -> float:
 class SpectralSummary:
     """Spectral quantities of a matrix and its size-k row submatrices.
 
-    ``exact`` is True only when every subset of the prescribed size was
-    enumerated; sampled estimates always carry ``exact=False`` and can only
-    overestimate the true restricted minimum.
+    ``exact`` is True only when the restricted minimum is known exactly:
+    every subset of the prescribed size was enumerated, or the size is below
+    the column count, so every subset is singular by rank and the minimum is
+    0 with none examined.  Sampled estimates always carry ``exact=False`` and
+    can only overestimate the true restricted minimum.
     """
 
     sigma_max_sq: float

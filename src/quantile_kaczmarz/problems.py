@@ -106,6 +106,11 @@ def _validate_spec(spec: GeneratorSpec) -> None:
             raise ConfigError("given indices must be unique")
         if not all(0 <= i < spec.m for i in c.indices):
             raise ConfigError("given indices out of range")
+        if c.beta != 0.0:
+            raise ConfigError(f"placement 'given-indices' takes its rows from indices, "
+                              f"so beta must be unset (0), got {c.beta}")
+    elif c.indices is not None:
+        raise ConfigError("placement 'uniform' draws its rows from beta, so indices must be unset")
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:

@@ -53,31 +53,37 @@ class RateInputs:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Convergence constants, optimal step size, and contraction factor."""
+    """The convergence condition's verdict and constants; where it holds, also
+    the optimal step size and contraction factor, which are None where it is
+    refuted.  ``to_json`` writes an infinite ``epsilon`` as null."""
 
     c1: float
     c2: float
-    alpha_opt: float
-    contraction: float
+    alpha_opt: float | None
+    contraction: float | None
     condition_holds: bool
     epsilon: float
     inputs: RateInputs
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
+        epsilon = None if math.isinf(self.epsilon) else self.epsilon
+        text = json.dumps({**asdict(self), "epsilon": epsilon}, indent=2, sort_keys=True,
+                          allow_nan=False)
         if path is not None:
             Path(path).write_text(text + "\n", encoding="utf-8")
         return text
 
     def summary(self) -> str:
-        lines = [
-            f"condition holds: {self.condition_holds} (epsilon = {self.epsilon:.6g})",
-            f"c1 = {self.c1:.6g}, c2 = {self.c2:.6g}",
-            f"optimal step size = {self.alpha_opt:.6g}",
-            f"guaranteed squared-error factor per iteration = {self.contraction:.6g}",
-            self.inputs.summary(),
-        ]
-        return "\n".join(lines)
+        lines = [f"condition holds: {self.condition_holds} (epsilon = {self.epsilon:.6g})"]
+        if self.condition_holds:
+            lines += [
+                f"c1 = {self.c1:.6g}, c2 = {self.c2:.6g}",
+                f"optimal step size = {self.alpha_opt:.6g}",
+                f"guaranteed squared-error factor per iteration = {self.contraction:.6g}",
+            ]
+        else:
+            lines.append("no step size carries a guaranteed contraction for these inputs")
+        return "\n".join([*lines, self.inputs.summary()])
 
 
 def _check_domain(q: float, beta: float) -> None:
@@ -133,27 +139,16 @@ def rate_report(
     sigma_restricted_min_sq: float,
     exact: bool = True,
 ) -> RateReport:
-    """Evaluate constants, optimal step size and contraction factor.
-
-    Raises
-    ------
-    ConditionViolatedError
-        If the convergence condition fails, in which case no positive step
-        size yields a guaranteed contraction.
-    """
+    """The :class:`RateReport` of these inputs.  A refuted condition, where no
+    positive step size yields a guaranteed contraction, is a report with
+    ``condition_holds=False``, not an error."""
     holds, epsilon = convergence_condition(q, beta, sigma_max_sq, sigma_restricted_min_sq)
-    if not holds:
-        raise ConditionViolatedError(
-            f"convergence condition fails (epsilon = {epsilon:.6g} >= 1)"
-        )
     c1, c2 = rate_constants(q, beta, m, sigma_max_sq, sigma_restricted_min_sq)
-    alpha_opt = c1 / (2.0 * c2)
-    contraction = 1.0 - c1**2 / (4.0 * c2)
     return RateReport(
         c1=c1,
         c2=c2,
-        alpha_opt=alpha_opt,
-        contraction=contraction,
+        alpha_opt=c1 / (2.0 * c2) if holds else None,
+        contraction=1.0 - c1**2 / (4.0 * c2) if holds else None,
         condition_holds=holds,
         epsilon=epsilon,
         inputs=RateInputs(q, beta, m, sigma_max_sq, sigma_restricted_min_sq, exact),
@@ -181,18 +176,17 @@ def restricted_summary(system: CorruptedSystem, q: float, seed: int,
                        samples: int) -> SpectralSummary:
     """Spectral summary over the row subsets of size ceil((q - beta) * m):
     exhaustive when there are at most ``SUBSET_ENUMERATION_CAP`` of them, else
-    over ``samples`` seeded draws.  Raises :class:`DomainError` unless beta < q < 1 - beta,
-    :class:`ShapeError` unless ``samples`` is an integer >= 1 (on either
-    path), and :class:`ConditionViolatedError` when the size is below the
-    column count, as every such submatrix is then rank deficient."""
+    over ``samples`` seeded draws.  Below the column count every such
+    submatrix is rank deficient, so the restricted value is an exact 0 and no
+    subset is examined.  Raises :class:`DomainError` unless beta < q < 1 - beta,
+    and :class:`ShapeError` unless ``samples`` is an integer >= 1 (on every
+    path)."""
     _check_domain(q, system.beta)
     samples = as_count(samples, "samples", 1)
     m = system.m
     k = math.ceil((q - system.beta) * m)
     if k < system.n:
-        raise ConditionViolatedError(
-            f"restricted subset size {k} is below the column count {system.n}"
-        )
+        return SpectralSummary(sigma_max_sq(system.matrix), 0.0, exact=True, subsets_examined=0)
     if math.comb(m, k) <= SUBSET_ENUMERATION_CAP:
         return restricted_min_sv_bruteforce(system.matrix, k)
     return restricted_min_sv_sampled(system.matrix, k, samples=samples, seed=seed)
@@ -209,11 +203,16 @@ def resolve_alpha_auto(
     Uses the exact restricted smallest singular value when the subset count
     is enumerable under ``SUBSET_ENUMERATION_CAP``, otherwise a seeded sampled
     estimate.
-    Returns ``(alpha_opt, exact_flag)``.
+    Returns ``(alpha_opt, exact_flag)``; raises :class:`ConditionViolatedError`
+    where the report refutes the convergence condition.
     """
     summary = restricted_summary(system, q, seed, samples)
     report = rate_report(q, system.beta, system.m, summary.sigma_max_sq,
                          summary.sigma_restricted_min_sq, exact=summary.exact)
+    if not report.condition_holds:
+        raise ConditionViolatedError(
+            f"convergence condition fails (epsilon = {report.epsilon:.6g} >= 1)"
+        )
     return report.alpha_opt, summary.exact
 
 
@@ -316,11 +315,8 @@ def certify_iteration(
 
     a1 = a[tau1]
     uncorrupted_part = e_k - c * (a1.T @ (a1 @ e_k))
-    if tau2.size:
-        gaps2 = a[tau2] @ x_k - system.b_observed[tau2]
-        corrupted_part = c * (a[tau2].T @ gaps2)
-    else:
-        corrupted_part = np.zeros_like(e_k)
+    a2 = a[tau2]
+    corrupted_part = c * (a2.T @ (a2 @ x_k - system.b_observed[tau2]))
 
     x_sq = float(uncorrupted_part @ uncorrupted_part)
     cross = 2.0 * float(uncorrupted_part @ corrupted_part)

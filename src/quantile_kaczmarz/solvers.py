@@ -423,11 +423,8 @@ class _QuantileRkRun:
 
 
 def _averaged(a, b, config, t, alpha) -> Step:
-    size = config.block_size
-    if size is None or not 1 <= size <= a.shape[0]:
-        raise ConfigError(f"method {config.method!r} requires 1 <= block_size <= m")
     return lambda x, rng: averaged_rbk_step(
-        a, b, x, rng.choice(a.shape[0], size=size, replace=False), alpha
+        a, b, x, rng.choice(a.shape[0], size=config.block_size, replace=False), alpha
     )
 
 
@@ -512,6 +509,9 @@ def check_config(
     if spec.takes_alpha and config.alpha == "auto" and not (allow_auto and spec.auto_alpha):
         raise ConfigError(f"method {config.method!r} needs a numeric alpha: the harness resolves "
                           f"'auto' with qk.resolve_alpha_auto, for averaged quantile methods only")
+    size = config.block_size
+    if config.method == "averaged-block" and (size is None or not 1 <= size <= m):
+        raise ConfigError(f"method {config.method!r} requires 1 <= block_size <= m")
     return spec, t, x0
 
 

@@ -52,6 +52,8 @@ CASES: dict[str, list[str]] = {
                      "--iters", "40", *NONE, *OUT],
     "run-averaged-block-auto": ["run", *DESK, "--method", "averaged-block", "--block-size", "20",
                                 *NONE, *OUT],
+    "run-below-column-count": ["run", "--m", "20", "--n", "10", "--beta", "0.1", "--seed", "1",
+                               "--q", "0.5", "--method", "quantile-averaged-block", *NONE, *OUT],
     # sweeps
     "sweep-alpha-svg": ["sweep-alpha", *DESK, "--values", "1,5,20", "--svg", *NONE, *OUT],
     "sweep-alpha-small": ["sweep-alpha", "--m", "100", "--n", "5", "--seed", "2",
@@ -102,6 +104,8 @@ CASES: dict[str, list[str]] = {
     "rate-sampled": ["rate", *SAMPLED, "--q", "0.7"],
     "rate-below-column-count": ["rate", "--m", "20", "--n", "10", "--beta", "0.1",
                                 "--q", "0.5"],
+    "rate-condition-fails": ["rate", "--m", "200", "--n", "10", "--beta", "0.2", "--seed", "1",
+                             "--q", "0.7", "--json-out", "rate.json"],
     "generate": ["generate", *DESK, *OUT],
 }
 

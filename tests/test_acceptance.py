@@ -218,15 +218,11 @@ def test_criterion_3_per_iteration_certifier():
         # Optimal step where the contraction condition admits one; otherwise
         # the always-admissible step q*m/sigma_max^2 (the optimum at zero
         # corruption), which keeps every certifier bound in force.
-        try:
-            report = qk.rate_report(q, beta, m, s2max, s2r)
+        report = qk.rate_report(q, beta, m, s2max, s2r)
+        alpha = q * m / s2max
+        if report.condition_holds and report.alpha_opt * s2max <= 2 * q * m:
             alpha = report.alpha_opt
-            if alpha * s2max > 2 * q * m:
-                alpha = q * m / s2max
-            else:
-                at_alpha_opt += 1
-        except qk.ConditionViolatedError:
-            alpha = q * m / s2max
+            at_alpha_opt += 1
 
         direction = rng.standard_normal(n)
         x = x_star + direction / np.linalg.norm(direction)

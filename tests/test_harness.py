@@ -544,9 +544,39 @@ class TestCli:
     def test_rate_below_the_column_count_is_a_verdict(self, capsys):
         # ceil((0.5 - 0.1) * 20) = 8 rows cannot have full column rank 10.
         assert cli_main(["rate", "--m", "20", "--n", "10", "--beta", "0.1", "--q", "0.5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["condition holds: False (epsilon = inf)",
+                           "no step size carries a guaranteed contraction for these inputs"]
+        assert out[2].endswith("sigma_restricted_min_sq=0 (exact)") and len(out) == 3
+
+    def test_refuted_rate_writes_its_json(self, tmp_path, capsys):
+        path = tmp_path / "rate.json"
+        assert cli_main(["rate", "--m", "200", "--n", "10", "--beta", "0.2", "--seed", "1",
+                         "--q", "0.7", "--samples", "20", "--json-out", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "restricted subset size 8 is below the column count 10" in out
-        assert "condition holds: False" in out
+        assert out.startswith("condition holds: False (epsilon = ")
+        assert out.endswith(f"report written to {path}\n")
+        payload = json.loads(path.read_text())
+        assert payload["condition_holds"] is False and payload["alpha_opt"] is None
+
+    def test_auto_run_below_the_column_count_exits_2(self, tmp_path, capsys):
+        rc = cli_main(["run", "--m", "20", "--n", "10", "--beta", "0.1", "--q", "0.5",
+                       "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: automatic step-size resolution failed: "
+            "convergence condition fails (epsilon = inf >= 1)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_block_size_is_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = spy(monkeypatch, "solve")
+        rc = cli_main(["compare", "--m", "100", "--n", "5", "--seed", "1", "--alpha", "10",
+                       "--methods", "quantile-averaged-block,averaged-block",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "requires 1 <= block_size <= m" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("size", [
         ["--m", "14", "--n", "3", "--q", "0.5"],                      # exhaustive path

@@ -141,6 +141,14 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(spec(**base))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(beta=0.5, placement="given-indices", indices=(3,)), "beta must be unset"),
+        (dict(beta=0.1, indices=(3,)), "indices must be unset"),
+    ])
+    def test_field_the_placement_ignores_is_an_error(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            generate(spec(family="gaussian", m=50, n=5, seed=0, **kwargs))
+
     def test_adversarial_family_needs_dedicated_constructor(self):
         with pytest.raises(ConfigError):
             generate(GeneratorSpec(family="adversarial-duplicate", m=100, n=10, seed=0))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from quantile_kaczmarz.rates import (
     rate_constants,
     rate_report,
     resolve_alpha_auto,
+    restricted_summary,
 )
 from quantile_kaczmarz.solvers import quantile_abk_step
 from rate_identities import scaled_step_decrease
@@ -66,8 +68,10 @@ class TestConvergenceCondition:
         assert summary.sigma_restricted_min_sq == 0.0
         holds, eps = convergence_condition(0.5, beta, summary.sigma_max_sq, 0.0)
         assert not holds and eps == math.inf
-        with pytest.raises(ConditionViolatedError, match=r"epsilon = inf >= 1"):
-            rate_report(0.5, beta, 4, summary.sigma_max_sq, 0.0)
+        report = rate_report(0.5, beta, 4, summary.sigma_max_sq, 0.0)
+        assert not report.condition_holds and report.epsilon == math.inf
+        assert report.alpha_opt is None and report.contraction is None
+        assert report.summary().startswith("condition holds: False (epsilon = inf)\n")
 
     def test_boundary_equality_fails(self):
         # sqrt(beta)/sqrt(1-q-beta) == ratio exactly: strict inequality required
@@ -103,9 +107,35 @@ class TestRateReport:
         assert report.alpha_opt == pytest.approx(q * m / s2max, rel=1e-12)
         assert report.contraction == pytest.approx(1 - s2r / s2max, rel=1e-12)
 
-    def test_condition_violated_raises(self):
+    def test_condition_violated_is_a_refuted_report(self):
+        report = rate_report(0.7, 0.2, 100, 10.0, 1.0)
+        _, eps = convergence_condition(0.7, 0.2, 10.0, 1.0)
+        assert not report.condition_holds and report.epsilon == eps >= 1
+        assert report.alpha_opt is None and report.contraction is None
+        assert (report.c1, report.c2) == rate_constants(0.7, 0.2, 100, 10.0, 1.0)
+        assert report.summary().splitlines() == [
+            f"condition holds: False (epsilon = {eps:.6g})",
+            "no step size carries a guaranteed contraction for these inputs",
+            report.inputs.summary(),
+        ]
         with pytest.raises(ConditionViolatedError):
-            rate_report(0.7, 0.2, 100, 10.0, 1.0)
+            alpha_opt_closed_form(0.7, 0.2, 100, 10.0, 1.0)  # the independent route still raises
+
+    @pytest.mark.parametrize("s2r", [1.0, 0.0])
+    def test_refuted_report_is_strict_json(self, tmp_path, s2r):
+        report = rate_report(0.7, 0.2, 100, 10.0, s2r)
+        path = tmp_path / "report.json"
+        report.to_json(path)
+
+        def no_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(path.read_text(), parse_constant=no_constant)
+        assert payload["condition_holds"] is False
+        assert payload["alpha_opt"] is None and payload["contraction"] is None
+        assert payload["epsilon"] == (None if s2r == 0.0 else report.epsilon)
+        assert payload["c1"] == report.c1 and payload["c2"] == report.c2
+        assert payload["inputs"]["sigma_restricted_min_sq"] == s2r
 
     def test_json_round_trip(self, tmp_path):
         report = rate_report(0.5, 0.0, 4, 2.0, 0.3)
@@ -297,6 +327,15 @@ class TestCertifyIteration:
             x = x_next
 
 
+class TestRestrictedSummary:
+    def test_below_the_column_count_is_exactly_zero(self):
+        system = small_system(seed=13, m=20, n=10, beta=0.1)
+        summary = restricted_summary(system, 0.5, seed=0, samples=500)
+        assert summary.exact is True and summary.subsets_examined == 0
+        assert summary.sigma_restricted_min_sq == 0.0
+        assert summary.sigma_max_sq == sigma_max_sq(system.matrix)
+
+
 class TestResolveAlphaAuto:
     def test_exact_route_on_enumerable_system(self):
         system = small_system(seed=9, m=12, n=3)
@@ -310,6 +349,24 @@ class TestResolveAlphaAuto:
         )
         alpha, exact = resolve_alpha_auto(system, q=0.1, samples=40, seed=1)
         assert exact is False and alpha > 0
+
+    def test_refuted_condition_raises(self):
+        # beta = 0.2 at q = 0.5 puts epsilon far above 1 on the sampled route.
+        system = small_system(seed=12, m=40, n=4, beta=0.2)
+        summary = restricted_summary(system, 0.5, seed=1, samples=20)
+        assert not summary.exact and summary.sigma_restricted_min_sq > 0
+        _, eps = convergence_condition(0.5, 0.2, summary.sigma_max_sq,
+                                       summary.sigma_restricted_min_sq)
+        message = f"convergence condition fails (epsilon = {eps:.6g} >= 1)"
+        with pytest.raises(ConditionViolatedError, match=re.escape(message)):
+            resolve_alpha_auto(system, q=0.5, seed=1, samples=20)
+
+    def test_below_the_column_count_raises(self):
+        # ceil((0.5 - 0.1) * 20) = 8 rows cannot have full column rank 10.
+        system = small_system(seed=13, m=20, n=10, beta=0.1)
+        with pytest.raises(ConditionViolatedError,
+                           match=re.escape("convergence condition fails (epsilon = inf >= 1)")):
+            resolve_alpha_auto(system, q=0.5)
 
     @pytest.mark.parametrize("samples", [0, 2.5, True])
     def test_bad_samples_rejected_on_the_exact_route(self, samples):
