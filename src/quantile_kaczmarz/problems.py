@@ -266,7 +266,8 @@ def load_system(directory) -> CorruptedSystem:
     naming the file when it is not JSON or CSV of numbers, when a metadata
     value is missing or of the wrong type, or when what it holds disagrees
     with the metadata, repeats or leaves [0, m) in the corrupted indices, is
-    not finite, or has matrix rows that are not unit-norm."""
+    not finite, or has matrix rows that are not unit-norm, or when beta is
+    not the corrupted indices' share of the m rows."""
     src = Path(directory)
     meta_path = src / "metadata.json"
     meta = _parse(meta_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
@@ -291,6 +292,8 @@ def load_system(directory) -> CorruptedSystem:
     _check(x_star.shape == (n,), meta_path, f"x_star has {x_star.size} entries, expected n={n}")
     _check(len(set(indices.tolist())) == indices.size and np.all((indices >= 0) & (indices < m)),
            meta_path, f"corrupted_indices must be unique and lie in [0, {m})")
+    _check(meta["beta"] == indices.size / m, meta_path,
+           f"beta {meta['beta']!r} is not the corrupted share {indices.size}/{m}")
     for path, values in ((src / "matrix.csv", matrix), (src / "b_observed.csv", b_observed),
                          (meta_path, x_star)):
         _check(np.all(np.isfinite(values)), path, "non-finite entry")

@@ -19,8 +19,8 @@ Each method is one entry of a table that states its quantile scope, whether
 it takes a step size, and how to build its step; validation, dispatch and
 the harness's step-size resolution read only that table.  The ``*_step``
 functions are pure, and :func:`solve` owns the RNG stream, the stopping
-rules, and the per-iteration trace.  One step is not pure: where its sample
-is large enough, quantile-rk's solve keeps the residual from step to step in
+rules, and the per-iteration trace.  One step is not pure: where a block's
+samples cover A, quantile-rk's solve keeps the residual from step to step in
 a :class:`_QuantileRkRun`, for which :func:`quantile_rk_step` is the
 one-step reference; such a solve does not call it, so rebinding that name
 does not change it.
@@ -216,37 +216,27 @@ def sampled_qabk_step(
     return _averaged_update(rows, sample, x, r_s, keep, alpha, threshold)
 
 
-def _gram_solve(gram_matrix: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    # Cholesky (or LU, on a matrix singular to rounding) detects rank deficiency;
-    # the ridge keeps the projection well-defined for dependent accepted rows.
+def _gram_solve(gram_matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # Cholesky (or LU, on a matrix singular to rounding) detects dependent
+    # accepted rows; the pseudoinverse then gives the least-norm solution.
     try:
         np.linalg.cholesky(gram_matrix)
         return np.linalg.solve(gram_matrix, rhs)
     except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(gram_matrix + ridge * np.eye(gram_matrix.shape[0]), rhs)
-    except np.linalg.LinAlgError:
-        raise ShapeError("the accepted rows are linearly dependent; "
-                         "a positive ridge is needed") from None
+        return np.linalg.pinv(gram_matrix, hermitian=True) @ rhs
 
 
 def quantile_pbk_step(
-    matrix,
-    b,
-    x,
-    q: float,
-    comparator: str = "strict-below",
-    ridge: float = 0.0,
+    matrix, b, x, q: float, comparator: str = "strict-below"
 ) -> tuple[np.ndarray, StepStats]:
-    """Projective step onto the accepted rows' hyperplanes.
+    """Projective step ``x + A_tau^+ (b_tau - A_tau x)`` onto the accepted
+    rows' hyperplanes.
 
     Computes the least-norm pseudoinverse update through the smaller of the
     two Gram systems.  When the accepted submatrix has full row rank this is
     the exact projection onto {x : A_tau x = b_tau}; otherwise it lands on
-    the least-squares affine set, with ``ridge`` regularizing a rank-deficient
-    factorization; with ``ridge=0`` a singular Gram system raises
-    :class:`ShapeError`.
+    the least-squares affine set, through the Gram matrix's pseudoinverse
+    where it is singular.
     """
     r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
     tau = np.flatnonzero(keep)
@@ -255,10 +245,10 @@ def quantile_pbk_step(
     sub = matrix[tau]
     gap = -r[tau]  # b_tau - A_tau x
     if tau.size <= matrix.shape[1]:
-        y = _gram_solve(sub @ sub.T, gap, ridge)
+        y = _gram_solve(sub @ sub.T, gap)
         delta = sub.T @ y
     else:
-        delta = _gram_solve(sub.T @ sub, sub.T @ gap, ridge)
+        delta = _gram_solve(sub.T @ sub, sub.T @ gap)
     return x + delta, StepStats(threshold, tau)
 
 
@@ -346,23 +336,19 @@ def _rk(a, b, config, t, alpha) -> Step:
 
 
 _PLAN_BYTES = 2 << 20  # the most one quantile-rk block's Gram rows may hold
-_GEMM_GAIN = 100  # a GEMM row costs ~1/100 of a gathered row (2-core Xeon, OpenBLAS)
 
 
 def _quantile_rk(a, b, config, t, alpha) -> Step:
-    """quantile-rk's step: a :class:`_QuantileRkRun` where the pure step's
-    gather costs more, else :func:`quantile_rk_step` by module-global name.
+    """quantile-rk's step: a :class:`_QuantileRkRun` where one block's
+    samples cover A, else :func:`quantile_rk_step` by module-global name.
 
-    The gather reads ``t`` rows of A per step.  The run reads all ``m`` rows
-    once per block of ``block`` steps and multiplies each step's candidate
-    against all ``m`` rows, a GEMM row that costs about ``1/_GEMM_GAIN`` of a
-    gathered row.  So the run is used when ``t >= m / block + m /
-    _GEMM_GAIN``: ``t >= 485`` at 10000x100 (26-step blocks), ``t >= 10500``
-    at 50000x200 (5-step blocks) and always at ``t == m`` unless a block is
-    one step.
+    The gathers read ``t`` rows of A per step, so ``t * block`` per block of
+    ``block`` steps; the run reads all ``m`` rows once per block.  The run
+    is used where ``t * block >= m``, where it reads no more rows than the
+    gathers: ``t >= 385`` at 10000x100 (26-step blocks), ``t >= 10000`` at
+    50000x200 (5-step blocks) and always at ``t == m``.
     """
-    m = a.shape[0]
-    if t >= m / _plan_steps(m) + m / _GEMM_GAIN:
+    if t * _plan_steps(a.shape[0]) >= a.shape[0]:
         return _QuantileRkRun(a, b, config, t)
     return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng, config.comparator)
 
@@ -437,10 +423,7 @@ def _sampled_quantile_averaged(a, b, config, t, alpha) -> Step:
 
 
 def _projective(a, b, config, t, alpha) -> Step:
-    # Unit rows give sigma_max^2 <= ||A||_F^2 = m, so the ridge scales with m
-    # and the solve computes no spectrum.
-    ridge = 1e-12 * a.shape[0]
-    return lambda x, rng: quantile_pbk_step(a, b, x, config.q, config.comparator, ridge)
+    return lambda x, rng: quantile_pbk_step(a, b, x, config.q, config.comparator)
 
 
 METHOD_TABLE = {

@@ -42,6 +42,8 @@ CASES: dict[str, list[str]] = {
                         *NONE, *OUT],
     "run-quantile-rk-kept": ["run", *DESK, "--method", "quantile-rk", "--iters", "60",
                              *NONE, *OUT],
+    "run-quantile-rk-gather": ["run", *SAMPLED, "--method", "quantile-rk", "--t", "10",
+                               "--iters", "60", *NONE, *OUT],
     "run-projective": ["run", *DESK, "--method", "quantile-projective-block", "--iters", "10",
                        *NONE, *OUT],
     "run-averaged-block": ["run", *DESK, "--method", "averaged-block", "--alpha", "5",
@@ -93,7 +95,8 @@ CASES: dict[str, list[str]] = {
                                   "--methods", "rk,quantile-projective-block", *NONE, *OUT],
     "compare-auto-averaged-block": ["compare", *DESK, "--block-size", "20", "--methods",
                                     "quantile-averaged-block,averaged-block", *NONE, *OUT],
-    # adversarial demo; the second takes the projective step's ridge path
+    # adversarial demo; the second's projective steps meet Gram matrices that
+    # duplicated rows make singular, and take their pseudoinverse
     "adversarial-small": ["adversarial-demo", "--n", "10", "--clean-rows", "50",
                           "--dup-rows", "10", "--iters", "20", *NONE, *OUT],
     "adversarial-ridge": ["adversarial-demo", "--n", "100", "--clean-rows", "29",

@@ -23,6 +23,7 @@ from quantile_kaczmarz.harness import (
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate
 from quantile_kaczmarz.solvers import METHOD_TABLE, SolverConfig, lane_errors, solve
 from quantile_kaczmarz.svgplot import emit_svg
+from reference_steps import UNIT_ROUNDOFF, gamma, quantile_pbk_reference
 from sweep_stats import all_diverged, argmin_value
 
 
@@ -392,11 +393,33 @@ class TestAdversarialDemo:
 
     def test_projective_step_on_a_gram_matrix_singular_to_rounding(self, tmp_path):
         # With fewer rows than columns, an accepted Gram matrix here passes
-        # Cholesky although LU finds it exactly singular; the ridge solves it.
-        out = adversarial_demo(tmp_path / "demo", n=100, clean_rows=29, dup_rows=2,
+        # Cholesky although LU finds it exactly singular, as its two duplicated
+        # rows make it; the step then takes the Gram matrix's pseudoinverse.
+        n = 100
+        out = adversarial_demo(tmp_path / "demo", n=n, clean_rows=29, dup_rows=2,
                                target=0.0, iterations=50, averaged_max_iters=5,
                                timing="none", svg=False)
-        assert out["traces"]["projective"].iterations == 50
+        proj, system = out["traces"]["projective"], out["system"]
+        assert proj.iterations == 50
+        xs = [out["x0"], *proj.iterates]
+        # Each block accepts both duplicates of the unit row a and fewer than n
+        # rows, so it is consistent and its exact step lands on <a, x> = 0.
+        # The computed offset adds the rounding of the step's gap and of the
+        # measured <a, x>, each within gamma_{n+1} ||x||, and of the addition,
+        # u ||x||; plus the step's own term, the residual of its Gram solve,
+        # which a backward-stable solve keeps within 4 (|tau| + n) u ||G|| ||y||,
+        # G = A_tau A_tau^T and y the least-norm solution of G y = gap.
+        step_terms = []
+        for x in xs[:-1]:
+            _, _, tau = quantile_pbk_reference(system.matrix, system.b_observed, x, 0.7)
+            assert {29, 30} <= set(tau.tolist()) and tau.size < n
+            sub = system.matrix[tau]
+            gram = sub @ sub.T
+            y = np.linalg.pinv(gram, hermitian=True) @ (system.b_observed[tau] - sub @ x)
+            step_terms.append(4 * (tau.size + n) * UNIT_ROUNDOFF
+                              * np.linalg.norm(gram, 2) * np.linalg.norm(y))
+        bound = 3 * gamma(n + 1) * max(map(np.linalg.norm, xs)) + max(step_terms)
+        assert max(map(abs, out["hyperplane_dots"])) <= bound
 
     def test_bad_timing_rejected_before_any_solve(self, tmp_path, monkeypatch):
         import quantile_kaczmarz.harness as harness

@@ -309,6 +309,11 @@ class TestLoadValidation:
         with pytest.raises(IoError, match="corrupted_indices"):
             load_system(saved)
 
+    def test_beta_is_the_corrupted_share(self, saved):
+        self.edit_meta(saved, beta=0.2)  # 10 of the 40 rows are corrupted
+        with pytest.raises(IoError, match="metadata.json.*beta 0.2.*10/40"):
+            load_system(saved)
+
     def test_format_version(self, saved):
         self.edit_meta(saved, format_version=2)
         with pytest.raises(IoError, match="format_version"):

@@ -232,20 +232,26 @@ class TestProjectiveStep:
         np.testing.assert_array_equal(np.sort(stats.tau), [0, 1, 2])
         np.testing.assert_allclose(a_full[:3] @ x_next, b, atol=1e-9)
 
-    def test_ridge_handles_duplicate_rows(self):
+    def test_duplicate_rows_land_on_their_hyperplane(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
         b = np.array([2.0, 2.0, 2.0, 7.0])
         x = np.zeros(2)
-        x_next, stats = quantile_pbk_step(a, b, x, q=0.8, ridge=1e-12)
+        x_next, stats = quantile_pbk_step(a, b, x, q=0.8)
         assert stats.tau.size == 3
         assert np.all(np.isfinite(x_next))
         np.testing.assert_allclose(a[0] @ x_next, 2.0, atol=1e-6)
 
-    def test_dependent_rows_without_ridge_are_a_shape_error(self):
+    def test_dependent_rows_take_the_pseudoinverse(self):
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         b = np.array([1.0, 1.0, 5.0, 7.0])
-        with pytest.raises(ShapeError, match="linearly dependent.*positive ridge"):
-            quantile_pbk_step(a, b, np.zeros(3), 0.5, "at-or-below")
+        x_next, stats = quantile_pbk_step(a, b, np.zeros(3), 0.5, "at-or-below")
+        want, threshold, tau = quantile_pbk_reference(a, b, np.zeros(3), 0.5, "at-or-below")
+        np.testing.assert_array_equal(stats.tau, tau)
+        assert stats.quantile == threshold
+        # Both give the least-norm step [1, 0, 0] up to the rounding of a 2x2
+        # eigen- or singular value decomposition, a few units of roundoff.
+        for got in (x_next, want):
+            np.testing.assert_allclose(got, [1.0, 0.0, 0.0], rtol=0, atol=8 * UNIT_ROUNDOFF)
 
 
 class TestSingleRowSteps:
@@ -725,7 +731,7 @@ class TestSolve:
 
     def test_projective_solves_slowly_separated_spectrum(self):
         # On this system a power iteration for sigma_max^2 once failed to
-        # converge, so the solve could not start; the ridge now scales with m.
+        # converge, so the solve could not start; the step needs no spectrum.
         system = generate(GeneratorSpec("gaussian", 10000, 100, 3809353120,
                                         CorruptionSpec(beta=0.2)))
         config = SolverConfig(method="quantile-projective-block", q=0.7, max_iters=2, seed=0)
@@ -826,12 +832,15 @@ class TestQuantileRkRun:
         assert np.all(np.array(gaps) <= bound)
 
     @pytest.mark.parametrize("m, n, t, kept", [
-        (10_000, 100, 484, False), (10_000, 100, 485, True), (10_000, 100, 10_000, True),
-        (50_000, 200, 2_500, False), (50_000, 200, 10_500, True), (200, 10, 3, True),
+        (10_000, 100, 384, False), (10_000, 100, 385, True), (10_000, 100, 485, True),
+        (10_000, 100, 10_000, True), (50_000, 200, 2_500, False), (50_000, 200, 9_999, False),
+        (50_000, 200, 10_000, True), (200, 10, 3, True),
     ])
     def test_residual_is_kept_where_the_gather_costs_more(self, m, n, t, kept):
-        # The gather reads t rows per step; the run m / block (26 steps at
-        # m = 10000, 5 at m = 50000) plus m / 100 for its GEMM row.
+        # The gathers read t rows per step, t * block per block of steps (26
+        # steps at m = 10000, 5 at m = 50000); the run reads all m rows once
+        # per block. So the run is kept where one block's samples cover A,
+        # t * block >= m.
         a = np.zeros((m, n))
         config = SolverConfig(method="quantile-rk", q=0.7, t=t)
         step = METHOD_TABLE["quantile-rk"].build(a, np.zeros(m), config, t, None)
