@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,11 +238,13 @@ def sweep(config: ExperimentConfig) -> SweepResult:
                           f"so a sweep over it changes nothing")
     search = parameter == "q" and config.solver.alpha == "auto" and spec.auto_alpha
     result = SweepResult(parameter=parameter)
-    systems = [
-        generate(dataclasses.replace(
-            config.generator, seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep)))
-        for rep in range(config.repetitions)
-    ]
+    specs = [dataclasses.replace(config.generator,
+                                 seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep))
+             for rep in range(config.repetitions)]
+    # Each system draws from its own streams, so drawing them concurrently
+    # keeps their bits; numpy releases the GIL while it draws and normalizes.
+    with ThreadPoolExecutor(min(len(specs), os.cpu_count() or 1)) as pool:
+        systems = list(pool.map(generate, specs))
     x0 = start_vector(config.generator.n, config.start)
     first = dataclasses.replace(config.solver, **{parameter: values[0]})
     resolved = [first if search else _resolved(system, first, x0)[0][0] for system in systems]

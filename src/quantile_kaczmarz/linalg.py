@@ -22,6 +22,9 @@ from .errors import DomainError, ShapeError
 SUBSET_ENUMERATION_CAP = 2_000_000
 
 _ZERO_ROW_FLOOR = 1e-300
+# Bytes of rows row_normalize works on at once: a block stays in cache
+# between its norm and its divide.
+_ROW_BLOCK_BYTES = 256 << 10
 # Bytes of gathered subset rows held at once by the restricted routines.
 _CHUNK_BYTES = 4 << 20
 
@@ -71,20 +74,41 @@ def as_count(value, name: str, minimum: int = 0) -> int:
     return count
 
 
-def row_normalize(matrix) -> np.ndarray:
+def row_normalize(matrix, out=None) -> np.ndarray:
     """Scale every row to unit Euclidean norm, preserving row directions.
+
+    The rows are written to ``out``, a float64 array of the matrix's shape
+    that may be the matrix itself, or to a new array if ``out`` is None; the
+    result has the bits of ``a / np.linalg.norm(a, axis=1)[:, None]``.  The
+    work runs over blocks of ``_ROW_BLOCK_BYTES``, so no temporary of the
+    matrix's size is made.  On error, ``out`` holds a partial result.
 
     Raises
     ------
     ShapeError
-        If any row norm falls below 1e-300; such a row has no direction.
+        If the input is not a 2-D array with at least one row and one column,
+        or holds a non-finite entry, or if any row norm falls below 1e-300;
+        such a row has no direction.
     """
-    a = as_matrix(matrix)
-    norms = np.linalg.norm(a, axis=1)
-    bad = np.flatnonzero(norms < _ZERO_ROW_FLOOR)
-    if bad.size:
-        raise ShapeError(f"row {bad[0]} has zero norm")
-    return a / norms[:, None]
+    a = _as_2d(matrix)
+    out = np.empty_like(a) if out is None else out
+    step = max(1, _ROW_BLOCK_BYTES // a[0].nbytes)
+    zero_row = None
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        norms = np.linalg.norm(a[rows], axis=1)
+        # A non-finite entry makes its row's norm non-finite, but so does a
+        # finite row whose squares overflow; that row divides to zeros.
+        if not np.isfinite(norms).all() and not np.isfinite(a[rows]).all():
+            raise ShapeError("matrix entries must be finite")
+        zero = np.flatnonzero(norms < _ZERO_ROW_FLOOR)
+        if zero_row is None and zero.size:
+            zero_row = start + zero[0]
+        if zero_row is None:
+            np.divide(a[rows], norms[:, None], out=out[rows])
+    if zero_row is not None:
+        raise ShapeError(f"row {zero_row} has zero norm")
+    return out
 
 
 def is_row_normalized(matrix, tol: float = 1e-9) -> bool:

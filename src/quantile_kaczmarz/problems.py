@@ -66,7 +66,6 @@ class CorruptedSystem:
     b_true: np.ndarray
     b_observed: np.ndarray
     corrupted_indices: np.ndarray
-    beta: float
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
@@ -83,6 +82,11 @@ class CorruptedSystem:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
+
+    @property
+    def beta(self) -> float:
+        """The corrupted share of the rows."""
+        return self.corrupted_indices.size / self.m
 
     def corrupted_mask(self) -> np.ndarray:
         mask = np.zeros(self.m, dtype=bool)
@@ -136,7 +140,7 @@ def generate(spec: GeneratorSpec) -> CorruptedSystem:
             entries = rng_matrix.uniform(0.0, 1.0, size=(spec.m, spec.n))
         else:
             entries = rng_matrix.standard_normal((spec.m, spec.n))
-        a = row_normalize(entries)
+        a = row_normalize(entries, out=entries)
     except MemoryError:
         raise ConfigError(f"an m={spec.m} by n={spec.n} matrix needs {8 * spec.m * spec.n} "
                           "bytes, more than could be allocated") from None
@@ -163,7 +167,6 @@ def generate(spec: GeneratorSpec) -> CorruptedSystem:
         b_true=b_true,
         b_observed=b_observed,
         corrupted_indices=indices,
-        beta=indices.size / spec.m,
     )
 
 
@@ -191,7 +194,8 @@ def generate_adversarial_duplicate(
                           f"dup_rows={dup_rows}, seed={seed!r}, target={target!r}")
     rng_matrix, rng_xstar, rng_dup = _streams(seed, 3)
 
-    clean = row_normalize(rng_matrix.standard_normal((clean_rows, n)))
+    clean = rng_matrix.standard_normal((clean_rows, n))
+    row_normalize(clean, out=clean)
     a_dup = row_normalize(rng_dup.standard_normal((1, n)))[0]
     matrix = np.vstack([clean, np.tile(a_dup, (dup_rows, 1))])
     m = clean_rows + dup_rows
@@ -210,7 +214,6 @@ def generate_adversarial_duplicate(
         b_true=b_true,
         b_observed=b_observed,
         corrupted_indices=indices,
-        beta=dup_rows / m,
     )
     return system, x0
 
@@ -309,5 +312,4 @@ def load_system(directory) -> CorruptedSystem:
         b_true=b_true,
         b_observed=b_observed,
         corrupted_indices=indices,
-        beta=float(meta["beta"]),
     )

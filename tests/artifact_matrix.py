@@ -110,6 +110,9 @@ CASES: dict[str, list[str]] = {
     "rate-condition-fails": ["rate", "--m", "200", "--n", "10", "--beta", "0.2", "--seed", "1",
                              "--q", "0.7", "--json-out", "rate.json"],
     "generate": ["generate", *DESK, *OUT],
+    # several of row_normalize's row blocks, the last one short
+    "generate-row-blocks": ["generate", "--family", "coherent", "--m", "5000", "--n", "50",
+                            "--beta", "0.2", "--seed", "3", *OUT],
 }
 
 

@@ -211,7 +211,7 @@ def test_criterion_3_per_iteration_certifier():
         if corrupted_count:
             b[idx] += rng.uniform(-100.0, 100.0, corrupted_count)
         system = qk.CorruptedSystem(matrix=a, x_star=x_star, b_true=b_true,
-                                    b_observed=b, corrupted_indices=idx, beta=beta)
+                                    b_observed=b, corrupted_indices=idx)
         s2max = qk.sigma_max_sq(a)
         s2r = qk.restricted_min_sv_bruteforce(a, k).sigma_restricted_min_sq
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +139,45 @@ class TestSweeps:
                             t=100, alpha="auto" if spec.parameter == "q" else 3.0)
         written = run(config)["sweep_csv"].read_bytes()
         assert write_sweep_csv(sweep(config), tmp_path / "direct.csv").read_bytes() == written
+
+    def test_repetitions_draw_concurrently_with_the_bits_of_serial_draws(
+        self, tmp_path, monkeypatch
+    ):
+        drawn = []
+
+        def spy(spec):
+            system = generate(spec)
+            drawn.append((spec, system, threading.current_thread() is threading.main_thread()))
+            return system
+
+        monkeypatch.setattr(harness, "generate", spy)
+        config = experiment(tmp_path, sweep=SweepSpec("alpha", (1.0, 2.0)), reps=3)
+        written = run(config)["sweep_csv"].read_bytes()
+        seeds = [derived_seed(config.generator.seed, harness._TAG_SYSTEM, rep)
+                 for rep in range(3)]
+        assert sorted(spec.seed for spec, _, _ in drawn) == sorted(seeds)
+        assert not any(on_main for _, _, on_main in drawn)
+        for spec, system, _ in drawn:
+            serial = generate(spec)
+            for name in ("matrix", "x_star", "b_true", "b_observed", "corrupted_indices"):
+                assert getattr(system, name).tobytes() == getattr(serial, name).tobytes()
+        again = dataclasses.replace(config, output_dir=str(tmp_path / "again"))
+        assert run(again)["sweep_csv"].read_bytes() == written
+
+    def test_a_failed_draw_reports_the_first_repetition(self, tmp_path, monkeypatch, capsys):
+        first = derived_seed(4, harness._TAG_SYSTEM, 0)
+
+        def failing(spec):
+            if spec.seed == first:  # the later repetitions fail first
+                time.sleep(0.2)
+            raise ConfigError(f"no system for seed {spec.seed}")
+
+        monkeypatch.setattr(harness, "generate", failing)
+        rc = cli_main(["sweep-alpha", "--m", "100", "--n", "5", "--seed", "4", "--reps", "3",
+                       "--values", "1,2", "--out", str(tmp_path / "sw"), "--timing", "none"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"configuration error: no system for seed {first}\n"
+        assert not (tmp_path / "sw").exists()
 
 
 def candidates(n: int) -> list[float]:

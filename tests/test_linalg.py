@@ -51,6 +51,38 @@ class TestRowNormalize:
         cosines = np.sum(out * a, axis=1) / np.linalg.norm(a, axis=1)
         np.testing.assert_allclose(cosines, 1.0, atol=1e-12)
 
+    def several_blocks(self, seed=0):
+        """A 50-column matrix of three full row blocks and a short fourth."""
+        rows = linalg._ROW_BLOCK_BYTES // (8 * 50)
+        assert 1234 < 3 * rows
+        return np.random.default_rng(seed).standard_normal((3 * rows + rows // 3, 50)) * 9.0
+
+    def test_block_loop_has_the_bits_of_one_divide(self):
+        a = self.several_blocks()
+        before = a.tobytes()
+        expected = (a / np.linalg.norm(a, axis=1)[:, None]).tobytes()
+        assert row_normalize(a).tobytes() == expected
+        assert a.tobytes() == before
+        out = np.full_like(a, np.nan)
+        assert row_normalize(a, out=out) is out and out.tobytes() == expected
+        assert a.tobytes() == before
+        assert row_normalize(a, out=a) is a and a.tobytes() == expected
+
+    def test_zero_row_in_a_later_block_is_named_by_its_row(self):
+        a = self.several_blocks()
+        a[1234] = 0.0
+        with pytest.raises(ShapeError, match=r"^row 1234 has zero norm$"):
+            row_normalize(a)
+
+    @pytest.mark.parametrize("row", [0, 1233, 1235, -1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_wins_over_a_zero_row(self, row, value):
+        a = self.several_blocks()
+        a[1234] = 0.0
+        a[row, 7] = value
+        with pytest.raises(ShapeError, match="^matrix entries must be finite$"):
+            row_normalize(a)
+
 
 class TestSigmaMaxSq:
     def test_identity(self):

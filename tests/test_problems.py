@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import quantile_kaczmarz.cli as cli
 import quantile_kaczmarz.problems as problems
 from quantile_kaczmarz.errors import ConfigError, IoError
 from quantile_kaczmarz.problems import (
+    FAMILIES,
     CorruptedSystem,
     CorruptionSpec,
     GeneratorSpec,
@@ -166,11 +168,29 @@ class TestGenerate:
         for family in ("gaussian", "coherent"):
             with pytest.raises(ConfigError, match=r"m=1000000000 by n=50 .* 400000000000 bytes"):
                 generate(GeneratorSpec(family, 10**9, 50, 1))
-        argv = ["run", "--m", "1000000000", "--n", "50", "--seed", "1",
-                "--out", str(tmp_path / "out")]
-        assert cli.main(argv) == 2
-        assert "400000000000 bytes" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for command in (["run"], ["sweep-alpha", "--values", "1,2", "--reps", "2"]):
+            argv = [*command, "--m", "1000000000", "--n", "50", "--seed", "1",
+                    "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 2
+            assert "400000000000 bytes" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matrix_is_normalized_in_place(self, family):
+        """One draw's worth of memory, and the bits of dividing the draw by
+        its row norms."""
+        tracemalloc.start()
+        try:
+            system = generate(spec(family, m=40000, n=100, seed=8, beta=0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * system.matrix.nbytes
+        rng = problems._streams(8, 4)[0]
+        draws = (rng.uniform(0.0, 1.0, size=(40000, 100)) if family == "coherent"
+                 else rng.standard_normal((40000, 100)))
+        expected = draws / np.linalg.norm(draws, axis=1)[:, None]
+        assert system.matrix.tobytes() == expected.tobytes()
 
 
 class TestAdversarialDuplicate:
@@ -248,14 +268,20 @@ class TestRoundTrip:
         edge = [-0.0, 5e-324, 1e-300, 0.1, 1.2345678901234568e+17]
         matrix = np.array([[v, math.sqrt(1.0 - v * v)] for v in edge[:4]])
         system = CorruptedSystem(matrix=matrix, x_star=np.zeros(2), b_true=np.zeros(4),
-                                 b_observed=np.array(edge[1:]), corrupted_indices=np.arange(4),
-                                 beta=0.0)
+                                 b_observed=np.array(edge[1:]), corrupted_indices=np.arange(4))
         save_system(system, tmp_path / "sys")
         lines = {"matrix.csv": [",".join(format(v, ".17g") for v in row) for row in matrix],
                  "b_observed.csv": [format(v, ".17g") for v in edge[1:]]}
         for name, expected in lines.items():
             text = "".join(line + "\n" for line in expected)
             assert (tmp_path / "sys" / name).read_bytes() == text.encode()
+
+    def test_beta_follows_the_indices(self, tmp_path):
+        system = CorruptedSystem(matrix=np.eye(3), x_star=np.zeros(3), b_true=np.zeros(3),
+                                 b_observed=np.ones(3), corrupted_indices=np.arange(3))
+        assert system.beta == 1.0
+        save_system(system, tmp_path / "sys")
+        assert load_system(tmp_path / "sys").beta == 1.0
 
 
 class TestLoadValidation:
@@ -365,8 +391,7 @@ class TestUnitRowInvariant:
     def parts(self, matrix):
         m, n = matrix.shape
         return dict(matrix=matrix, x_star=np.zeros(n), b_true=np.zeros(m),
-                    b_observed=np.zeros(m), corrupted_indices=np.array([], dtype=np.intp),
-                    beta=0.0)
+                    b_observed=np.zeros(m), corrupted_indices=np.array([], dtype=np.intp))
 
     def unit_matrix(self):
         return generate(spec(m=12, n=3, seed=5)).matrix.copy()

@@ -254,7 +254,6 @@ class TestCertifyIteration:
             b_true=np.zeros(4),
             b_observed=np.zeros(4),
             corrupted_indices=np.array([], dtype=np.intp),
-            beta=0.0,
         )
         s2r = restricted_min_sv_bruteforce(matrix, 2).sigma_restricted_min_sq
         rng = np.random.default_rng(5)

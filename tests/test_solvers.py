@@ -762,7 +762,7 @@ class TestSolve:
         # At x0 every row's residual is 1, so the candidate ties the quantile.
         system = CorruptedSystem(matrix=np.eye(2), x_star=np.zeros(2), b_true=np.zeros(2),
                                  b_observed=np.zeros(2),
-                                 corrupted_indices=np.array([], dtype=np.intp), beta=0.0)
+                                 corrupted_indices=np.array([], dtype=np.intp))
         config = SolverConfig(method="quantile-rk", q=0.5, comparator=comparator, max_iters=1)
         trace = solve(system, config, np.ones(2))
         assert trace.tau_size == [admitted]
