@@ -238,30 +238,35 @@ def sweep(config: ExperimentConfig) -> SweepResult:
                           f"so a sweep over it changes nothing")
     search = parameter == "q" and config.solver.alpha == "auto" and spec.auto_alpha
     result = SweepResult(parameter=parameter)
-    specs = [dataclasses.replace(config.generator,
-                                 seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep))
-             for rep in range(config.repetitions)]
-    # Each system draws from its own streams, so drawing them concurrently
-    # keeps their bits; numpy releases the GIL while it draws and normalizes.
-    with ThreadPoolExecutor(min(len(specs), os.cpu_count() or 1)) as pool:
-        systems = list(pool.map(generate, specs))
-    x0 = start_vector(config.generator.n, config.start)
     first = dataclasses.replace(config.solver, **{parameter: values[0]})
-    resolved = [first if search else _resolved(system, first, x0)[0][0] for system in systems]
-    for vidx, value in enumerate(values):
-        for rep, system in enumerate(systems):
-            solver_cfg = dataclasses.replace(
-                resolved[rep], seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
-                **{parameter: value})
-            if search:
-                solver_cfg = dataclasses.replace(solver_cfg, alpha=empirical_alpha(
-                    system, config.solver, value,
-                    derived_seed(config.solver.seed, _TAG_ALPHA_SEARCH, rep), start=config.start))
-            trace, failure = _solve(system, solver_cfg, x0)
-            rel = trace.rel_error[-1]
-            diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
-            result.points.append(SweepPoint(float(value), rep, rel, diverged,
-                                            trace.elapsed(config.timing)[-1] / 1e6))
+    window = min(config.repetitions, os.cpu_count() or 1)
+    # Each system draws from its own streams, so drawing a window of them
+    # concurrently keeps their bits; numpy releases the GIL while it draws and
+    # normalizes.  A window's systems are solved and dropped before the next
+    # window is drawn, so memory holds one window, not every repetition.
+    with ThreadPoolExecutor(window) as pool:
+        for base in range(0, config.repetitions, window):
+            systems = list(pool.map(generate, [dataclasses.replace(
+                config.generator, seed=derived_seed(config.generator.seed, _TAG_SYSTEM, rep))
+                for rep in range(base, min(base + window, config.repetitions))]))
+            for rep, system in enumerate(systems, base):
+                x0 = start_vector(system.n, config.start)
+                resolved = first if search else _resolved(system, first, x0)[0][0]
+                for vidx, value in enumerate(values):
+                    solver_cfg = dataclasses.replace(
+                        resolved, seed=derived_seed(config.solver.seed, _TAG_SOLVER, vidx, rep),
+                        **{parameter: value})
+                    if search:
+                        solver_cfg = dataclasses.replace(solver_cfg, alpha=empirical_alpha(
+                            system, config.solver, value, derived_seed(
+                                config.solver.seed, _TAG_ALPHA_SEARCH, rep), start=config.start))
+                    trace, failure = _solve(system, solver_cfg, x0)
+                    rel = trace.rel_error[-1]
+                    diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
+                    result.points.append(SweepPoint(float(value), rep, rel, diverged,
+                                                    trace.elapsed(config.timing)[-1] / 1e6))
+            del systems, system
+    result.points.sort(key=lambda p: (p.value, p.repetition))
     return result
 
 

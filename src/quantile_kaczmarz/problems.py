@@ -53,8 +53,9 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class CorruptedSystem:
-    """A consistent system plus an observed right-hand side that differs from
-    the consistent one exactly on ``corrupted_indices``.
+    """A system with solution ``x_star`` and an observed right-hand side that
+    differs from the consistent one, ``matrix @ x_star``, exactly on
+    ``corrupted_indices``.
 
     The matrix rows are checked for unit norm once, at construction
     (:class:`ConfigError` otherwise), and ``matrix`` is then a read-only view of
@@ -63,7 +64,6 @@ class CorruptedSystem:
 
     matrix: np.ndarray
     x_star: np.ndarray
-    b_true: np.ndarray
     b_observed: np.ndarray
     corrupted_indices: np.ndarray
 
@@ -146,25 +146,17 @@ def generate(spec: GeneratorSpec) -> CorruptedSystem:
                           "bytes, more than could be allocated") from None
 
     x_star = rng_xstar.standard_normal(spec.n)
-    b_true = a @ x_star
+    b_observed = a @ x_star
 
     c = spec.corruption
-    count = int(np.floor(c.beta * spec.m))
     if c.placement == "given-indices":
         indices = np.sort(np.asarray(c.indices, dtype=np.intp))
-        count = indices.size
     else:
-        indices = np.sort(rng_place.permutation(spec.m)[:count])
-
-    b_observed = b_true.copy()
-    if indices.size:
-        b_observed[indices] = b_observed[indices] + rng_mag.uniform(
-            c.magnitude_low, c.magnitude_high, size=indices.size
-        )
+        indices = np.sort(rng_place.permutation(spec.m)[:math.floor(c.beta * spec.m)])
+    b_observed[indices] += rng_mag.uniform(c.magnitude_low, c.magnitude_high, indices.size)
     return CorruptedSystem(
         matrix=a,
         x_star=x_star,
-        b_true=b_true,
         b_observed=b_observed,
         corrupted_indices=indices,
     )
@@ -201,8 +193,7 @@ def generate_adversarial_duplicate(
     m = clean_rows + dup_rows
 
     x_star = rng_xstar.standard_normal(n)
-    b_true = matrix @ x_star
-    b_observed = b_true.copy()
+    b_observed = matrix @ x_star
     b_observed[clean_rows:] = target
     indices = np.arange(clean_rows, m, dtype=np.intp)
 
@@ -211,7 +202,6 @@ def generate_adversarial_duplicate(
     system = CorruptedSystem(
         matrix=matrix,
         x_star=x_star,
-        b_true=b_true,
         b_observed=b_observed,
         corrupted_indices=indices,
     )
@@ -301,15 +291,9 @@ def load_system(directory) -> CorruptedSystem:
                          (meta_path, x_star)):
         _check(np.all(np.isfinite(values)), path, "non-finite entry")
     _check(is_row_normalized(matrix), src / "matrix.csv", "rows are not unit-norm")
-    # Uncorrupted entries of b_observed are the consistent values; only the
-    # corrupted ones need recomputation from the stored solution.
-    b_true = b_observed.copy()
-    if indices.size:
-        b_true[indices] = matrix[indices] @ x_star
     return CorruptedSystem(
         matrix=matrix,
         x_star=x_star,
-        b_true=b_true,
         b_observed=b_observed,
         corrupted_indices=indices,
     )

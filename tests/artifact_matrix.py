@@ -64,6 +64,9 @@ CASES: dict[str, list[str]] = {
                          *NONE, *OUT],
     "sweep-q-auto": ["sweep-q", *DESK, "--method", "quantile-averaged-block",
                      "--values", "0.5,0.7", *NONE, *OUT],
+    # more repetitions than cores: window boundaries on machines with up to 4
+    "sweep-q-auto-reps": ["sweep-q", *DESK, "--method", "quantile-averaged-block",
+                          "--values", "0.5,0.7", "--reps", "5", *NONE, *OUT],
     "sweep-q-auto-sampled": ["sweep-q", *DESK, "--method", "sampled-quantile-averaged-block",
                              "--t", "100", "--values", "0.5,0.7", *NONE, *OUT],
     "sweep-q-quantile-rk": ["sweep-q", *DESK, "--method", "quantile-rk", "--t", "100",

@@ -205,12 +205,11 @@ def test_criterion_3_per_iteration_certifier():
 
         a = unit_rows(rng, m, n)
         x_star = rng.standard_normal(n)
-        b_true = a @ x_star
-        b = b_true.copy()
+        b = a @ x_star
         idx = np.sort(rng.permutation(m)[:corrupted_count])
         if corrupted_count:
             b[idx] += rng.uniform(-100.0, 100.0, corrupted_count)
-        system = qk.CorruptedSystem(matrix=a, x_star=x_star, b_true=b_true,
+        system = qk.CorruptedSystem(matrix=a, x_star=x_star,
                                     b_observed=b, corrupted_indices=idx)
         s2max = qk.sigma_max_sq(a)
         s2r = qk.restricted_min_sv_bruteforce(a, k).sigma_restricted_min_sq

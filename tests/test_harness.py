@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestSweeps:
         assert not any(on_main for _, _, on_main in drawn)
         for spec, system, _ in drawn:
             serial = generate(spec)
-            for name in ("matrix", "x_star", "b_true", "b_observed", "corrupted_indices"):
+            for name in ("matrix", "x_star", "b_observed", "corrupted_indices"):
                 assert getattr(system, name).tobytes() == getattr(serial, name).tobytes()
         again = dataclasses.replace(config, output_dir=str(tmp_path / "again"))
         assert run(again)["sweep_csv"].read_bytes() == written
@@ -178,6 +179,55 @@ class TestSweeps:
         assert rc == 2
         assert capsys.readouterr().err == f"configuration error: no system for seed {first}\n"
         assert not (tmp_path / "sw").exists()
+
+    def test_a_failed_draw_in_a_later_window_stops_the_sweep(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        third = derived_seed(4, harness._TAG_SYSTEM, 3)  # in the second window
+
+        def failing(spec):
+            if spec.seed == third:
+                raise ConfigError(f"no system for seed {spec.seed}")
+            return generate(spec)
+
+        monkeypatch.setattr(harness, "generate", failing)
+        rc = cli_main(["sweep-alpha", "--m", "100", "--n", "5", "--seed", "4", "--reps", "5",
+                       "--values", "1,2", "--out", str(tmp_path / "sw"), "--timing", "none"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"configuration error: no system for seed {third}\n"
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("spec, solver", [
+        (SweepSpec("q", (0.5, 0.7)), {}),  # a lane search per point
+        (SweepSpec("t", (20.0, 40.0)),  # the rate formula once per system
+         dict(m=80, n=5, beta=0.0, method="sampled-quantile-averaged-block", t=40)),
+    ], ids=["sweep-q", "sweep-t"])
+    def test_the_window_changes_no_bytes(self, tmp_path, monkeypatch, spec, solver):
+        written = set()
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+            config = experiment(tmp_path / str(cores), sweep=spec, reps=5, alpha="auto", **solver)
+            written.add(run(config)["sweep_csv"].read_bytes())
+        assert len(written) == 1
+
+    def test_memory_holds_one_window_of_systems(self, tmp_path, monkeypatch):
+        """On 2 cores an 8-repetition sweep keeps 2 systems alive at a time:
+        its peak is at most two draws' peaks plus one solve's working set."""
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        config = experiment(tmp_path, sweep=SweepSpec("alpha", (1.0, 2.0)), reps=8,
+                            m=5000, n=100, max_iters=2)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        system, draw = peak(lambda: generate(config.generator))
+        _, step = peak(lambda: solve(system, config.solver, np.ones(system.n)))
+        _, swept = peak(lambda: sweep(config))
+        assert swept <= 2 * draw + step
 
 
 def candidates(n: int) -> list[float]:
@@ -349,7 +399,9 @@ class TestStepSize:
         points = sweep(config).points
         assert len(solves) == len(points) == 9  # one solve per point
         alphas = {}
-        for point, ((_, solver, *_), _) in zip(points, solves):
+        # Solves run repetition by repetition, so pair them in that order.
+        by_rep = sorted(points, key=lambda p: (p.repetition, p.value))
+        for point, ((_, solver, *_), _) in zip(by_rep, solves):
             assert solver.t == int(point.value)
             alphas.setdefault(point.repetition, set()).add(solver.alpha)
         assert [len(alphas[rep]) for rep in range(3)] == [1, 1, 1]

@@ -121,3 +121,22 @@ def test_every_public_name_is_used_outside_the_tests():
               if used[node.name] == _references(node).count(node.name)
               and node.name not in named]
     assert unused == []
+
+
+def test_every_field_of_a_validated_class_is_read():
+    """A public class that validates itself (it defines or assigns
+    ``__post_init__``) keeps no field that the package never reads as an
+    attribute: such a field is checked, stored and carried for nothing."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    validated = [node for tree in trees for node in tree.body
+                 if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                 and "__post_init__" in (_references(node) + [
+                     f.name for f in node.body if isinstance(f, ast.FunctionDef)])]
+    fields = [f"{cls.name}.{f.target.id}" for cls in validated for f in cls.body
+              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    assert {f.split(".")[0] for f in fields} >= {
+        "SolverConfig", "GeneratorSpec", "CorruptionSpec", "ExperimentConfig", "SweepSpec",
+        "CorruptedSystem"}
+    assert [f for f in fields if f.split(".")[1] not in read] == []

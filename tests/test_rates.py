@@ -251,7 +251,6 @@ class TestCertifyIteration:
         system = CorruptedSystem(
             matrix=matrix,
             x_star=np.zeros(2),
-            b_true=np.zeros(4),
             b_observed=np.zeros(4),
             corrupted_indices=np.array([], dtype=np.intp),
         )
