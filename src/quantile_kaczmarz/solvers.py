@@ -19,11 +19,12 @@ Each method is one entry of a table that states its quantile scope, whether
 it takes a step size, and how to build its step; validation, dispatch and
 the harness's step-size resolution read only that table.  The ``*_step``
 functions are pure, and :func:`solve` owns the RNG stream, the stopping
-rules, and the per-iteration trace.  One step is not pure: where a block's
-samples cover A, quantile-rk's solve keeps the residual from step to step in
-a :class:`_QuantileRkRun`, for which :func:`quantile_rk_step` is the
-one-step reference; such a solve does not call it, so rebinding that name
-does not change it.
+rules, and the per-iteration trace.  One step is not pure: where that costs
+less than gathering its sample, quantile-rk's solve keeps the residual from
+step to step in a :class:`_QuantileRkRun`, one block of up to 8 MiB of Gram
+rows at a time, for which :func:`quantile_rk_step` is the one-step
+reference; such a solve does not call it, so rebinding that name does not
+change it.
 """
 from __future__ import annotations
 
@@ -335,20 +336,30 @@ def _rk(a, b, config, t, alpha) -> Step:
     return lambda x, rng: rk_step(a, b, x, rng)
 
 
-_PLAN_BYTES = 2 << 20  # the most one quantile-rk block's Gram rows may hold
+# quantile-rk's block size and the per-step costs that choose its path, as
+# measured on a 2-core Xeon (numpy 2.4.6, OpenBLAS 0.3.31); see _quantile_rk.
+_PLAN_BYTES = 8 << 20  # one block's Gram rows; the GEMM's cost per step has stopped falling
+_GEMM_STEPS = 30  # past this block size a run's step costs no less
+_GATHER_CALLS = 60  # a gather's calls beside its copy, in gathered rows
 
 
 def _quantile_rk(a, b, config, t, alpha) -> Step:
-    """quantile-rk's step: a :class:`_QuantileRkRun` where one block's
-    samples cover A, else :func:`quantile_rk_step` by module-global name.
+    """quantile-rk's step: a :class:`_QuantileRkRun` where its step costs no
+    more than a gather's, else :func:`quantile_rk_step` by module-global name.
 
-    The gathers read ``t`` rows of A per step, so ``t * block`` per block of
-    ``block`` steps; the run reads all ``m`` rows once per block.  The run
-    is used where ``t * block >= m``, where it reads no more rows than the
-    gathers: ``t >= 385`` at 10000x100 (26-step blocks), ``t >= 10000`` at
-    50000x200 (5-step blocks) and always at ``t == m``.
+    Both make the same draws and take the same threshold and verdict.  Beyond
+    those, a gather copies ``t`` rows of A and makes a few more calls, which
+    cost what gathering ``_GATHER_CALLS`` rows does.  A run's GEMM reads A
+    once per block and makes ``m * n`` multiply-adds per step, and its step
+    updates ``m`` residuals; measured per step, that costs what gathering
+    ``m / min(block, _GEMM_STEPS)`` rows does, reading A dominating in
+    shorter blocks.  So the run is used where ``(t + 60) * min(block, 30) >=
+    m``: from ``t = 7`` at 2000x50 (524-step blocks), ``t = 274`` at
+    10000x100 (104-step blocks) and ``t = 2440`` at 50000x200 (20-step
+    blocks), and always at ``t == m``.
     """
-    if t * _plan_steps(a.shape[0]) >= a.shape[0]:
+    m = a.shape[0]
+    if (t + _GATHER_CALLS) * min(_plan_steps(m), _GEMM_STEPS) >= m:
         return _QuantileRkRun(a, b, config, t)
     return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng, config.comparator)
 
@@ -371,17 +382,20 @@ class _QuantileRkRun:
     candidates ``J``.  Each step reads its threshold from ``|r[sample]|``
     (all of ``r`` when ``t == m``) and its gap from ``r[j]``, so a row has
     one residual per step, as in the reference.  An accepted step sets ``x
-    <- x - r_j a_j`` and ``r <- r - r_j (A a_j)``.  Called with an ``x`` it
-    did not return last, the run recomputes ``r``.
+    <- x - r_j a_j`` and ``r <- r - r_j (A a_j)``, scaling its Gram row in
+    place, as each is used once.  Every block's GEMM writes into one buffer
+    that the solve allocates once, so it holds one block's Gram rows.
+    Called with an ``x`` it did not return last, the run recomputes ``r``.
     """
 
     def __init__(self, a, b, config: SolverConfig, t: int):
         self.a, self.b, self.t = a, b, t
         self.q, self.comparator = config.q, config.comparator
-        self.block = _plan_steps(a.shape[0])
+        self.block = min(_plan_steps(a.shape[0]), config.max_iters)
         self.left = config.max_iters  # steps not yet drawn
         self.plan: list = []  # the block's steps still to take, last first
         self.x = self.r = None
+        self.gram = np.empty((self.block + 1, a.shape[0]))
 
     def _draw(self, x, rng) -> None:
         m = self.a.shape[0]
@@ -389,7 +403,8 @@ class _QuantileRkRun:
         self.left -= size
         draws = [(None if self.t == m else rng.choice(m, size=self.t, replace=False),
                   int(rng.integers(m))) for _ in range(size)]
-        fresh = np.vstack([x, self.a[[j for _, j in draws]]]) @ self.a.T
+        fresh = np.matmul(np.vstack([x, self.a[[j for _, j in draws]]]), self.a.T,
+                          out=self.gram[:size + 1])
         self.r = fresh[0] - self.b
         self.plan = [(*draw, gram) for draw, gram in zip(draws, fresh[1:])][::-1]
 
@@ -404,7 +419,8 @@ class _QuantileRkRun:
         gap = r[j]
         self.x, stats = _gate(x, self.a[j], j, gap, threshold, self.comparator)
         if stats.tau.size:
-            r -= gap * gram
+            gram *= gap  # r -= gap * gram, without a temporary
+            r -= gram
         return self.x, stats
 
 
@@ -499,7 +515,8 @@ def check_config(
 
 
 def _relative_error(system: CorruptedSystem, x: np.ndarray, base: float) -> float:
-    err = float(np.linalg.norm(x - system.x_star))
+    d = x - system.x_star
+    err = math.sqrt(d @ d)  # the ddot and sqrt of np.linalg.norm(d), without its checks
     # Degenerate start at the exact solution: report the absolute distance
     # instead of 0/0.
     return err if base == 0.0 else err / base

@@ -42,8 +42,11 @@ CASES: dict[str, list[str]] = {
                         *NONE, *OUT],
     "run-quantile-rk-kept": ["run", *DESK, "--method", "quantile-rk", "--iters", "60",
                              *NONE, *OUT],
-    "run-quantile-rk-gather": ["run", *SAMPLED, "--method", "quantile-rk", "--t", "10",
+    "run-quantile-rk-gather": ["run", *SAMPLED, "--method", "quantile-rk", "--t", "5",
                                "--iters", "60", *NONE, *OUT],
+    # the kept residual across three of its 524-step blocks at 2000x50
+    "run-quantile-rk-blocks": ["run", *SAMPLED, "--method", "quantile-rk", "--t", "100",
+                               "--iters", "1200", *NONE, *OUT],
     "run-projective": ["run", *DESK, "--method", "quantile-projective-block", "--iters", "10",
                        *NONE, *OUT],
     "run-averaged-block": ["run", *DESK, "--method", "averaged-block", "--alpha", "5",

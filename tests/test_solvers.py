@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -612,6 +615,18 @@ class TestSolve:
         assert trace.rel_error == distances
         assert max(distances) > 1.0
 
+    @pytest.mark.parametrize("n", [1, 7, 100, 1001])
+    def test_relative_error_has_the_bits_of_the_norm(self, n):
+        rng = np.random.default_rng(n)
+        system = SimpleNamespace(x_star=rng.standard_normal(n))
+        for scale in (1e-300, 1e-8, 1.0, 1e150):
+            x = system.x_star + scale * rng.standard_normal(n)
+            norm = float(np.linalg.norm(x - system.x_star))
+            for base in (0.0, norm, 3.7, 1e-200):
+                want = norm if base == 0.0 else norm / base
+                assert struct.pack("<d", solvers._relative_error(system, x, base)) \
+                    == struct.pack("<d", want)
+
     def test_divergence_raises_with_partial_trace(self):
         system = corrupted_system(m=100, n=10, seed=20)
         config = SolverConfig(method="quantile-averaged-block", q=0.7, alpha=5000.0,
@@ -833,19 +848,39 @@ class TestQuantileRkRun:
         assert np.all(np.array(gaps) <= bound)
 
     @pytest.mark.parametrize("m, n, t, kept", [
-        (10_000, 100, 384, False), (10_000, 100, 385, True), (10_000, 100, 485, True),
-        (10_000, 100, 10_000, True), (50_000, 200, 2_500, False), (50_000, 200, 9_999, False),
+        (2_000, 50, 6, False), (2_000, 50, 7, True), (10_000, 100, 273, False),
+        (10_000, 100, 274, True), (10_000, 100, 385, True), (10_000, 100, 485, True),
+        (10_000, 100, 10_000, True), (50_000, 200, 2_439, False), (50_000, 200, 2_440, True),
+        (50_000, 200, 2_500, True), (50_000, 200, 5_000, True), (50_000, 200, 9_999, True),
         (50_000, 200, 10_000, True), (200, 10, 3, True),
     ])
     def test_residual_is_kept_where_the_gather_costs_more(self, m, n, t, kept):
-        # The gathers read t rows per step, t * block per block of steps (26
-        # steps at m = 10000, 5 at m = 50000); the run reads all m rows once
-        # per block. So the run is kept where one block's samples cover A,
-        # t * block >= m.
+        # A gather's step costs what gathering t + 60 rows does, a run's what
+        # gathering m / min(block, 30) rows does (blocks of 524 steps at m =
+        # 2000, 104 at m = 10000, 20 at m = 50000).
         a = np.zeros((m, n))
         config = SolverConfig(method="quantile-rk", q=0.7, t=t)
         step = METHOD_TABLE["quantile-rk"].build(a, np.zeros(m), config, t, None)
         assert isinstance(step, solvers._QuantileRkRun) == kept
+
+    def test_a_solve_holds_one_block_of_gram_rows(self):
+        # Three blocks' worth of steps: a Gram block or plan that outlived its
+        # block would add another block's rows, about 8 MiB, to the peak.
+        m, n, t = 20_000, 50, 2_000
+        system = corrupted_system(m=m, n=n, seed=47)
+        block = solvers._plan_steps(m)
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=3 * block, seed=5)
+        step = METHOD_TABLE["quantile-rk"].build(system.matrix, system.b_observed, config, t, None)
+        assert isinstance(step, solvers._QuantileRkRun)
+        tracemalloc.start()
+        try:
+            assert solve(system, config, np.zeros(n)).iterations == 3 * block
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gram = 8 * (block + 1) * m  # the block's Gram rows and its fresh residual
+        samples = 8 * block * t
+        assert peak <= gram + samples + 8 * (8 * m)
 
     def test_small_sample_solve_calls_the_pure_step(self, monkeypatch):
         system = corrupted_system(m=10_000, n=5, seed=46)
