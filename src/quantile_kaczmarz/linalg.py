@@ -214,34 +214,64 @@ def _chunked(subsets, k: int, per_chunk: int):
         yield idx
 
 
-def _combinations(m: int, k: int, per_chunk: int):
-    """``itertools.combinations(range(m), k)`` in the same order, as (rows, k)
-    index arrays of exactly ``per_chunk`` rows each but the last.
+def _grams(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Gram matrix of each row subset in ``idx``, by one batched ``matmul``;
+    the gathered rows are freed on return."""
+    sub = a[idx]                                       # (subsets, len, n)
+    return np.matmul(sub.transpose(0, 2, 1), sub)      # (subsets, n, n)
+
+
+def _gram_spectra(a: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(smallest eigenvalue, trace)`` of the Gram matrix of each row subset
+    in ``idx``, from one batched ``eigvalsh``."""
+    grams = _grams(a, idx)
+    return np.linalg.eigvalsh(grams)[:, 0], np.trace(grams, axis1=1, axis2=2)
+
+
+def _suffix_length(m: int, k: int, per_chunk: int) -> int:
+    """The longest suffix length s whose table, C(m - k + s, s) rows, fits
+    in one chunk."""
+    return max(j for j in range(k + 1) if math.comb(m - k + j, j) <= per_chunk)
+
+
+def _combinations(m: int, k: int, per_chunk: int, spectra=lambda rows: ()):
+    """``itertools.combinations(range(m), k)`` in the same order, in chunks
+    ``(idx, *sums)`` of exactly ``per_chunk`` subsets each but the last: idx
+    is the (rows, k) index array, and sums holds one array per value that
+    ``spectra`` gives.
 
     Each subset is a prefix of length p = k - s followed by a suffix of
     length s.  The suffixes that follow a prefix ending at element l are the
     combinations of ``range(l + 1, m)``, which in lexicographic order are the
     last C(m - 1 - l, s) rows of the table of combinations of ``range(p, m)``.
-    s is the longest suffix whose table fits in one chunk; the prefixes come
-    from itertools ``per_chunk`` at a time, and ``np.repeat`` lays each prefix
-    beside its rows of the table, cut at chunk boundaries.  Nothing larger
-    than a chunk is held, and no index array of all the subsets is built.
+    s is :func:`_suffix_length`; the prefixes come from itertools
+    ``per_chunk`` at a time, and ``np.repeat`` lays each prefix beside its
+    rows of the table, cut at chunk boundaries.  Nothing larger than a chunk
+    is held, and no index array of all the subsets is built.
+
+    ``spectra`` maps a (rows, len) index array, the table or a block of
+    prefixes, to a tuple of arrays with one value per row; each subset gets
+    the sum of its prefix's and its suffix's values.  It is called once on
+    the table and once per block, never on a subset's rows.
     """
-    s = max(j for j in range(k + 1) if math.comb(m - k + j, j) <= per_chunk)
+    s = _suffix_length(m, k, per_chunk)
     p = k - s
     table = _index_rows(itertools.combinations(range(p, m), s), s)
+    table_values = spectra(table)
     # suffix counts of the prefixes ending at l = p - 1, ..., m - s - 1
     # (l = -1 stands for the one empty prefix when p == 0)
     follow = np.array([math.comb(m - 1 - l, s) for l in range(p - 1, m - s)], dtype=np.intp)
     prefixes = itertools.combinations(range(m - s), p)
     held = 0
     while len(block := _index_rows(itertools.islice(prefixes, per_chunk), p)):
+        block_values = spectra(block)
         sizes = follow[block[:, -1] + 1 - p] if p else follow[:1]
         ends = np.cumsum(sizes)
         start = 0
         while start < ends[-1]:
             if not held:
                 chunk = np.empty((per_chunk, k), dtype=np.intp)
+                sums = [np.empty(per_chunk) for _ in table_values]
             stop = min(start + per_chunk - held, int(ends[-1]))
             # the prefixes whose rows meet start:stop, and how many each lays
             lo = np.searchsorted(ends, start, side="right")
@@ -249,17 +279,20 @@ def _combinations(m: int, k: int, per_chunk: int):
             size, begin = sizes[lo:hi], ends[lo:hi] - sizes[lo:hi]
             skip = np.maximum(start - begin, 0)
             take = np.minimum(stop - begin, size) - skip
-            first = np.repeat(len(table) - size + skip - (np.cumsum(take) - take), take)
-            rows = chunk[held:held + stop - start]
-            rows[:, :p] = np.repeat(block[lo:hi], take, axis=0)
-            rows[:, p:] = table[first + np.arange(stop - start)]
+            pre = np.repeat(np.arange(lo, hi), take)
+            suf = np.repeat(len(table) - size + skip - (np.cumsum(take) - take), take)
+            suf += np.arange(stop - start)
+            laid = slice(held, held + stop - start)
+            chunk[laid, :p], chunk[laid, p:] = block[pre], table[suf]
+            for out, prefix_value, suffix_value in zip(sums, block_values, table_values):
+                out[laid] = prefix_value[pre] + suffix_value[suf]
             held += stop - start
             start = stop
             if held == per_chunk:
-                yield chunk
+                yield chunk, *sums
                 held = 0
     if held:
-        yield chunk[:held]
+        yield chunk[:held], *(out[:held] for out in sums)
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -268,6 +301,50 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 def _gamma(j: int) -> float:
     """Higham's gamma_j = j u / (1 - j u)."""
     return j * _UNIT_ROUNDOFF / (1 - j * _UNIT_ROUNDOFF)
+
+
+def _weyl_margin(n: int, k: int) -> float:
+    """Margin of the Weyl pruning test, in units of a subset's computed trace.
+
+    For each of a subset's three row sets X (prefix, suffix, the whole; at
+    most k rows) let P = X^T X with smallest eigenvalue pi, G_hat the
+    computed Gram matrix, lambda the smallest eigenvalue ``eigvalsh`` returns
+    for its lower triangle and t_hat its computed trace.  Barring underflow
+    and overflow, with u the unit roundoff and gamma_j = j u / (1 - j u):
+
+    1. Each entry of G_hat sums at most k products, in whatever order, so
+       ``|G_hat - P| <= gamma_k |X|^T |X|`` entrywise, a matrix of 2-norm at
+       most ``||X||_F^2 = tr P``.
+    2. ``eigvalsh`` (LAPACK syevd) returns an eigenvalue of a matrix within
+       ``p(n) u ||G||_2`` of the G it reads (LAPACK Users' Guide, sec. 4.7);
+       p(n) = O(n^2) with a small unnamed constant (Higham, *Accuracy and
+       Stability of Numerical Algorithms*, ch. 19), and 2 n^3 is used here.
+       So ``|lambda - pi| <= delta tr P``, ``delta = gamma_k + 2 n^3 u (1 +
+       gamma_k)``, and ``|lambda| <= (1 + delta) tr P``.
+    3. The trace sums k n non-negative squares, so ``t_hat >= (1 -
+       gamma_{k+n}) tr P``.  A subset's trace is ``t = fl(t_hat_p +
+       t_hat_s)``, and ``tr P_S = tr P_p + tr P_s``, so ``tr P_S <= kappa
+       t``, ``kappa = 1 / ((1 - u) (1 - gamma_{k+n}))``.
+    4. ``P_S = P_p + P_s``, so ``pi_S >= pi_p + pi_s`` (Weyl), and by 2 the
+       bound ``b = fl(lambda_p + lambda_s)`` obeys ``b <= lambda_S + c tr
+       P_S``, ``c = 2 delta + u (1 + delta)``, and ``|b| <= beta t``, ``beta =
+       (1 + u) (1 + delta) kappa``.
+
+    A subset is pruned where ``b > fl(best + fl(margin t))``, best being the
+    eigenvalue of an earlier subset.  Suppose one with ``lambda_S <= best``
+    were.  If ``best >= beta t``, the threshold is at least best, so at least
+    b.  Otherwise ``-delta kappa t <= best < beta t``, so the threshold is at
+    least ``best + (1 - u)^2 margin t - u beta t``, which is at least b once
+    the margin is at least ``R = kappa (2 delta + u (1 + delta) (2 + u)) /
+    (1 - u)^2``.  Either way a contradiction: a pruned subset has ``lambda_S
+    > best``, and the minimum is unchanged.  Twice R is returned, which also
+    covers its own roundings.  No LU growth factor enters, so the margin is
+    about ``8 n^3 u`` at every n: 6e-14 at n = 4.
+    """
+    u = _UNIT_ROUNDOFF
+    delta = _gamma(k) + 2 * n**3 * u * (1 + _gamma(k))
+    kappa = 1 / ((1 - u) * (1 - _gamma(k + n)))
+    return 2 * kappa * (2 * delta + u * (1 + delta) * (2 + u)) / (1 - u) ** 2
 
 
 def _prune_margin(n: int, k: int) -> float | None:
@@ -347,11 +424,10 @@ def _det_trace_bound(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunk_min(a: np.ndarray, idx: np.ndarray, best: float) -> float:
-    """``min(best, smallest Gram eigenvalue of the subsets in idx)``."""
+    """``min(best, smallest Gram eigenvalue of the subsets in idx)``, eigen-
+    solving only the subsets that the det-trace test keeps."""
     n = a.shape[1]
-    sub = a[idx]                                       # (chunk, k, n)
-    grams = np.matmul(sub.transpose(0, 2, 1), sub)     # (chunk, n, n)
-    del sub  # free the gathered rows before the Gram matrices are solved
+    grams = _grams(a, idx)                             # (chunk, n, n)
     if n == 1:  # a 1x1 Gram matrix is its own eigenvalue
         return min(best, float(grams.min()))
     margin = _prune_margin(n, idx.shape[1])
@@ -366,18 +442,52 @@ def _chunk_min(a: np.ndarray, idx: np.ndarray, best: float) -> float:
     return min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
 
 
-def _min_over_subsets(a: np.ndarray, chunks) -> float:
-    """Smallest Gram eigenvalue over chunks of size-k row-index subsets.
+# Subsets gathered and eigen-solved at once by the Weyl test, in ascending
+# order of bound; the running minimum re-prunes between batches.
+_SOLVE_BATCH = 256
 
-    Each chunk holds at most ``_CHUNK_BYTES`` of gathered rows (one subset if
-    a single one is larger); its Gram matrices come from a BLAS product.
-    Only the subsets whose det-trace bound is at most ``best + margin *
-    trace`` are eigen-solved (all of them where :func:`_prune_margin` is
-    None), and the result is that of an eigen-solve per subset, bit for bit.
+
+def _min_over_subsets(a: np.ndarray, k: int) -> float:
+    """Smallest Gram eigenvalue over the size-k row subsets of ``a``, the
+    result of an eigen-solve per subset, bit for bit.
+
+    The subsets come from :func:`_combinations`, ``_CHUNK_BYTES`` of their
+    rows' worth at a time.  Where k >= 2n, the prefix or the suffix has at
+    least n rows, and by Weyl's inequality a subset's smallest eigenvalue is
+    at least the sum of theirs.  A subset is gathered, its Gram matrix
+    formed by a BLAS product and eigen-solved only if that bound is at most
+    ``best + margin * trace`` (:func:`_weyl_margin`, about 6e-14 at n = 4),
+    ``best`` being the running minimum; a chunk's survivors are solved
+    ``_SOLVE_BATCH`` at a time in ascending order of bound, each batch
+    re-pruned.  Where the prefix or the suffix is the whole subset, the
+    bound is its eigenvalue.  Where k < 2n, one part's Gram matrix is
+    singular and the Weyl bound measured slower than forming every subset's
+    Gram matrix G and bounding it by ``det(G) / (tr(G) / (n-1))^(n-1)``
+    (AM-GM over the other n - 1 eigenvalues) from ``slogdet`` and the trace
+    (:func:`_chunk_min`); that margin (:func:`_prune_margin`, about 2e-11 at
+    n = 4) carries LU's worst-case growth, so from n = 27 every subset is
+    eigen-solved.
     """
+    m, n = a.shape
+    per_chunk = _per_chunk(a, k)
     best = np.inf
-    for idx in chunks:
-        best = _chunk_min(a, idx, best)
+    if k < 2 * n:
+        for idx, in _combinations(m, k, per_chunk):
+            best = _chunk_min(a, idx, best)
+        return max(best, 0.0)
+    margin = _weyl_margin(n, k)
+    exact = _suffix_length(m, k, per_chunk) in (0, k)
+    for idx, bound, trace in _combinations(m, k, per_chunk, lambda rows: _gram_spectra(a, rows)):
+        if exact:
+            best = min(best, float(bound.min()))
+            continue
+        live = np.flatnonzero(bound <= best + margin * trace)
+        live = live[np.argsort(bound[live])]
+        for start in range(0, len(live), _SOLVE_BATCH):
+            batch = live[start:start + _SOLVE_BATCH]
+            batch = batch[bound[batch] <= best + margin * trace[batch]]
+            if len(batch):
+                best = min(best, float(_gram_spectra(a, idx[batch])[0].min()))
     return max(best, 0.0)
 
 
@@ -393,25 +503,19 @@ def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
     """Exact infimum of ``sigma_min_sq`` over all row subsets of size ``k``.
 
     Enumerates every subset, so the binomial count must stay below
-    ``SUBSET_ENUMERATION_CAP``.  Holds at most ``_CHUNK_BYTES`` (4 MiB) of
-    gathered subset rows at a time, or one subset when a single one is
-    larger; numpy builds the index chunks in lexicographic order, never all
-    at once.
+    ``SUBSET_ENUMERATION_CAP``.  numpy builds the index chunks in
+    lexicographic order, never all at once, and at most ``_CHUNK_BYTES``
+    (4 MiB) of subset rows are gathered at a time, or one subset when a
+    single one is larger.
 
-    Every subset's Gram matrix G is formed and bounded, and
-    ``subsets_examined`` counts them all, but ``eigvalsh`` runs only on those
-    that might hold the minimum: ``lambda_min(G) >= det(G) / (tr(G) /
-    (n-1))^(n-1)`` (AM-GM over the other n - 1 eigenvalues), taken in batch
-    from ``slogdet`` and the trace, so a subset whose bound exceeds the
-    running minimum plus a rounding margin is skipped.  The margin (about
-    2e-11 times the trace at n = 4; derived in :func:`_prune_margin`) covers
-    the bound's own rounding and ``eigvalsh``'s absolute error, so the result
-    is the one an eigen-solve of every subset gives, bit for bit.  Where
-    n = 1 the 1x1 Gram matrix is its eigenvalue; from n = 27 the worst-case
-    LU growth in the margin leaves the bound no use, and every subset is
-    eigen-solved.  At 20x4,
-    k = 10 (184,756 subsets) about one subset in 200 is eigen-solved, and the
-    call takes about a third of the time of an eigen-solve per subset.
+    ``subsets_examined`` counts every subset, but ``eigvalsh`` runs only on
+    those that a lower bound on the smallest eigenvalue cannot rule out
+    (:func:`_min_over_subsets`): Weyl's inequality on a prefix/suffix split
+    where k >= 2n, the det-trace test of each Gram matrix where k < 2n.
+    Each bound's margin covers its rounding and ``eigvalsh``'s error, so the
+    result is the one an eigen-solve of every subset gives, bit for bit.  At
+    20x4, k = 10 (184,756 subsets), there are 9,009 prefix and suffix
+    spectra and about 2,100 to 7,400 subset eigen-solves.
 
     Raises
     ------
@@ -428,7 +532,7 @@ def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
         raise ShapeError(
             f"C({m},{k}) = {total} subsets exceeds the enumeration cap {SUBSET_ENUMERATION_CAP}"
         )
-    best = _min_over_subsets(a, _combinations(m, k, _per_chunk(a, k)))
+    best = _min_over_subsets(a, k)
     return SpectralSummary(
         sigma_max_sq=sigma_max_sq(a),
         sigma_restricted_min_sq=best,
@@ -446,9 +550,10 @@ def restricted_min_sv_sampled(
     combinatorially out of reach.  Deterministic given ``seed``; the estimate
     never undershoots the exact value.  Holds at most ``_CHUNK_BYTES`` (4 MiB)
     of gathered subset rows at a time, or one subset when a single one is
-    larger, so memory does not grow with ``samples``.  The det-trace test of
-    :func:`restricted_min_sv_bruteforce` skips eigen-solves here too, with the
-    same result.
+    larger, so memory does not grow with ``samples``.  Every subset is
+    eigen-solved: random subsets share no prefix for the Weyl bound of
+    :func:`restricted_min_sv_bruteforce` to reuse, and its det-trace test
+    measured no faster here.
 
     Raises
     ------
@@ -462,10 +567,11 @@ def restricted_min_sv_sampled(
     samples = as_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     draws = (rng.choice(m, size=k, replace=False) for _ in range(samples))
-    best = _min_over_subsets(a, _chunked(draws, k, _per_chunk(a, k)))
+    best = min(float(_gram_spectra(a, idx)[0].min())
+               for idx in _chunked(draws, k, _per_chunk(a, k)))
     return SpectralSummary(
         sigma_max_sq=sigma_max_sq(a),
-        sigma_restricted_min_sq=best,
+        sigma_restricted_min_sq=max(best, 0.0),
         exact=False,
         subsets_examined=samples,
     )

@@ -21,6 +21,10 @@ from pathlib import Path
 
 DESK = ["--m", "200", "--n", "10", "--beta", "0.1", "--seed", "1"]
 EXACT = ["--m", "14", "--n", "3", "--beta", "0", "--seed", "6", "--q", "0.5"]
+# k = 10 of 20 rows: 15 chunks of subsets, each a 4-row prefix and a suffix
+EXACT_PREFIXES = ["--m", "20", "--n", "4", "--beta", "0", "--seed", "6", "--q", "0.5"]
+# k = 10 < 2n: every subset's Gram matrix is bounded by the det-trace test
+EXACT_WIDE = ["--m", "20", "--n", "7", "--beta", "0", "--seed", "6", "--q", "0.5"]
 SAMPLED = ["--m", "2000", "--n", "50", "--beta", "0.02", "--seed", "5"]
 NONE = ["--timing", "none"]
 OUT = ["--out", "out"]
@@ -31,6 +35,8 @@ CASES: dict[str, list[str]] = {
                          "--iters", "40", "--svg", *NONE, *OUT],
     "run-auto-exact": ["run", *EXACT, "--method", "quantile-averaged-block", "--iters", "20",
                        *NONE, *OUT],
+    "run-auto-exact-prefixes": ["run", *EXACT_PREFIXES, "--method", "quantile-averaged-block",
+                                "--iters", "20", *NONE, *OUT],
     "run-auto-exact-sampled": ["run", *EXACT, "--method", "sampled-quantile-averaged-block",
                                "--t", "10", "--iters", "20", *NONE, *OUT],
     "run-auto-sampled": ["run", *SAMPLED, "--method", "quantile-averaged-block", "--iters", "20",
@@ -110,6 +116,8 @@ CASES: dict[str, list[str]] = {
     "adversarial-default": ["adversarial-demo", *NONE, *OUT],
     # rate and generate
     "rate-exact": ["rate", *EXACT, "--json-out", "rate.json"],
+    "rate-exact-prefixes": ["rate", *EXACT_PREFIXES, "--json-out", "rate.json"],
+    "rate-exact-wide": ["rate", *EXACT_WIDE, "--json-out", "rate.json"],
     "rate-sampled": ["rate", *SAMPLED, "--q", "0.7"],
     "rate-below-column-count": ["rate", "--m", "20", "--n", "10", "--beta", "0.1",
                                 "--q", "0.5"],

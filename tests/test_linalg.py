@@ -272,26 +272,48 @@ class TestRestrictedAgainstReference:
         assert single.subsets_examined == whole.subsets_examined == 30
 
     def test_bruteforce_is_chunk_independent(self, monkeypatch):
-        a = unit_rows(np.random.default_rng(500), 9, 3)
         batches = []
-        slogdet = np.linalg.slogdet
+        combinations = linalg._combinations
 
-        def recording_slogdet(grams):  # sees every chunk whole, unlike eigvalsh
-            batches.append(len(grams))
-            return slogdet(grams)
+        def recording_combinations(*args):  # the chunks the pruning receives
+            for chunk in combinations(*args):
+                batches.append(len(chunk[0]))
+                yield chunk
 
-        monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
-        per_subset = 8 * 4 * 3  # bytes of one gathered 4x3 subset
-        expected_batches = {1: [1] * 126, 10: [10] * 12 + [6], 126: [126]}  # C(9,4) = 126
-        results = {}
-        for per_chunk, expected in expected_batches.items():
-            batches.clear()
-            monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * per_subset)
-            results[per_chunk] = restricted_min_sv_bruteforce(a, 4)
-            assert batches == expected
-        values = [r.sigma_restricted_min_sq for r in results.values()]
-        assert values == pytest.approx([values[0]] * 3, rel=1e-12)
-        assert {r.subsets_examined for r in results.values()} == {126}
+        monkeypatch.setattr(linalg, "_combinations", recording_combinations)
+        for n in (3, 2):  # k = 4 < 2n: the det-trace test; k = 4 >= 2n: Weyl's
+            a = unit_rows(np.random.default_rng(500), 9, n)
+            per_subset = 8 * 4 * n  # bytes of one gathered 4xn subset
+            expected_batches = {1: [1] * 126, 10: [10] * 12 + [6], 126: [126]}  # C(9,4) = 126
+            results = {}
+            for per_chunk, expected in expected_batches.items():
+                batches.clear()
+                monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * per_subset)
+                results[per_chunk] = restricted_min_sv_bruteforce(a, 4)
+                assert batches == expected
+            values = [r.sigma_restricted_min_sq for r in results.values()]
+            assert values == pytest.approx([values[0]] * 3, rel=1e-12)
+            assert {r.subsets_examined for r in results.values()} == {126}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_solves_each_subset_once(self, monkeypatch, seed):
+        a = unit_rows(np.random.default_rng(450 + seed), 30, 4)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(grams):
+            if grams.ndim == 3:  # subset Gram matrices, not sigma_max_sq's
+                seen.extend(grams)
+            return eigvalsh(grams)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 7 * 8 * 12 * 4)  # chunks of 7 subsets
+        restricted_min_sv_sampled(a, 12, samples=40, seed=seed)
+        rng = np.random.default_rng(seed)
+        draws = [a[rng.choice(30, size=12, replace=False)] for _ in range(40)]
+        assert len(seen) == 40
+        for gram, x in zip(seen, draws):
+            np.testing.assert_array_equal(gram, x.T @ x)
 
     def test_sampled_peak_memory_is_bounded_by_the_chunk(self):
         a = unit_rows(np.random.default_rng(600), 2000, 50)
@@ -363,7 +385,7 @@ class TestPrunedBruteforce:
             for k in range(m + 1):
                 expected = list(itertools.combinations(range(m), k))
                 for per_chunk in range(1, len(expected) + 1):
-                    chunks = list(linalg._combinations(m, k, per_chunk))
+                    chunks = [idx for idx, in linalg._combinations(m, k, per_chunk)]
                     assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
                     assert 0 < len(chunks[-1]) <= per_chunk
                     assert [tuple(row) for c in chunks for row in c.tolist()] == expected
@@ -383,6 +405,29 @@ class TestPrunedBruteforce:
         assert summary.subsets_examined == 184_756
         assert 0 < sum(solved) < 184_756 // 10
 
+    @pytest.mark.parametrize("n, slogdets", [(4, 0), (7, 184_756)], ids=["weyl", "det-trace"])
+    def test_route_follows_k_against_twice_n(self, monkeypatch, n, slogdets):
+        # k = 10: Weyl's test where k >= 2n (n = 4), the det-trace test of
+        # every subset's Gram matrix where k < 2n (n = 7)
+        a = unit_rows(np.random.default_rng(603), 20, n)
+        counts = {"slogdet": 0, "eigvalsh": 0}
+        slogdet, eigvalsh = np.linalg.slogdet, np.linalg.eigvalsh
+
+        def recording_slogdet(grams):
+            counts["slogdet"] += len(grams)
+            return slogdet(grams)
+
+        def recording_eigvalsh(grams):
+            if grams.ndim == 3:  # subset Gram matrices, not sigma_max_sq's
+                counts["eigvalsh"] += len(grams)
+            return eigvalsh(grams)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        restricted_min_sv_bruteforce(a, 10)
+        assert counts["slogdet"] == slogdets
+        assert 0 < counts["eigvalsh"] < 184_756 // 10
+
     def test_peak_memory_is_bounded_by_the_chunk(self):
         a = unit_rows(np.random.default_rng(601), 20, 4)
         tracemalloc.start()
@@ -392,6 +437,44 @@ class TestPrunedBruteforce:
         finally:
             tracemalloc.stop()
         assert peak < 2 * linalg._CHUNK_BYTES + (1 << 20)
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["gaussian", "repeated"])
+    @pytest.mark.parametrize("m, n", [(6, 1), (7, 2), (8, 3), (10, 4)])
+    def test_weyl_bound_holds_at_every_chunk_length(self, m, n, repeated):
+        rng = np.random.default_rng(1000 + 10 * m + n)
+        a = unit_rows(rng, m, n)
+        if repeated:
+            a = a[rng.integers(0, n, size=m)]
+        for k in range(n, m + 1):
+            literal = np.array([np.linalg.eigvalsh(a[list(idx)].T @ a[list(idx)])[0]
+                                for idx in itertools.combinations(range(m), k)])
+            margin = linalg._weyl_margin(n, k)
+            for per_chunk in range(1, len(literal) + 1):
+                chunks = list(linalg._combinations(
+                    m, k, per_chunk, lambda rows: linalg._gram_spectra(a, rows)))
+                bound = np.concatenate([bound for _, bound, _ in chunks])
+                trace = np.concatenate([trace for _, _, trace in chunks])
+                assert np.all(bound <= literal + margin * trace)
+
+    # With the margin set to 0, each of the seeded cases but the first loses
+    # its minimizer at 7 subsets per chunk: it returns 0x1.ffffffffffffbp-1,
+    # 1.8e-16 and 6.0e-16 against 0x1.ffffffffffffap-1, 0 and 5.3e-16.
+    @pytest.mark.parametrize("seed, m, n, k", [(0, 12, 4, 8), (16, 11, 2, 8), (23, 10, 3, 7),
+                                               (35, 11, 4, 9)])
+    def test_near_tie_matches_literal_reference(self, seed, m, n, k):
+        # Rows from n orthonormal directions: every Gram matrix, prefix,
+        # suffix and subset alike, has the same eigenvectors, so Weyl's
+        # bound is tight up to rounding, and only the margin keeps the
+        # minimizer.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = q[rng.integers(0, n, size=m)]
+        expected = bruteforce_reference(a, k)
+        for per_chunk in (1, 7, math.comb(m, k)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "_CHUNK_BYTES", per_chunk * 8 * k * n)
+                summary = restricted_min_sv_bruteforce(a, k)
+            assert summary.sigma_restricted_min_sq == expected  # bit for bit
 
 
 RESTRICTED_ROUTES = {
