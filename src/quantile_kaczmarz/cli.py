@@ -10,6 +10,10 @@ error.  Every package error is a ``QkError``: ``main`` prints its ``label``
 and message on one stderr line and returns its ``exit_code``, 2 for bad input
 or configuration, 3 for divergence (non-sweep runs) and 4 for I/O failure (a
 raw ``OSError`` too); 0 is success.
+
+Only ``errors`` and ``problems`` load with this module: ``harness``, ``rates``
+and ``solvers`` are imported inside the functions that use them, so importing
+the CLI loads no solver or experiment code.
 """
 from __future__ import annotations
 
@@ -22,16 +26,10 @@ import types
 import typing
 
 from .errors import ConfigError, IoError, QkError
-from .harness import (
-    ExperimentConfig,
-    SweepSpec,
-    adversarial_demo,
-    compare_methods,
-    run,
-)
 from .problems import FAMILIES, generate, save_system
-from .rates import rate_report, restricted_summary
-from .solvers import COMPARATORS, METHODS, TIMINGS
+
+if typing.TYPE_CHECKING:
+    from .harness import ExperimentConfig, SweepSpec
 
 DESK_M, DESK_N = 2000, 50
 FULL_M, FULL_N = 10000, 100
@@ -68,6 +66,8 @@ def _add_generator_flags(p: argparse.ArgumentParser, seed_required: bool = False
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    from .solvers import COMPARATORS, METHODS
+
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--q", type=float)
     p.add_argument("--alpha", type=_alpha,
@@ -82,6 +82,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
+    from .solvers import TIMINGS
+
     p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--timing", choices=TIMINGS)
     p.add_argument("--svg", action="store_true", default=None)
@@ -150,6 +152,8 @@ def _experiment(args, sweep: SweepSpec | None = None, **defaults) -> ExperimentC
     """The configuration a command runs: its flags, ``--config`` and
     ``defaults`` (the command's own) read by :func:`_read`; the command
     itself sets ``sweep``."""
+    from .harness import ExperimentConfig
+
     file_cfg = _load_config_file(args.config)
     for key in _OUTPUT_ONLY_KEYS:
         file_cfg.pop(key, None)
@@ -171,17 +175,23 @@ def _cmd_generate(args) -> int:
 
 
 def _run(config: ExperimentConfig) -> int:
+    from .harness import run
+
     for name, path in run(config).items():
         print(f"{name}: {path}")
     return 0
 
 
 def _cmd_sweep(args, parameter: str) -> int:
+    from .harness import SweepSpec
+
     sweep = SweepSpec(parameter=parameter, values=args.values)
     return _run(_experiment(args, sweep=sweep, max_iters=10, repetitions=3))
 
 
 def _cmd_compare(args) -> int:
+    from .harness import compare_methods
+
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     results = compare_methods(_experiment(args), methods)
     for midx, method in enumerate(methods):
@@ -192,6 +202,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_adversarial(args) -> int:
+    from .harness import adversarial_demo
+
     params = inspect.signature(adversarial_demo).parameters
     results = adversarial_demo(
         **{k: v for k, v in vars(args).items() if k in params and v is not None}
@@ -203,6 +215,8 @@ def _cmd_adversarial(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    from .rates import rate_report, restricted_summary
+
     config = _experiment(args)
     system = generate(config.generator)
     q = config.solver.q
@@ -217,6 +231,8 @@ def _cmd_rate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .solvers import TIMINGS
+
     parser = argparse.ArgumentParser(
         prog="qkz",
         description="Quantile-thresholded Kaczmarz solvers for corrupted linear systems",

@@ -7,7 +7,8 @@ build.  The output directory is made only after an experiment's solves have
 run, so one stopped by a configuration error leaves nothing behind.
 Wall-time columns record real measurements by default; the
 ``timing="none"`` mode zeroes them so that identical configurations yield
-byte-identical artifacts.
+byte-identical artifacts.  The thread pool and the SVG writer load only in
+the sweep and the chart that use them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,12 +40,14 @@ from .solvers import (
     lane_errors,
     solve,
 )
-from .svgplot import emit_svg
 
 SWEEP_CSV_HEADER = "value,repetition,rel_error,diverged,wall_ms"
 
 # Stream tags keep the derived RNG streams for distinct purposes disjoint.
 _TAG_SYSTEM, _TAG_SOLVER, _TAG_METHOD, _TAG_ALPHA_SEARCH = 1, 2, 3, 4
+
+# The start vectors that start_vector builds.
+STARTS = ("ones", "zeros")
 
 # Candidate step sizes for the empirical per-q resolution: absolute values
 # cover coherent geometries, column-scaled values cover incoherent ones.
@@ -72,7 +74,7 @@ class ExperimentConfig:
     output_dir: str = "artifacts"
     timing: str = one_of(TIMINGS, default="real")
     svg: bool = False
-    start: str = one_of(("ones", "zeros"), default="ones")
+    start: str = one_of(STARTS, default="ones")
 
     __post_init__ = domain_check
 
@@ -125,6 +127,8 @@ def _plot(paths: dict, path: Path, title: str, curves, x_label: str = "iteration
     pairs at ``xs`` (default: iterations from 1), over their finite positive
     points, and record it as ``paths["svg"]``; a chart with no points is not
     written."""
+    from .svgplot import emit_svg
+
     series = []
     for label, ys in curves:
         pts = [(x, y) for x, y in zip(xs or range(1, len(ys) + 1), ys)
@@ -141,7 +145,10 @@ def start_vector(n: int, start: str = "ones") -> np.ndarray:
     For coherent geometries this aligns the initial error with the dominant
     row direction, which is what makes step-size cliffs visible after a few
     iterations; for isotropic geometries it is equivalent to any fixed start.
+    A ``start`` outside :data:`STARTS` raises :class:`ConfigError`.
     """
+    if start not in STARTS:
+        raise ConfigError(f"start must be one of {STARTS}, got {start!r}")
     return np.ones(n) if start == "ones" else np.zeros(n)
 
 
@@ -223,6 +230,8 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     resolve one per repetition's system.  A point counts as diverged if the
     solver raised, or if its final relative error is non-finite or above 1.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if config.sweep is None:
         raise ConfigError("config.sweep is unset, so there is nothing to sweep")
     parameter, values = config.sweep.parameter, config.sweep.values

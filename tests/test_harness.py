@@ -20,6 +20,7 @@ from quantile_kaczmarz.harness import (
     derived_seed,
     empirical_alpha,
     run,
+    start_vector,
     sweep,
     write_sweep_csv,
 )
@@ -555,6 +556,25 @@ class TestDerivedSeeds:
 
     def test_stable_across_calls(self):
         assert derived_seed(123, 4, 5) == derived_seed(123, 4, 5)
+
+
+class TestStartVector:
+    def test_builds_each_start(self):
+        assert harness.STARTS == ("ones", "zeros")
+        assert start_vector(3, "ones").tolist() == [1.0, 1.0, 1.0]
+        assert start_vector(3, "zeros").tolist() == [0.0, 0.0, 0.0]
+
+    def test_unknown_start_is_a_config_error(self, tmp_path):
+        """An unknown start fails as the config field does, with the same
+        message, in every route that builds a start vector."""
+        message = "^start must be one of \\('ones', 'zeros'\\), got 'bogus'$"
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(experiment(tmp_path), start="bogus")
+        with pytest.raises(ConfigError, match=message):
+            start_vector(3, "bogus")
+        solver = SolverConfig("quantile-averaged-block", q=0.7, max_iters=10, seed=1)
+        with pytest.raises(ConfigError, match=message):
+            empirical_alpha(search_system(2), solver, 0.7, 9, start="bogus")
 
 
 class TestCli:

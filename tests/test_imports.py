@@ -1,14 +1,51 @@
 """The package's imports: no cycle between its modules, no private name taken
-from a sibling module, a star import that yields public names only, and no
-public name that only the tests use."""
+from a sibling module, a star import that yields public names only, no public
+name that only the tests use, and a namespace that loads a module only when
+one of its names is first read."""
 import ast
+import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import quantile_kaczmarz
 
 PACKAGE = Path(quantile_kaczmarz.__file__).parent
+
+# The package's public names, by the module that defines them.
+PUBLIC = {
+    "errors": ["ConditionViolatedError", "ConfigError", "DivergedError", "DomainError",
+               "IoError", "NoConvergenceError", "QkError", "ShapeError"],
+    "linalg": ["SUBSET_ENUMERATION_CAP", "SpectralSummary", "quantile_of_multiset",
+               "restricted_min_sv_bruteforce", "restricted_min_sv_sampled", "row_normalize",
+               "sigma_max_sq", "sigma_min_sq"],
+    "problems": ["CorruptedSystem", "CorruptionSpec", "GeneratorSpec", "generate",
+                 "generate_adversarial_duplicate", "load_system", "save_system"],
+    "rates": ["CertificateResult", "RateReport", "alpha_opt_closed_form", "certify_iteration",
+              "convergence_condition", "rate_constants", "rate_report", "resolve_alpha_auto"],
+    "solvers": ["COMPARATORS", "METHODS", "IterationTrace", "SolverConfig",
+                "averaged_rbk_step", "quantile_abk_step", "quantile_pbk_step",
+                "quantile_rk_step", "residual", "rk_step", "sampled_qabk_step", "solve"],
+    "harness": ["ExperimentConfig", "SweepResult", "SweepSpec", "adversarial_demo",
+                "compare_methods", "empirical_alpha", "run", "start_vector", "sweep"],
+}
+
+
+SUBMODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter that can import this package, and
+    return the JSON value of the last line it prints."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def sibling_imports(path: Path, modules: set[str]) -> set[str]:
@@ -140,3 +177,50 @@ def test_every_field_of_a_validated_class_is_read():
         "SolverConfig", "GeneratorSpec", "CorruptionSpec", "ExperimentConfig", "SweepSpec",
         "CorruptedSystem"}
     assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def test_import_loads_no_solver_or_experiment_code():
+    """Importing the package and its CLI loads neither the solvers, the rate
+    formulas, the experiment harness, the SVG writer nor a thread pool; each
+    loads when a name that needs it is first read."""
+    steps = fresh(
+        "import json, sys\n"
+        "def held():\n"
+        "    return sorted(m.removeprefix('quantile_kaczmarz.') for m in sys.modules\n"
+        "                  if m.startswith('quantile_kaczmarz.') or m == 'concurrent.futures')\n"
+        "import quantile_kaczmarz as qk, quantile_kaczmarz.cli\n"
+        "steps = [held()]\n"
+        "qk.solve\n"
+        "steps.append(held())\n"
+        "qk.run\n"
+        "print(json.dumps(steps + [held()]))")
+    bare, solve, run = map(set, steps)
+    assert "cli" in bare
+    assert not bare & {"harness", "rates", "solvers", "svgplot", "concurrent.futures"}
+    assert solve - bare == {"solvers"}
+    assert "harness" in run
+    assert not run & {"svgplot", "concurrent.futures"}
+
+
+def test_namespace_holds_the_defining_modules_objects():
+    qk = quantile_kaczmarz
+    assert sorted(qk.__all__) == sorted(n for names in PUBLIC.values() for n in names)
+    assert len(qk.__all__) == 52
+    for home, names in PUBLIC.items():
+        module = importlib.import_module(f"quantile_kaczmarz.{home}")
+        for name in names:
+            assert getattr(qk, name) is getattr(module, name), name
+    assert qk.__version__ == "0.1.0"
+    assert getattr(qk, "nope", None) is None
+
+
+def test_fresh_namespace_lists_and_resolves_its_submodules():
+    """Before any name is read, ``dir`` lists every public name and
+    submodule, and ``getattr`` returns the submodules themselves."""
+    listed, resolved = fresh(
+        "import json\n"
+        "import quantile_kaczmarz as qk\n"
+        "listed = dir(qk)\n"
+        "print(json.dumps([listed, [getattr(qk, n).__name__ for n in ('harness', 'solvers')]]))")
+    assert set(quantile_kaczmarz.__all__) | set(SUBMODULES) <= set(listed)
+    assert resolved == ["quantile_kaczmarz.harness", "quantile_kaczmarz.solvers"]
