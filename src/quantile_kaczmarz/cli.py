@@ -12,8 +12,10 @@ or configuration, 3 for divergence (non-sweep runs) and 4 for I/O failure (a
 raw ``OSError`` too); 0 is success.
 
 Only ``errors`` and ``problems`` load with this module: ``harness``, ``rates``
-and ``solvers`` are imported inside the functions that use them, so importing
-the CLI loads no solver or experiment code.
+and ``solvers`` are imported inside the functions that use them, and ``main``
+adds the flags of the given subcommand only.  So ``generate`` loads no
+solver, rate or experiment code, and ``rate`` without ``--config`` loads no
+``harness``.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import types
 import typing
 
 from .errors import ConfigError, IoError, QkError
-from .problems import FAMILIES, generate, save_system
+from .problems import FAMILIES, GeneratorSpec, generate, save_system
 
 if typing.TYPE_CHECKING:
     from .harness import ExperimentConfig, SweepSpec
@@ -148,12 +150,10 @@ def _read(cls, section, flags: dict, defaults: dict, where: str = ""):
     return cls(**kwargs)
 
 
-def _experiment(args, sweep: SweepSpec | None = None, **defaults) -> ExperimentConfig:
-    """The configuration a command runs: its flags, ``--config`` and
-    ``defaults`` (the command's own) read by :func:`_read`; the command
-    itself sets ``sweep``."""
-    from .harness import ExperimentConfig
-
+def _inputs(args, defaults: dict) -> tuple[dict, dict, dict]:
+    """What :func:`_read` builds a command's configuration from: the
+    ``--config`` file's object, the flags that were given, and ``defaults``
+    (the command's own) over the ones every command shares."""
     file_cfg = _load_config_file(args.config)
     for key in _OUTPUT_ONLY_KEYS:
         file_cfg.pop(key, None)
@@ -161,16 +161,29 @@ def _experiment(args, sweep: SweepSpec | None = None, **defaults) -> ExperimentC
     # GeneratorSpec declares no default family, size or seed, SolverConfig no method.
     defaults = {"family": "gaussian", "m": m, "n": n, "seed": 0,
                 "method": "quantile-averaged-block", **defaults}
-    flags = {k: v for k, v in vars(args).items() if v is not None}
-    return dataclasses.replace(_read(ExperimentConfig, file_cfg, flags, defaults), sweep=sweep)
+    return file_cfg, {k: v for k, v in vars(args).items() if v is not None}, defaults
+
+
+def _experiment(args, sweep: SweepSpec | None = None, **defaults) -> ExperimentConfig:
+    """The configuration a command runs, read from :func:`_inputs`; the
+    command itself sets ``sweep``."""
+    from .harness import ExperimentConfig
+
+    return dataclasses.replace(_read(ExperimentConfig, *_inputs(args, defaults)), sweep=sweep)
 
 
 def _cmd_generate(args) -> int:
-    config = _experiment(args, output_dir="system")
-    system = generate(config.generator)
-    save_system(system, config.output_dir, spec=config.generator)
-    print(f"wrote system ({system.m}x{system.n}, beta={system.beta:.4g}) "
-          f"to {config.output_dir}")
+    # Without a file no flag sets another section, so only this one can fail:
+    # reading it alone leaves the harness and the solvers unloaded.
+    if args.config is None:
+        spec = _read(GeneratorSpec, *_inputs(args, {}))
+        out = "system" if args.output_dir is None else args.output_dir
+    else:
+        config = _experiment(args, output_dir="system")
+        spec, out = config.generator, config.output_dir
+    system = generate(spec)
+    save_system(system, out, spec=spec)
+    print(f"wrote system ({system.m}x{system.n}, beta={system.beta:.4g}) to {out}")
     return 0
 
 
@@ -216,11 +229,18 @@ def _cmd_adversarial(args) -> int:
 
 def _cmd_rate(args) -> int:
     from .rates import rate_report, restricted_summary
+    from .solvers import SolverConfig
 
-    config = _experiment(args)
-    system = generate(config.generator)
-    q = config.solver.q
-    summary = restricted_summary(system, q, config.generator.seed, args.samples)
+    # Without a file no flag sets another section, so only these can fail:
+    # reading them alone leaves the harness unloaded.
+    if args.config is None:
+        inputs = _inputs(args, {})
+        spec, q = _read(GeneratorSpec, *inputs), _read(SolverConfig, *inputs).q
+    else:
+        config = _experiment(args)
+        spec, q = config.generator, config.solver.q
+    system = generate(spec)
+    summary = restricted_summary(system, q, spec.seed, args.samples)
     report = rate_report(q, system.beta, system.m, summary.sigma_max_sq,
                          summary.sigma_restricted_min_sq, exact=summary.exact)
     print(report.summary())
@@ -230,71 +250,77 @@ def _cmd_rate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .solvers import TIMINGS
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qkz`` parser.  Given ``command``, every other subcommand keeps
+    only its name and help, which is all that the top-level usage and errors
+    show; so parsing ``generate`` or ``rate`` loads none of the solver choices
+    that the other subcommands' flags offer."""
     parser = argparse.ArgumentParser(
         prog="qkz",
         description="Quantile-thresholded Kaczmarz solvers for corrupted linear systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate and export a system")
-    _add_generator_flags(p)
-    p.add_argument("--out", dest="output_dir", help="output directory (default: system)")
-    p.set_defaults(func=_cmd_generate)
+    def add(name: str, help: str, func) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("run", help="run one solver and write its trace")
-    _add_generator_flags(p, seed_required=True)
-    _add_solver_flags(p)
-    _add_artifact_flags(p)
-    p.set_defaults(func=lambda a: _run(_experiment(a)))
+    if p := add("generate", "generate and export a system", _cmd_generate):
+        _add_generator_flags(p)
+        p.add_argument("--out", dest="output_dir", help="output directory (default: system)")
+
+    if p := add("run", "run one solver and write its trace", lambda a: _run(_experiment(a))):
+        _add_generator_flags(p, seed_required=True)
+        _add_solver_flags(p)
+        _add_artifact_flags(p)
 
     for name, param in (("sweep-alpha", "alpha"), ("sweep-q", "q"), ("sweep-t", "t")):
-        p = sub.add_parser(name, help=f"sweep {param} and record outcomes")
+        if p := add(name, f"sweep {param} and record outcomes",
+                    lambda a, _param=param: _cmd_sweep(a, _param)):
+            _add_generator_flags(p)
+            _add_solver_flags(p)
+            _add_artifact_flags(p)
+            p.add_argument("--reps", dest="repetitions", type=int)
+            p.add_argument("--values", type=_float_list, required=True,
+                           help="comma-separated sweep values")
+
+    if p := add("compare", "run several methods on one system", _cmd_compare):
         _add_generator_flags(p)
         _add_solver_flags(p)
         _add_artifact_flags(p)
-        p.add_argument("--reps", dest="repetitions", type=int)
-        p.add_argument("--values", type=_float_list, required=True,
-                       help="comma-separated sweep values")
-        p.set_defaults(func=lambda a, _param=param: _cmd_sweep(a, _param))
-
-    p = sub.add_parser("compare", help="run several methods on one system")
-    _add_generator_flags(p)
-    _add_solver_flags(p)
-    _add_artifact_flags(p)
-    p.add_argument("--methods", required=True, help="comma-separated method names")
-    p.set_defaults(func=_cmd_compare)
+        p.add_argument("--methods", required=True, help="comma-separated method names")
 
     # Unset flags fall back to adversarial_demo's own defaults.
-    p = sub.add_parser("adversarial-demo", help="projective vs averaged duplicate-row demo")
-    p.add_argument("--n", type=int)
-    p.add_argument("--clean-rows", type=int)
-    p.add_argument("--dup-rows", type=int)
-    p.add_argument("--target", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--iters", dest="iterations", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", dest="output_dir", default="adversarial", help="output directory")
-    p.add_argument("--timing", choices=TIMINGS)
-    p.set_defaults(func=_cmd_adversarial)
+    if p := add("adversarial-demo", "projective vs averaged duplicate-row demo", _cmd_adversarial):
+        from .solvers import TIMINGS
 
-    p = sub.add_parser("rate", help="print the convergence-rate report for a system")
-    _add_generator_flags(p)
-    p.add_argument("--q", type=float)
-    p.add_argument("--samples", type=int, default=500,
-                   help="subset samples when enumeration is infeasible")
-    p.add_argument("--json-out", default=None)
-    p.set_defaults(func=_cmd_rate)
+        p.add_argument("--n", type=int)
+        p.add_argument("--clean-rows", type=int)
+        p.add_argument("--dup-rows", type=int)
+        p.add_argument("--target", type=float)
+        p.add_argument("--q", type=float)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--iters", dest="iterations", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", dest="output_dir", default="adversarial",
+                       help="output directory")
+        p.add_argument("--timing", choices=TIMINGS)
+
+    if p := add("rate", "print the convergence-rate report for a system", _cmd_rate):
+        _add_generator_flags(p)
+        p.add_argument("--q", type=float)
+        p.add_argument("--samples", type=int, default=500,
+                       help="subset samples when enumeration is infeasible")
+        p.add_argument("--json-out", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so its first other word is the command.
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         return args.func(args)
     except QkError as exc:

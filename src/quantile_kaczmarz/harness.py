@@ -7,8 +7,7 @@ build.  The output directory is made only after an experiment's solves have
 run, so one stopped by a configuration error leaves nothing behind.
 Wall-time columns record real measurements by default; the
 ``timing="none"`` mode zeroes them so that identical configurations yield
-byte-identical artifacts.  The thread pool and the SVG writer load only in
-the sweep and the chart that use them.
+byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -16,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .solvers import (
     lane_errors,
     solve,
 )
+from .svgplot import emit_svg
 
 SWEEP_CSV_HEADER = "value,repetition,rel_error,diverged,wall_ms"
 
@@ -127,8 +128,6 @@ def _plot(paths: dict, path: Path, title: str, curves, x_label: str = "iteration
     pairs at ``xs`` (default: iterations from 1), over their finite positive
     points, and record it as ``paths["svg"]``; a chart with no points is not
     written."""
-    from .svgplot import emit_svg
-
     series = []
     for label, ys in curves:
         pts = [(x, y) for x, y in zip(xs or range(1, len(ys) + 1), ys)
@@ -230,8 +229,6 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     resolve one per repetition's system.  A point counts as diverged if the
     solver raised, or if its final relative error is non-finite or above 1.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if config.sweep is None:
         raise ConfigError("config.sweep is unset, so there is nothing to sweep")
     parameter, values = config.sweep.parameter, config.sweep.values

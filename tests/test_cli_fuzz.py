@@ -7,11 +7,16 @@ stderr line, no exception leaves it, and every JSON file a run writes parses
 without NaN or Infinity.  Every run is tiny (m <= 60, at most 5 iterations,
 3 repetitions and 50 subset samples), so the test takes seconds and little
 memory.  Huge integers go only to values that no array is sized by.
+
+``generate`` and ``rate`` read their flags alone when no ``--config`` file is
+given; an empty file sends them through the full configuration instead, and
+the two routes must agree on every output.
 """
 import contextlib
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -135,11 +140,14 @@ def flag(name: str, value) -> str:
     return f"{name}={value!r}" if isinstance(value, float) else f"{name}={value}"
 
 
+COMMANDS = ("generate", "run", "sweep-alpha", "sweep-q", "sweep-t", "compare",
+            "adversarial-demo", "rate")
+
+
 @st.composite
-def invocations(draw):
+def invocations(draw, commands=COMMANDS):
     """(command line without its output path, the output flag, config object or None)."""
-    command = draw(st.sampled_from(["generate", "run", "sweep-alpha", "sweep-q", "sweep-t",
-                                    "compare", "adversarial-demo", "rate"]))
+    command = draw(st.sampled_from(commands))
     if command == "adversarial-demo":
         flags, argv, config = ADVERSARIAL_FLAGS, [command], None
     else:
@@ -195,3 +203,24 @@ def test_every_input_exits_0_2_3_or_4_with_finite_json(invocation):
         assert err.getvalue().count("\n") <= 1, err.getvalue()
         for path in out.rglob("*.json"):
             strict_json(path)
+
+
+@given(invocations(commands=("generate", "rate")))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_flags_alone_read_as_the_full_configuration(invocation):
+    argv, out_flag, _ = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        out, empty = Path(tmp) / "out", Path(tmp) / "empty.json"
+        empty.write_text("{}", encoding="utf-8")
+        argv = [*argv, out_flag, str(out / "rate.json" if out_flag == "--json-out" else out)]
+        outcomes = []
+        for extra in ([], ["--config", str(empty)]):
+            if out_flag == "--json-out":
+                out.mkdir()
+            printed, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, *extra])
+            files = {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+            outcomes.append((code, printed.getvalue(), err.getvalue(), files))
+            shutil.rmtree(out, ignore_errors=True)
+        assert outcomes[0] == outcomes[1], argv

@@ -181,8 +181,8 @@ def test_every_field_of_a_validated_class_is_read():
 
 def test_import_loads_no_solver_or_experiment_code():
     """Importing the package and its CLI loads neither the solvers, the rate
-    formulas, the experiment harness, the SVG writer nor a thread pool; each
-    loads when a name that needs it is first read."""
+    formulas, the experiment harness, the SVG writer nor a thread pool; a
+    module loads when a name that needs it is first read."""
     steps = fresh(
         "import json, sys\n"
         "def held():\n"
@@ -199,7 +199,24 @@ def test_import_loads_no_solver_or_experiment_code():
     assert not bare & {"harness", "rates", "solvers", "svgplot", "concurrent.futures"}
     assert solve - bare == {"solvers"}
     assert "harness" in run
-    assert not run & {"svgplot", "concurrent.futures"}
+
+
+def test_generate_and_rate_load_no_harness(tmp_path):
+    """``qkz generate`` loads no solver, rate or experiment code, and ``qkz
+    rate`` without ``--config`` loads the solvers (for ``--q``'s field) and
+    the rate formulas but not the harness."""
+    loaded = {}
+    for argv in (["generate", "--m", "20", "--n", "3", "--seed", "1", "--out", "sys"],
+                 ["rate", "--m", "20", "--n", "3", "--seed", "1"]):
+        loaded[argv[0]] = set(fresh(
+            "import json, os, sys\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "from quantile_kaczmarz import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps([m.removeprefix('quantile_kaczmarz.') for m in sys.modules\n"
+            "                  if m.startswith('quantile_kaczmarz.')]))"))
+    assert loaded["generate"] == {"cli", "errors", "linalg", "problems"}
+    assert loaded["rate"] == loaded["generate"] | {"rates", "solvers"}
 
 
 def test_namespace_holds_the_defining_modules_objects():
