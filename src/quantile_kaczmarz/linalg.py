@@ -423,27 +423,8 @@ def _det_trace_bound(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bound, trace
 
 
-def _chunk_min(a: np.ndarray, idx: np.ndarray, best: float) -> float:
-    """``min(best, smallest Gram eigenvalue of the subsets in idx)``, eigen-
-    solving only the subsets that the det-trace test keeps."""
-    n = a.shape[1]
-    grams = _grams(a, idx)                             # (chunk, n, n)
-    if n == 1:  # a 1x1 Gram matrix is its own eigenvalue
-        return min(best, float(grams.min()))
-    margin = _prune_margin(n, idx.shape[1])
-    if margin is not None:
-        bound, trace = _det_trace_bound(grams)
-        if best == np.inf:  # the first chunk seeds best from its lowest bound
-            first = int(np.argmin(bound))
-            best = float(np.linalg.eigvalsh(grams[first:first + 1])[0, 0])
-        grams = grams[bound <= best + margin * trace]
-        if not len(grams):
-            return best
-    return min(best, float(np.linalg.eigvalsh(grams)[:, 0].min()))
-
-
-# Subsets gathered and eigen-solved at once by the Weyl test, in ascending
-# order of bound; the running minimum re-prunes between batches.
+# Subsets eigen-solved at once, in ascending order of bound; the running
+# minimum re-prunes the rest of the chunk after each batch.
 _SOLVE_BATCH = 256
 
 
@@ -452,42 +433,49 @@ def _min_over_subsets(a: np.ndarray, k: int) -> float:
     result of an eigen-solve per subset, bit for bit.
 
     The subsets come from :func:`_combinations`, ``_CHUNK_BYTES`` of their
-    rows' worth at a time.  Where k >= 2n, the prefix or the suffix has at
-    least n rows, and by Weyl's inequality a subset's smallest eigenvalue is
-    at least the sum of theirs.  A subset is gathered, its Gram matrix
-    formed by a BLAS product and eigen-solved only if that bound is at most
-    ``best + margin * trace`` (:func:`_weyl_margin`, about 6e-14 at n = 4),
-    ``best`` being the running minimum; a chunk's survivors are solved
-    ``_SOLVE_BATCH`` at a time in ascending order of bound, each batch
-    re-pruned.  Where the prefix or the suffix is the whole subset, the
-    bound is its eigenvalue.  Where k < 2n, one part's Gram matrix is
-    singular and the Weyl bound measured slower than forming every subset's
-    Gram matrix G and bounding it by ``det(G) / (tr(G) / (n-1))^(n-1)``
-    (AM-GM over the other n - 1 eigenvalues) from ``slogdet`` and the trace
-    (:func:`_chunk_min`); that margin (:func:`_prune_margin`, about 2e-11 at
-    n = 4) carries LU's worst-case growth, so from n = 27 every subset is
-    eigen-solved.
+    rows' worth at a time, each with a lower bound on its smallest
+    eigenvalue.  Those whose bound is at most ``best + margin * trace``,
+    ``best`` being the running minimum, are eigen-solved in ascending order
+    of bound, ``_SOLVE_BATCH`` at a time, the rest re-pruned after each
+    batch; the first chunk's lowest bound is solved alone to seed ``best``.
+    Where k >= 2n, the prefix or the suffix has at least n rows, and by
+    Weyl's inequality the bound is the sum of their smallest eigenvalues
+    (:func:`_weyl_margin`, about 6e-14 at n = 4); only survivors are
+    gathered, and where a part is the whole subset its bound is its
+    eigenvalue.  Where k < 2n, one part's Gram matrix is singular, and the
+    Weyl bound measured slower than forming every subset's Gram matrix and
+    bounding it by :func:`_det_trace_bound` (:func:`_prune_margin`, about
+    2e-11 at n = 4); survivors are solved from the Gram matrices the chunk
+    holds.  That margin carries LU's worst-case growth, so from n = 27, as
+    at n = 1, there is no bound and every subset is eigen-solved.
     """
     m, n = a.shape
     per_chunk = _per_chunk(a, k)
+    weyl = k >= 2 * n
+    if weyl:
+        exact = _suffix_length(m, k, per_chunk) in (0, k)
+        margin = None if exact else _weyl_margin(n, k)
+        chunks = _combinations(m, k, per_chunk, lambda rows: _gram_spectra(a, rows))
+    else:
+        margin = None if n == 1 else _prune_margin(n, k)
+        chunks = _combinations(m, k, per_chunk)
     best = np.inf
-    if k < 2 * n:
-        for idx, in _combinations(m, k, per_chunk):
-            best = _chunk_min(a, idx, best)
-        return max(best, 0.0)
-    margin = _weyl_margin(n, k)
-    exact = _suffix_length(m, k, per_chunk) in (0, k)
-    for idx, bound, trace in _combinations(m, k, per_chunk, lambda rows: _gram_spectra(a, rows)):
-        if exact:
-            best = min(best, float(bound.min()))
-            continue
-        live = np.flatnonzero(bound <= best + margin * trace)
-        live = live[np.argsort(bound[live])]
-        for start in range(0, len(live), _SOLVE_BATCH):
-            batch = live[start:start + _SOLVE_BATCH]
-            batch = batch[bound[batch] <= best + margin * trace[batch]]
-            if len(batch):
-                best = min(best, float(_gram_spectra(a, idx[batch])[0].min()))
+    for idx, *sums in chunks:
+        grams = None if weyl else _grams(a, idx)       # (chunk, n, n)
+        if margin is None:  # no bound: every subset's eigenvalue, read or solved
+            low = sums[0] if weyl else np.linalg.eigvalsh(grams)[:, 0]
+            best = min(best, float(low.min()))
+        else:
+            bound, trace = sums if weyl else _det_trace_bound(grams)
+            live = np.flatnonzero(bound <= best + margin * trace)
+            live = live[np.argsort(bound[live])]
+            while len(live):
+                size = _SOLVE_BATCH if best < np.inf else 1  # the lowest bound seeds best
+                batch, live = live[:size], live[size:]
+                solved = _grams(a, idx[batch]) if weyl else grams[batch]
+                best = min(best, float(np.linalg.eigvalsh(solved)[:, 0].min()))
+                live = live[bound[live] <= best + margin * trace[live]]
+        del grams  # freed before the next chunk's Gram matrices are formed
     return max(best, 0.0)
 
 
@@ -509,13 +497,14 @@ def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
     single one is larger.
 
     ``subsets_examined`` counts every subset, but ``eigvalsh`` runs only on
-    those that a lower bound on the smallest eigenvalue cannot rule out
-    (:func:`_min_over_subsets`): Weyl's inequality on a prefix/suffix split
-    where k >= 2n, the det-trace test of each Gram matrix where k < 2n.
-    Each bound's margin covers its rounding and ``eigvalsh``'s error, so the
-    result is the one an eigen-solve of every subset gives, bit for bit.  At
-    20x4, k = 10 (184,756 subsets), there are 9,009 prefix and suffix
-    spectra and about 2,100 to 7,400 subset eigen-solves.
+    those that a lower bound on the smallest eigenvalue cannot rule out, in
+    one pruning loop (:func:`_min_over_subsets`) fed by either bound: Weyl's
+    inequality on a prefix/suffix split where k >= 2n, the det-trace bound
+    of each Gram matrix where k < 2n.  Each bound's margin covers its
+    rounding and ``eigvalsh``'s error, so the result is the one an
+    eigen-solve of every subset gives, bit for bit.  At 20x4, k = 10
+    (184,756 subsets), there are 9,009 prefix and suffix spectra and about
+    1,200 to 14,000 subset eigen-solves.
 
     Raises
     ------

@@ -290,10 +290,12 @@ def load_system(directory) -> CorruptedSystem:
     for path, values in ((src / "matrix.csv", matrix), (src / "b_observed.csv", b_observed),
                          (meta_path, x_star)):
         _check(np.all(np.isfinite(values)), path, "non-finite entry")
-    _check(is_row_normalized(matrix), src / "matrix.csv", "rows are not unit-norm")
-    return CorruptedSystem(
-        matrix=matrix,
-        x_star=x_star,
-        b_observed=b_observed,
-        corrupted_indices=indices,
-    )
+    try:  # the constructor checks the rows for unit norm
+        return CorruptedSystem(
+            matrix=matrix,
+            x_star=x_star,
+            b_observed=b_observed,
+            corrupted_indices=indices,
+        )
+    except ConfigError as exc:
+        raise IoError(f"{src / 'matrix.csv'}: {exc}") from exc

@@ -25,6 +25,10 @@ EXACT = ["--m", "14", "--n", "3", "--beta", "0", "--seed", "6", "--q", "0.5"]
 EXACT_PREFIXES = ["--m", "20", "--n", "4", "--beta", "0", "--seed", "6", "--q", "0.5"]
 # k = 10 < 2n: every subset's Gram matrix is bounded by the det-trace test
 EXACT_WIDE = ["--m", "20", "--n", "7", "--beta", "0", "--seed", "6", "--q", "0.5"]
+# k = 29 < 2n at n = 28: the det-trace test has no margin, so no bound
+EXACT_UNBOUNDED = ["--m", "30", "--n", "28", "--beta", "0", "--seed", "6", "--q", "0.95"]
+# k = 1 < 2n at n = 1: a 1x1 Gram matrix has no det-trace bound either
+EXACT_SINGLE_COLUMN = ["--m", "20", "--n", "1", "--beta", "0", "--seed", "6", "--q", "0.05"]
 SAMPLED = ["--m", "2000", "--n", "50", "--beta", "0.02", "--seed", "5"]
 NONE = ["--timing", "none"]
 OUT = ["--out", "out"]
@@ -118,6 +122,8 @@ CASES: dict[str, list[str]] = {
     "rate-exact": ["rate", *EXACT, "--json-out", "rate.json"],
     "rate-exact-prefixes": ["rate", *EXACT_PREFIXES, "--json-out", "rate.json"],
     "rate-exact-wide": ["rate", *EXACT_WIDE, "--json-out", "rate.json"],
+    "rate-exact-unbounded": ["rate", *EXACT_UNBOUNDED, "--json-out", "rate.json"],
+    "rate-exact-single-column": ["rate", *EXACT_SINGLE_COLUMN, "--json-out", "rate.json"],
     "rate-sampled": ["rate", *SAMPLED, "--q", "0.7"],
     "rate-below-column-count": ["rate", "--m", "20", "--n", "10", "--beta", "0.1",
                                 "--q", "0.5"],

@@ -459,8 +459,14 @@ class TestPrunedBruteforce:
     # With the margin set to 0, each of the seeded cases but the first loses
     # its minimizer at 7 subsets per chunk: it returns 0x1.ffffffffffffbp-1,
     # 1.8e-16 and 6.0e-16 against 0x1.ffffffffffffap-1, 0 and 5.3e-16.
+    # The last four have k < 2n and so meet the det-trace bound, tight up to
+    # rounding on a singular subset whose other eigenvalues are equal.
+    # With _prune_margin set to 0, the first three return 0x1p-52, 0x1p-55
+    # and 0x1.a0f0b69a6e493p-57 at one subset per chunk, and the fourth
+    # 0x1.ap-64 in one chunk, against 0x1p-53, 0, 0 and 0.
     @pytest.mark.parametrize("seed, m, n, k", [(0, 12, 4, 8), (16, 11, 2, 8), (23, 10, 3, 7),
-                                               (35, 11, 4, 9)])
+                                               (35, 11, 4, 9), (190, 8, 2, 3), (69, 12, 2, 3),
+                                               (185, 7, 3, 3), (183, 10, 3, 5)])
     def test_near_tie_matches_literal_reference(self, seed, m, n, k):
         # Rows from n orthonormal directions: every Gram matrix, prefix,
         # suffix and subset alike, has the same eigenvectors, so Weyl's

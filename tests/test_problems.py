@@ -361,6 +361,18 @@ class TestLoadValidation:
         with pytest.raises(IoError, match="matrix.csv"):
             load_system(saved)
 
+    def test_rows_are_checked_for_unit_norm_once(self, saved, monkeypatch):
+        calls = []
+        check = problems.is_row_normalized
+
+        def counting_check(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return check(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(problems, "is_row_normalized", counting_check)
+        load_system(saved)
+        assert calls == [(40, 5)]
+
     @pytest.mark.parametrize("name, edit", [
         ("metadata.json", lambda text: text[:-3]),
         ("metadata.json", lambda text: "[" + text + "]"),
