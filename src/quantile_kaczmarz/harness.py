@@ -12,7 +12,6 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +27,7 @@ from .problems import (
     GeneratorSpec,
     generate,
     generate_adversarial_duplicate,
+    write_json,
 )
 from .rates import resolve_alpha_auto
 from .solvers import (
@@ -107,19 +107,12 @@ def derived_seed(base: int, *keys: int) -> int:
     return int(np.random.SeedSequence([int(base), *map(int, keys)]).generate_state(1)[0])
 
 
-def _write_json(payload: dict, path: Path) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
 def _write_config(config: ExperimentConfig, out: Path, **extras) -> Path:
     """``config.json``: every field of ``config`` but ``output_dir``, so a run
     repeated elsewhere writes the same bytes, plus the ``extras`` records."""
     payload = dataclasses.asdict(config)
     del payload["output_dir"]
-    return _write_json({**payload, **extras}, out / "config.json")
+    return write_json({**payload, **extras}, out / "config.json")
 
 
 def _plot(paths: dict, path: Path, title: str, curves, x_label: str = "iteration",
@@ -427,7 +420,7 @@ def adversarial_demo(
     # JSON has no NaN or Infinity: a diverged solve's error is written as null.
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
-    results["summary_json"] = _write_json(summary, out / "summary.json")
+    results["summary_json"] = write_json(summary, out / "summary.json")
     if svg:
         _plot(results, out / "adversarial.svg", "projective vs averaged blocking",
               [(label, trace.rel_error) for label, trace in traces.items()])

@@ -234,20 +234,19 @@ def _suffix_length(m: int, k: int, per_chunk: int) -> int:
     return max(j for j in range(k + 1) if math.comb(m - k + j, j) <= per_chunk)
 
 
-def _combinations(m: int, k: int, per_chunk: int, spectra=lambda rows: ()):
-    """``itertools.combinations(range(m), k)`` in the same order, in chunks
-    ``(idx, *sums)`` of exactly ``per_chunk`` subsets each but the last: idx
-    is the (rows, k) index array, and sums holds one array per value that
-    ``spectra`` gives.
+def _grids(m: int, k: int, per_chunk: int, spectra=lambda rows: ()):
+    """Every size-k subset of ``range(m)`` once, as grids ``(prefixes,
+    suffixes, *sums)`` of at most ``per_chunk`` subsets: each prefix row
+    followed by each suffix row, numbered as :func:`_grid_rows` reads them,
+    and sums holds one flat array per value that ``spectra`` gives.
 
     Each subset is a prefix of length p = k - s followed by a suffix of
-    length s.  The suffixes that follow a prefix ending at element l are the
-    combinations of ``range(l + 1, m)``, which in lexicographic order are the
-    last C(m - 1 - l, s) rows of the table of combinations of ``range(p, m)``.
-    s is :func:`_suffix_length`; the prefixes come from itertools
-    ``per_chunk`` at a time, and ``np.repeat`` lays each prefix beside its
-    rows of the table, cut at chunk boundaries.  Nothing larger than a chunk
-    is held, and no index array of all the subsets is built.
+    length s, s being :func:`_suffix_length`.  The suffixes that follow a
+    prefix ending at element l are the combinations of ``range(l + 1, m)``,
+    the last C(m - 1 - l, s) rows of the table of combinations of ``range(p,
+    m)``.  So the prefixes ending at l, from itertools, times those rows make
+    a grid, cut into blocks of ``per_chunk // C(m - 1 - l, s)`` prefixes, at
+    least one.  No index array of a grid's subsets is built here.
 
     ``spectra`` maps a (rows, len) index array, the table or a block of
     prefixes, to a tuple of arrays with one value per row; each subset gets
@@ -258,41 +257,26 @@ def _combinations(m: int, k: int, per_chunk: int, spectra=lambda rows: ()):
     p = k - s
     table = _index_rows(itertools.combinations(range(p, m), s), s)
     table_values = spectra(table)
-    # suffix counts of the prefixes ending at l = p - 1, ..., m - s - 1
-    # (l = -1 stands for the one empty prefix when p == 0)
-    follow = np.array([math.comb(m - 1 - l, s) for l in range(p - 1, m - s)], dtype=np.intp)
-    prefixes = itertools.combinations(range(m - s), p)
-    held = 0
-    while len(block := _index_rows(itertools.islice(prefixes, per_chunk), p)):
-        block_values = spectra(block)
-        sizes = follow[block[:, -1] + 1 - p] if p else follow[:1]
-        ends = np.cumsum(sizes)
-        start = 0
-        while start < ends[-1]:
-            if not held:
-                chunk = np.empty((per_chunk, k), dtype=np.intp)
-                sums = [np.empty(per_chunk) for _ in table_values]
-            stop = min(start + per_chunk - held, int(ends[-1]))
-            # the prefixes whose rows meet start:stop, and how many each lays
-            lo = np.searchsorted(ends, start, side="right")
-            hi = np.searchsorted(ends, stop, side="left") + 1
-            size, begin = sizes[lo:hi], ends[lo:hi] - sizes[lo:hi]
-            skip = np.maximum(start - begin, 0)
-            take = np.minimum(stop - begin, size) - skip
-            pre = np.repeat(np.arange(lo, hi), take)
-            suf = np.repeat(len(table) - size + skip - (np.cumsum(take) - take), take)
-            suf += np.arange(stop - start)
-            laid = slice(held, held + stop - start)
-            chunk[laid, :p], chunk[laid, p:] = block[pre], table[suf]
-            for out, prefix_value, suffix_value in zip(sums, block_values, table_values):
-                out[laid] = prefix_value[pre] + suffix_value[suf]
-            held += stop - start
-            start = stop
-            if held == per_chunk:
-                yield chunk, *sums
-                held = 0
-    if held:
-        yield chunk[:held], *(out[:held] for out in sums)
+    for last in range(p - 1, m - s) if p else (-1,):  # -1: the one empty prefix
+        lo = len(table) - math.comb(m - 1 - last, s)
+        tail, tail_values = table[lo:], [values[lo:] for values in table_values]
+        heads = iter([()]) if not p else (
+            head + (last,) for head in itertools.combinations(range(last), p - 1))
+        step = max(1, per_chunk // len(tail))
+        while len(block := _index_rows(itertools.islice(heads, step), p)):
+            sums = (np.add.outer(prefix_values, suffix_values).ravel()
+                    for prefix_values, suffix_values in zip(spectra(block), tail_values))
+            yield block, tail, *sums
+
+
+def _grid_rows(prefixes: np.ndarray, suffixes: np.ndarray, which=None) -> np.ndarray:
+    """Index rows of a grid's subsets ``which``, or of all of them: subset
+    ``i * len(suffixes) + j`` is prefix i followed by suffix j."""
+    if which is None:  # no gather: a third faster than dividing an arange
+        return np.hstack([np.repeat(prefixes, len(suffixes), axis=0),
+                          np.tile(suffixes, (len(prefixes), 1))])
+    i, j = np.divmod(which, len(suffixes))
+    return np.hstack([prefixes[i], suffixes[j]])
 
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -424,7 +408,7 @@ def _det_trace_bound(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Subsets eigen-solved at once, in ascending order of bound; the running
-# minimum re-prunes the rest of the chunk after each batch.
+# minimum re-prunes the rest of the grid after each batch.
 _SOLVE_BATCH = 256
 
 
@@ -432,22 +416,24 @@ def _min_over_subsets(a: np.ndarray, k: int) -> float:
     """Smallest Gram eigenvalue over the size-k row subsets of ``a``, the
     result of an eigen-solve per subset, bit for bit.
 
-    The subsets come from :func:`_combinations`, ``_CHUNK_BYTES`` of their
+    The subsets come from :func:`_grids`, at most ``_CHUNK_BYTES`` of their
     rows' worth at a time, each with a lower bound on its smallest
     eigenvalue.  Those whose bound is at most ``best + margin * trace``,
     ``best`` being the running minimum, are eigen-solved in ascending order
     of bound, ``_SOLVE_BATCH`` at a time, the rest re-pruned after each
-    batch; the first chunk's lowest bound is solved alone to seed ``best``.
-    Where k >= 2n, the prefix or the suffix has at least n rows, and by
-    Weyl's inequality the bound is the sum of their smallest eigenvalues
-    (:func:`_weyl_margin`, about 6e-14 at n = 4); only survivors are
-    gathered, and where a part is the whole subset its bound is its
-    eigenvalue.  Where k < 2n, one part's Gram matrix is singular, and the
-    Weyl bound measured slower than forming every subset's Gram matrix and
-    bounding it by :func:`_det_trace_bound` (:func:`_prune_margin`, about
-    2e-11 at n = 4); survivors are solved from the Gram matrices the chunk
-    holds.  That margin carries LU's worst-case growth, so from n = 27, as
-    at n = 1, there is no bound and every subset is eigen-solved.
+    batch; the first grid's lowest bound is solved alone to seed ``best``.
+    Both margins hold in whatever order the subsets come, so the minimum
+    does not depend on it.  Where k >= 2n, the prefix or the suffix
+    has at least n rows, and by Weyl's inequality the bound is the sum of
+    their smallest eigenvalues (:func:`_weyl_margin`, about 6e-14 at n = 4);
+    only survivors are gathered, and where a part is the whole subset its
+    bound is its eigenvalue.  Where k < 2n, one part's Gram matrix is
+    singular, and the Weyl bound measured slower than forming every
+    subset's Gram matrix and bounding it by :func:`_det_trace_bound`
+    (:func:`_prune_margin`, about 2e-11 at n = 4); survivors are solved from
+    the Gram matrices the grid holds.  That margin carries LU's worst-case
+    growth, so from n = 27, as at n = 1, there is no bound and every subset
+    is eigen-solved.
     """
     m, n = a.shape
     per_chunk = _per_chunk(a, k)
@@ -455,13 +441,13 @@ def _min_over_subsets(a: np.ndarray, k: int) -> float:
     if weyl:
         exact = _suffix_length(m, k, per_chunk) in (0, k)
         margin = None if exact else _weyl_margin(n, k)
-        chunks = _combinations(m, k, per_chunk, lambda rows: _gram_spectra(a, rows))
+        grids = _grids(m, k, per_chunk, lambda rows: _gram_spectra(a, rows))
     else:
         margin = None if n == 1 else _prune_margin(n, k)
-        chunks = _combinations(m, k, per_chunk)
+        grids = _grids(m, k, per_chunk)
     best = np.inf
-    for idx, *sums in chunks:
-        grams = None if weyl else _grams(a, idx)       # (chunk, n, n)
+    for prefixes, suffixes, *sums in grids:
+        grams = None if weyl else _grams(a, _grid_rows(prefixes, suffixes))
         if margin is None:  # no bound: every subset's eigenvalue, read or solved
             low = sums[0] if weyl else np.linalg.eigvalsh(grams)[:, 0]
             best = min(best, float(low.min()))
@@ -472,10 +458,10 @@ def _min_over_subsets(a: np.ndarray, k: int) -> float:
             while len(live):
                 size = _SOLVE_BATCH if best < np.inf else 1  # the lowest bound seeds best
                 batch, live = live[:size], live[size:]
-                solved = _grams(a, idx[batch]) if weyl else grams[batch]
+                solved = _grams(a, _grid_rows(prefixes, suffixes, batch)) if weyl else grams[batch]
                 best = min(best, float(np.linalg.eigvalsh(solved)[:, 0].min()))
                 live = live[bound[live] <= best + margin * trace[live]]
-        del grams  # freed before the next chunk's Gram matrices are formed
+        del grams  # freed before the next grid's Gram matrices are formed
     return max(best, 0.0)
 
 
@@ -491,10 +477,10 @@ def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
     """Exact infimum of ``sigma_min_sq`` over all row subsets of size ``k``.
 
     Enumerates every subset, so the binomial count must stay below
-    ``SUBSET_ENUMERATION_CAP``.  numpy builds the index chunks in
-    lexicographic order, never all at once, and at most ``_CHUNK_BYTES``
-    (4 MiB) of subset rows are gathered at a time, or one subset when a
-    single one is larger.
+    ``SUBSET_ENUMERATION_CAP``.  The subsets come as grids of prefixes times
+    suffixes (:func:`_grids`), never all at once, and at most
+    ``_CHUNK_BYTES`` (4 MiB) of subset rows are gathered at a time, or one
+    subset when a single one is larger.
 
     ``subsets_examined`` counts every subset, but ``eigvalsh`` runs only on
     those that a lower bound on the smallest eigenvalue cannot rule out, in

@@ -228,10 +228,17 @@ def save_system(
         "x_star": [float(v) for v in system.x_star],
         "spec": asdict(spec) if spec is not None else None,
     }
-    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(meta, out / "metadata.json")
     return out
+
+
+def write_json(payload: dict, path: Path) -> Path:
+    """Write ``payload`` as the package's JSON artifacts are written: sorted
+    keys, two-space indent, a final newline, and no NaN or infinity."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    return path
 
 
 def _check(ok, path: Path, mismatch: str) -> None:

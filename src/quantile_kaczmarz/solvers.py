@@ -320,16 +320,21 @@ Step = Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, StepStats]]
 class MethodSpec:
     """What sets one method apart: the rows its quantile ranks (``"m"``: all,
     ``"t"``: the sampled ones, None: no quantile test), whether a step size
-    applies and whether ``alpha="auto"`` resolves it, and ``build(matrix, b,
-    config, t, alpha)``, which returns one solve's step ``(x, rng) -> (x_next,
-    stats)``.  A step calls its kernel by module-global name, so a kernel
-    rebound in this module takes effect, except where quantile-rk's step is a
-    :class:`_QuantileRkRun`, which keeps state and calls no step kernel."""
+    applies, and ``build(matrix, b, config, t, alpha)``, which returns one
+    solve's step ``(x, rng) -> (x_next, stats)``.  A step calls its kernel
+    by module-global name, so a kernel rebound in this module takes effect,
+    except where quantile-rk's step is a :class:`_QuantileRkRun`, which
+    keeps state and calls no step kernel."""
 
     scope: str | None
     takes_alpha: bool
-    auto_alpha: bool
     build: Callable[..., Step]
+
+    @property
+    def auto_alpha(self) -> bool:
+        """Whether ``alpha="auto"`` resolves the step size: the method has
+        one and a quantile test."""
+        return self.takes_alpha and self.scope is not None
 
 
 def _rk(a, b, config, t, alpha) -> Step:
@@ -443,13 +448,13 @@ def _projective(a, b, config, t, alpha) -> Step:
 
 
 METHOD_TABLE = {
-    #                                             scope takes_alpha auto_alpha build
-    "rk":                              MethodSpec(None, False, False, _rk),
-    "quantile-rk":                     MethodSpec("t",  False, False, _quantile_rk),
-    "averaged-block":                  MethodSpec(None, True,  False, _averaged),
-    "quantile-averaged-block":         MethodSpec("m",  True,  True,  _quantile_averaged),
-    "sampled-quantile-averaged-block": MethodSpec("t",  True,  True,  _sampled_quantile_averaged),
-    "quantile-projective-block":       MethodSpec("m",  False, False, _projective),
+    #                                             scope takes_alpha build
+    "rk":                              MethodSpec(None, False, _rk),
+    "quantile-rk":                     MethodSpec("t",  False, _quantile_rk),
+    "averaged-block":                  MethodSpec(None, True,  _averaged),
+    "quantile-averaged-block":         MethodSpec("m",  True,  _quantile_averaged),
+    "sampled-quantile-averaged-block": MethodSpec("t",  True,  _sampled_quantile_averaged),
+    "quantile-projective-block":       MethodSpec("m",  False, _projective),
 }
 METHODS = tuple(METHOD_TABLE)
 
@@ -473,7 +478,7 @@ class SolverConfig:
     alpha: float | str = domain(
         "> 0 or 'auto'", lambda v: v == "auto" or not isinstance(v, str) and v > 0, default="auto")
     t: int | None = domain(">= 1 or None", lambda v: v is None or v >= 1, default=None)
-    block_size: int | None = None
+    block_size: int | None = domain(">= 1 or None", lambda v: v is None or v >= 1, default=None)
     max_iters: int = domain(">= 1", lambda v: v >= 1, default=100)
     stop_rel_error: float = domain(">= 0", lambda v: v >= 0, default=0.0)
     comparator: str = one_of(COMPARATORS, default="strict-below")
@@ -509,7 +514,7 @@ def check_config(
         raise ConfigError(f"method {config.method!r} needs a numeric alpha: the harness resolves "
                           f"'auto' with qk.resolve_alpha_auto, for averaged quantile methods only")
     size = config.block_size
-    if config.method == "averaged-block" and (size is None or not 1 <= size <= m):
+    if config.method == "averaged-block" and (size is None or size > m):
         raise ConfigError(f"method {config.method!r} requires 1 <= block_size <= m")
     return spec, t, x0
 

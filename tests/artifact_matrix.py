@@ -21,7 +21,7 @@ from pathlib import Path
 
 DESK = ["--m", "200", "--n", "10", "--beta", "0.1", "--seed", "1"]
 EXACT = ["--m", "14", "--n", "3", "--beta", "0", "--seed", "6", "--q", "0.5"]
-# k = 10 of 20 rows: 15 chunks of subsets, each a 4-row prefix and a suffix
+# k = 10 of 20 rows: 20 grids of subsets, 4-row prefixes times 6-row suffixes
 EXACT_PREFIXES = ["--m", "20", "--n", "4", "--beta", "0", "--seed", "6", "--q", "0.5"]
 # k = 10 < 2n: every subset's Gram matrix is bounded by the det-trace test
 EXACT_WIDE = ["--m", "20", "--n", "7", "--beta", "0", "--seed", "6", "--q", "0.5"]

@@ -107,6 +107,8 @@ EXPERIMENT = ExperimentConfig(GENERATOR, SOLVER)
     (EXPERIMENT, "repetitions", 0, ConfigError),
     (EXPERIMENT, "timing", "bogus", ConfigError),
     (EXPERIMENT, "start", "twos", ConfigError),
+    (SOLVER, "block_size", 0, ConfigError),
+    (SOLVER, "block_size", -3, ConfigError),
 ], ids=lambda v: repr(v) if isinstance(v, (str, float, int, tuple)) else None)
 def test_each_field_checks_its_domain_when_built(obj, field, value, error):
     with pytest.raises(error, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):

@@ -272,27 +272,27 @@ class TestRestrictedAgainstReference:
         assert single.subsets_examined == whole.subsets_examined == 30
 
     def test_bruteforce_is_chunk_independent(self, monkeypatch):
-        batches = []
-        combinations = linalg._combinations
+        sizes = []
+        grids = linalg._grids
 
-        def recording_combinations(*args):  # the chunks the pruning receives
-            for chunk in combinations(*args):
-                batches.append(len(chunk[0]))
-                yield chunk
+        def recording_grids(*args):  # the grid sizes the pruning receives
+            for grid in grids(*args):
+                sizes.append(len(grid[0]) * len(grid[1]))
+                yield grid
 
-        monkeypatch.setattr(linalg, "_combinations", recording_combinations)
+        monkeypatch.setattr(linalg, "_grids", recording_grids)
         for n in (3, 2):  # k = 4 < 2n: the det-trace test; k = 4 >= 2n: Weyl's
             a = unit_rows(np.random.default_rng(500), 9, n)
             per_subset = 8 * 4 * n  # bytes of one gathered 4xn subset
-            expected_batches = {1: [1] * 126, 10: [10] * 12 + [6], 126: [126]}  # C(9,4) = 126
             results = {}
-            for per_chunk, expected in expected_batches.items():
-                batches.clear()
+            for per_chunk in (1, 10, 126):  # C(9,4) = 126
+                sizes.clear()
                 monkeypatch.setattr(linalg, "_CHUNK_BYTES", per_chunk * per_subset)
                 results[per_chunk] = restricted_min_sv_bruteforce(a, 4)
-                assert batches == expected
+                assert sum(sizes) == 126
+                assert max(sizes) <= per_chunk
             values = [r.sigma_restricted_min_sq for r in results.values()]
-            assert values == pytest.approx([values[0]] * 3, rel=1e-12)
+            assert values == [values[0]] * 3
             assert {r.subsets_examined for r in results.values()} == {126}
 
     @pytest.mark.parametrize("seed", range(3))
@@ -380,15 +380,18 @@ class TestPrunedBruteforce:
             a = a[rng.integers(0, n, size=m)]
         assert_matches_bruteforce_reference(a, k, repeated)
 
-    def test_combinations_match_itertools_for_every_chunk_length(self):
+    def test_grids_hold_every_subset_once_at_every_chunk_length(self):
         for m in range(10):
             for k in range(m + 1):
                 expected = list(itertools.combinations(range(m), k))
                 for per_chunk in range(1, len(expected) + 1):
-                    chunks = [idx for idx, in linalg._combinations(m, k, per_chunk)]
-                    assert [len(c) for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
-                    assert 0 < len(chunks[-1]) <= per_chunk
-                    assert [tuple(row) for c in chunks for row in c.tolist()] == expected
+                    grids = list(linalg._grids(m, k, per_chunk))
+                    assert all(len(pre) * len(suf) <= per_chunk for pre, suf in grids)
+                    rows = [linalg._grid_rows(pre, suf) for pre, suf in grids]
+                    for (pre, suf), every in zip(grids, rows):  # all, or some, of a grid
+                        np.testing.assert_array_equal(
+                            every, linalg._grid_rows(pre, suf, np.arange(len(every))))
+                    assert sorted(tuple(row) for r in rows for row in r.tolist()) == expected
 
     def test_bound_skips_most_eigen_solves(self, monkeypatch):
         a = unit_rows(np.random.default_rng(602), 20, 4)
@@ -446,15 +449,15 @@ class TestPrunedBruteforce:
         if repeated:
             a = a[rng.integers(0, n, size=m)]
         for k in range(n, m + 1):
-            literal = np.array([np.linalg.eigvalsh(a[list(idx)].T @ a[list(idx)])[0]
-                                for idx in itertools.combinations(range(m), k)])
+            literal = {idx: np.linalg.eigvalsh(a[list(idx)].T @ a[list(idx)])[0]
+                       for idx in itertools.combinations(range(m), k)}
             margin = linalg._weyl_margin(n, k)
             for per_chunk in range(1, len(literal) + 1):
-                chunks = list(linalg._combinations(
-                    m, k, per_chunk, lambda rows: linalg._gram_spectra(a, rows)))
-                bound = np.concatenate([bound for _, bound, _ in chunks])
-                trace = np.concatenate([trace for _, _, trace in chunks])
-                assert np.all(bound <= literal + margin * trace)
+                for pre, suf, bound, trace in linalg._grids(
+                        m, k, per_chunk, lambda rows: linalg._gram_spectra(a, rows)):
+                    exact = np.array([literal[tuple(row)]
+                                      for row in linalg._grid_rows(pre, suf).tolist()])
+                    assert np.all(bound <= exact + margin * trace)
 
     # With the margin set to 0, each of the seeded cases but the first loses
     # its minimizer at 7 subsets per chunk: it returns 0x1.ffffffffffffbp-1,
