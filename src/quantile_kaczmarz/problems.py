@@ -10,6 +10,7 @@ toggling the corruption never perturbs the matrix.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -209,27 +210,169 @@ def generate_adversarial_duplicate(
 
 
 # ---------------------------------------------------------------------------
-# On-disk round trip: matrix.csv, b_observed.csv, metadata.json.  Floats are
-# written with 17 significant digits so the decimal form round-trips exactly.
+# On-disk round trip: matrix.csv, b_observed.csv, metadata.json.  Each CSV
+# value is written as its format(v, ".17g") text, so the decimal form
+# round-trips exactly; these are the bytes numpy's savetxt with fmt="%.17g"
+# wrote.  The writer builds them with numpy arithmetic, a block of a few
+# thousand values at a time.  save_system refuses what load_system would
+# refuse, before it creates the directory.
+
+def _fault(matrix, b_observed, x_star, indices) -> tuple[str, str] | None:
+    """The first reason these arrays are not a system that :func:`load_system`
+    reads back, as the field at fault and what is wrong with it, or None.
+    The matrix's own check is :class:`CorruptedSystem`'s unit-norm test, which
+    a non-finite entry fails without an m x n temporary."""
+    m, n = matrix.shape
+    if b_observed.shape != (m,):
+        return "b_observed", f"has {b_observed.size} entries, expected m={m}"
+    if x_star.shape != (n,):
+        return "x_star", f"has {x_star.size} entries, expected n={n}"
+    if len(set(indices.tolist())) != indices.size or not np.all((indices >= 0) & (indices < m)):
+        return "corrupted_indices", f"must be unique and lie in [0, {m})"
+    for name, values in (("b_observed", b_observed), ("x_star", x_star)):
+        if not np.all(np.isfinite(values)):
+            return name, "has a non-finite entry"
+    return None
+
 
 def save_system(
     system: CorruptedSystem, directory, spec: GeneratorSpec | None = None
 ) -> Path:
+    b_observed = np.asarray(system.b_observed, dtype=float)
+    x_star = np.asarray(system.x_star, dtype=float)
+    fault = _fault(system.matrix, b_observed, x_star, np.asarray(system.corrupted_indices))
+    if fault is not None:
+        raise ConfigError("cannot save the system: {} {}".format(*fault))
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "matrix.csv", system.matrix, fmt="%.17g", delimiter=",")
-    np.savetxt(out / "b_observed.csv", system.b_observed, fmt="%.17g")
+    _write_csv(out / "matrix.csv", system.matrix)
+    _write_csv(out / "b_observed.csv", b_observed[:, None])
     meta = {
         "format_version": _FORMAT_VERSION,
         "m": system.m,
         "n": system.n,
         "beta": system.beta,
         "corrupted_indices": [int(i) for i in system.corrupted_indices],
-        "x_star": [float(v) for v in system.x_star],
+        "x_star": [float(v) for v in x_star],
         "spec": asdict(spec) if spec is not None else None,
     }
     write_json(meta, out / "metadata.json")
     return out
+
+
+# Values per block: each temporary of a block (25 bytes of text per value at
+# most) stays below glibc's 128 KiB mmap threshold, so no block maps pages.
+# A block holds whole rows, so a row longer than this is a block of its own.
+_BLOCK = 4096
+
+
+def _split(a):
+    """Veltkamp's split of doubles into 26-bit halves with a sum that is exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The writer's lookup tables, built at its first use, not at import:
+
+    - the ASCII of 0000..9999 as uint32 words, then the same with trailing
+      zeros as empty (0) bytes, which the last nonzero group of a 17-digit
+      integer, and the zero groups after it, read;
+    - 10**k for k = 0..22, exact doubles, and their Veltkamp halves."""
+    quad = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):  # digit k of the index runs along axis k
+        quad[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - k))
+    quad = quad.reshape(10_000, 4)
+    kept = quad != ord("0")
+    for k in (2, 1, 0):
+        kept[:, k] |= kept[:, k + 1]
+    pow10 = 10.0 ** np.arange(23)
+    return np.concatenate([quad, quad * kept]).view(np.uint32).ravel(), pow10, *_split(pow10)
+
+
+def _times_pow10(a, k):
+    """a * 10**k rounded to an integer, ties to even, for 0 <= k <= 22; exact
+    where the product lies in [2**53, 2**63), and within 1 below that.
+    Dekker's two-product gives a * 10**k as p + err exactly, and p is then
+    an even integer, so rounding err rounds the sum."""
+    _, pow10, pow10_hi, pow10_lo = _tables()
+    p = a * pow10[k]
+    a_hi, a_lo = _split(a)
+    p10_hi, p10_lo = pow10_hi[k], pow10_lo[k]
+    err = a_lo * p10_lo - (((p - a_hi * p10_hi) - a_lo * p10_hi) - a_hi * p10_lo)
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _csv_text(values, seps) -> np.ndarray:
+    """The bytes of ``format(v, ".17g") + sep`` for each value and separator.
+
+    Where 1e-5 <= |v| < 1e15, v's 17 significant digits are the integer
+    round(|v| * 10**(16 - e)) in [10**16, 10**17), e the decimal exponent, and
+    they are laid out by e in a 25-byte slot: d.ddde-05, 0.000ddd or ddd.ddd,
+    with no trailing zeros and no bare point.  Other values (zeros,
+    subnormals, tiny or huge ones) take ``format`` itself."""
+    count = values.size
+    a = np.abs(values)
+    fast = (a >= 1e-5) & (a < 1e15)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int8)
+    digits = _times_pow10(a, 16 - e)
+    off = (digits >= 10**17).view(np.int8) - (digits < 10**16).view(np.int8)
+    if off.any():  # log10 rounded across a power of ten, or the digits rounded up to one
+        e += off
+        digits = _times_pow10(a, 16 - e)
+    lead, rest = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = (*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    ascii_quads = _tables()[0]
+    quads = np.empty((count, 5), np.uint32)  # bytes 3..19: the 17 digits
+    trimmed = np.full(count, 10_000)
+    for j in (3, 2, 1, 0):
+        quads[:, j + 1] = ascii_quads[groups[j] + trimmed]
+        trimmed *= groups[j] == 0
+    quads.view(np.uint8)[:, 3] = lead + ord("0")
+
+    order = np.argsort(e, kind="stable")
+    digits = np.take(quads, order, axis=0).view(np.uint8)[:, 3:]
+    text = np.zeros((count, 25), np.uint8)  # sign, up to 23 bytes, separator
+    lo = 0
+    for x, hi in enumerate(np.cumsum(np.bincount(e + 5)), start=-5):
+        t, d = text[lo:hi], digits[lo:hi]
+        lo = hi
+        if x == -5:  # d.ddde-05 is laid out as x = 0, then its exponent
+            t[:, 19:23] = list(b"e-05")
+            x = 0
+        if x >= 0:
+            t[:, 1:x + 2] = d[:, :x + 1] | ord("0")  # integer digits keep their zeros
+            t[:, x + 2] = np.where(d[:, x + 1] != 0, ord("."), 0)
+            t[:, x + 3:19] = d[:, x + 1:]
+        else:
+            t[:, 1:2 - x] = list(b"0.000"[:1 - x])
+            t[:, 2 - x:19 - x] = d
+    slots = np.empty_like(text)
+    slots.view("V25")[order] = text.view("V25")
+    slots[:, 0] = np.where(values < 0, ord("-"), 0)
+    slots[:, 24] = seps
+    for i in np.flatnonzero(~fast):
+        other = format(float(values[i]), ".17g").encode()
+        slots[i, :24] = 0
+        slots[i, :len(other)] = np.frombuffer(other, np.uint8)
+    return slots[slots != 0]
+
+
+def _write_csv(path: Path, table: np.ndarray) -> None:
+    """Write a 2-D float array as CSV: each value's ".17g" text, commas
+    within a row, a newline after it; a block of whole rows at a time."""
+    m, n = table.shape
+    rows = max(1, _BLOCK // n)
+    seps = np.tile(np.array([ord(",")] * (n - 1) + [ord("\n")], np.uint8), rows)
+    with open(path, "wb") as fh:
+        for start in range(0, m, rows):
+            values = table[start:start + rows].ravel()
+            fh.write(_csv_text(values, seps[:values.size]))
 
 
 def write_json(payload: dict, path: Path) -> Path:
@@ -259,6 +402,9 @@ def _parse(path: Path, read):
 # have (a JSON true or false is neither); a list type means a list of them.
 _META_TYPES = {"m": (int,), "n": (int,), "beta": (int, float),
                "x_star": [int, float], "corrupted_indices": [int]}
+# The file that holds each field.
+_FILES = {"b_observed": "b_observed.csv", "x_star": "metadata.json",
+          "corrupted_indices": "metadata.json"}
 
 
 def load_system(directory) -> CorruptedSystem:
@@ -287,16 +433,12 @@ def load_system(directory) -> CorruptedSystem:
     indices = np.asarray(meta["corrupted_indices"], dtype=np.intp)
     _check(matrix.shape == (m, n), src / "matrix.csv",
            f"matrix is {matrix.shape[0]}x{matrix.shape[1]}, metadata says {m}x{n}")
-    _check(b_observed.shape == (m,), src / "b_observed.csv",
-           f"{b_observed.size} entries, expected m={m}")
-    _check(x_star.shape == (n,), meta_path, f"x_star has {x_star.size} entries, expected n={n}")
-    _check(len(set(indices.tolist())) == indices.size and np.all((indices >= 0) & (indices < m)),
-           meta_path, f"corrupted_indices must be unique and lie in [0, {m})")
+    fault = _fault(matrix, b_observed, x_star, indices)
+    if fault is not None:
+        name, problem = fault
+        raise IoError(f"{src / _FILES[name]}: {name} {problem}")
     _check(meta["beta"] == indices.size / m, meta_path,
            f"beta {meta['beta']!r} is not the corrupted share {indices.size}/{m}")
-    for path, values in ((src / "matrix.csv", matrix), (src / "b_observed.csv", b_observed),
-                         (meta_path, x_star)):
-        _check(np.all(np.isfinite(values)), path, "non-finite entry")
     try:  # the constructor checks the rows for unit norm
         return CorruptedSystem(
             matrix=matrix,

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import json
 import math
@@ -27,6 +28,30 @@ def spec(family="gaussian", m=120, n=10, seed=0, beta=0.0, **corruption):
         family=family, m=m, n=n, seed=seed,
         corruption=CorruptionSpec(beta=beta, **corruption),
     )
+
+
+def csv_family(family: str, rng: np.random.Generator) -> np.ndarray:
+    """Values whose ".17g" text takes each path of the CSV writer."""
+    if family == "edge":  # mostly zeros, subnormals and extremes, which take format() itself
+        big = np.finfo(float).max
+        return np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, 1.2345678901234568e+17,
+                         big, -big])
+    if family == "powers-of-ten":  # where the decimal exponent changes
+        powers = [float(f"1e{k}") for k in range(-6, 17)]
+        return np.array([w for p in powers
+                         for w in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))])
+    if family == "dyadic-ties":
+        # k / 2**j with odd k in [10**(17-j), 10**(18-j)) * 2**j has exactly 18
+        # significant digits, the last a 5: a tie, rounded to even, at the 17th
+        values = []
+        for j in range(3, 23):
+            low, high = math.ceil(10.0 ** (17 - j) * 2**j), math.floor(10.0 ** (18 - j) * 2**j)
+            odd = 2 * rng.integers(low // 2, (high - 1) // 2, 50) + 1
+            values.extend(odd / 2**j * rng.choice([-1.0, 1.0], 50))
+        assert all(len(decimal.Decimal(v).as_tuple().digits) == 18 for v in values)
+        return np.array(values)
+    assert family == "log-uniform"
+    return rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-8, 18, 10_000)
 
 
 def validate(system: CorruptedSystem) -> None:
@@ -263,17 +288,42 @@ class TestRoundTrip:
         for name in ("matrix.csv", "b_observed.csv", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_csv_holds_each_float_as_format_17g(self, tmp_path):
-        edge = [-0.0, 5e-324, 1e-300, 0.1, 1.2345678901234568e+17]
-        matrix = np.array([[v, math.sqrt(1.0 - v * v)] for v in edge[:4]])
-        system = CorruptedSystem(matrix=matrix, x_star=np.zeros(2),
-                                 b_observed=np.array(edge[1:]), corrupted_indices=np.arange(4))
+    @pytest.mark.parametrize("family", ["edge", "powers-of-ten", "dyadic-ties", "log-uniform",
+                                        "generated"])
+    def test_csv_holds_each_float_as_format_17g(self, tmp_path, family):
+        """The writer against the plain reference, format(v, ".17g") per value:
+        here on b_observed beside a random unit-row matrix, or, for
+        "generated", on a whole generated system."""
+        rng = np.random.default_rng(21)
+        if family == "generated":
+            system = generate(spec(m=600, n=10, seed=21, beta=0.2))
+        else:
+            b_observed = csv_family(family, rng)
+            system = CorruptedSystem(
+                matrix=generate(spec(m=b_observed.size, n=3, seed=21)).matrix,
+                x_star=np.zeros(3), b_observed=b_observed,
+                corrupted_indices=np.arange(b_observed.size))
         save_system(system, tmp_path / "sys")
-        lines = {"matrix.csv": [",".join(format(v, ".17g") for v in row) for row in matrix],
-                 "b_observed.csv": [format(v, ".17g") for v in edge[1:]]}
+        lines = {"matrix.csv": [",".join(format(v, ".17g") for v in row)
+                                for row in system.matrix],
+                 "b_observed.csv": [format(v, ".17g") for v in system.b_observed]}
         for name, expected in lines.items():
             text = "".join(line + "\n" for line in expected)
             assert (tmp_path / "sys" / name).read_bytes() == text.encode()
+
+    def test_save_streams_the_csv(self, tmp_path):
+        """No text of a whole file is built: the traced peak of a save stays
+        below a quarter of the bytes it writes."""
+        system = generate(spec(m=20_000, n=20, seed=5, beta=0.1))
+        tracemalloc.start()
+        try:
+            save_system(system, tmp_path / "sys")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = sum(path.stat().st_size for path in (tmp_path / "sys").iterdir())
+        assert written > 8_000_000
+        assert peak < written / 4
 
     def test_beta_follows_the_indices(self, tmp_path):
         system = CorruptedSystem(matrix=np.eye(3), x_star=np.zeros(3),
@@ -396,6 +446,28 @@ class TestLoadValidation:
         self.edit_meta(saved, x_star=[math.inf] + meta["x_star"][1:])
         with pytest.raises(IoError, match="metadata.json"):
             load_system(saved)
+
+
+class TestSaveValidation:
+    """save_system refuses, before it makes the directory, each system that
+    load_system would refuse to read back."""
+
+    @pytest.mark.parametrize("field, edit", [
+        ("b_observed", lambda s: np.where(np.arange(s.m) == 3, np.nan, s.b_observed)),
+        ("b_observed", lambda s: np.where(np.arange(s.m) == 3, -np.inf, s.b_observed)),
+        ("b_observed", lambda s: s.b_observed[:-1]),
+        ("corrupted_indices", lambda s: np.append(s.corrupted_indices, s.corrupted_indices[0])),
+        ("corrupted_indices", lambda s: np.array([s.m])),
+        ("x_star", lambda s: np.where(np.arange(s.n) == 1, np.nan, s.x_star)),
+        ("x_star", lambda s: s.x_star[:-1]),
+    ], ids=["nan-b", "inf-b", "short-b", "repeated-index", "index-out-of-range", "nan-x-star",
+            "short-x-star"])
+    def test_refused_before_the_directory_is_made(self, tmp_path, field, edit):
+        system = generate(spec(m=40, n=5, seed=4, beta=0.25))
+        broken = dataclasses.replace(system, **{field: edit(system)})
+        with pytest.raises(ConfigError, match=f"cannot save the system: {field} "):
+            save_system(broken, tmp_path / "sys")
+        assert not (tmp_path / "sys").exists()
 
 
 class TestUnitRowInvariant:
