@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -214,8 +215,10 @@ def generate_adversarial_duplicate(
 # value is written as its format(v, ".17g") text, so the decimal form
 # round-trips exactly; these are the bytes numpy's savetxt with fmt="%.17g"
 # wrote.  The writer builds them with numpy arithmetic, a block of a few
-# thousand values at a time.  save_system refuses what load_system would
-# refuse, before it creates the directory.
+# thousand values at a time, and the reader parses them back the same way,
+# each field to float()'s bits, straight into arrays of the metadata's shape.
+# save_system refuses what load_system would refuse, before it creates the
+# directory.
 
 def _fault(matrix, b_observed, x_star, indices) -> tuple[str, str] | None:
     """The first reason these arrays are not a system that :func:`load_system`
@@ -293,16 +296,22 @@ def _tables() -> tuple[np.ndarray, ...]:
     return np.concatenate([quad, quad * kept]).view(np.uint32).ravel(), pow10, *_split(pow10)
 
 
-def _times_pow10(a, k):
-    """a * 10**k rounded to an integer, ties to even, for 0 <= k <= 22; exact
-    where the product lies in [2**53, 2**63), and within 1 below that.
-    Dekker's two-product gives a * 10**k as p + err exactly, and p is then
-    an even integer, so rounding err rounds the sum."""
+def _product_pow10(a, k):
+    """a * 10**k as p + err, exactly, for 0 <= k <= 22: Dekker's two-product
+    of a and 10**k, which is an exact double."""
     _, pow10, pow10_hi, pow10_lo = _tables()
     p = a * pow10[k]
     a_hi, a_lo = _split(a)
     p10_hi, p10_lo = pow10_hi[k], pow10_lo[k]
-    err = a_lo * p10_lo - (((p - a_hi * p10_hi) - a_lo * p10_hi) - a_hi * p10_lo)
+    return p, a_lo * p10_lo - (((p - a_hi * p10_hi) - a_lo * p10_hi) - a_hi * p10_lo)
+
+
+def _times_pow10(a, k):
+    """a * 10**k rounded to an integer, ties to even, for 0 <= k <= 22; exact
+    where the product lies in [2**53, 2**63), and within 1 below that.
+    With a * 10**k = p + err, p is then an even integer, so rounding err
+    rounds the sum."""
+    p, err = _product_pow10(a, k)
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
@@ -384,6 +393,177 @@ def write_json(payload: dict, path: Path) -> Path:
     return path
 
 
+# Bytes per read: the reader parses a block of whole lines at a time, and each
+# temporary of a block (three uint64 words per field of about 20 bytes) stays
+# below glibc's 128 KiB mmap threshold.  A longer line grows the buffer.
+_READ = 96 * 1024
+# Bytes kept before a block: a field's 24-byte window ends at its separator.
+_PAD = 24
+
+
+def _each_byte(byte: int) -> int:
+    """A uint64 word with ``byte`` in each of its eight bytes."""
+    return byte * 0x0101010101010101
+
+
+@functools.cache
+def _read_tables() -> tuple[np.ndarray, ...]:
+    """The reader's lookup tables, built at its first use, not at import:
+
+    - for a field of L bytes (L = 0..25, 25 standing for more), the mask of
+      the bytes of each word of its 24-byte window that it holds;
+    - for the bit 8i + j that marks a point in byte i of word j, the count of
+      digits after the point, 23 - 8j - i; 99 for j > 2, and for bit -1, no
+      point;
+    - 10**f as uint64 for f = 0..22, capped at 10**19, which is above the
+      digits of every field that takes the fast path."""
+    outside = np.clip(24 - np.arange(26) - 8 * np.arange(3)[:, None], 0, 8)
+    keep = np.left_shift(np.uint64(2**64 - 1), (8 * outside).astype(np.uint64))
+    bit = np.arange(64)
+    after = np.where(bit & 7 < 3, 23 - 8 * (bit & 7) - (bit >> 3), 99)
+    return keep, after, np.uint64(10) ** np.minimum(np.arange(23), 19).astype(np.uint64)
+
+
+def _csv_values(buf: bytearray, end: int, n: int, line: int) -> np.ndarray:
+    """The values of the whole CSV lines in ``buf[_PAD:end]``, which follow
+    ``line`` lines of the file, as float() reads each field; raises ValueError
+    unless each line holds n fields.
+
+    A field ``[-]digits.digits`` of at most 24 bytes and 18 digits takes the
+    fast path.  The 24 bytes up to its separator are read as three uint64
+    words; the bytes before the field are masked to 0 digits and the point is
+    read as a 0, and multiply-shift steps on the words (Lemire's SWAR) give
+    D', the digits with the point as a 0.  The value is D / 10**f, with f
+    digits F after the point and D = (D' - F) / 10 + F.  Its first quotient
+    q = fl(D) / 10**f is corrected by c, the residual D - q * 10**f (exact by
+    Dekker's two-product) over 10**f, and s = fl(q + c) is kept where
+    |D / 10**f - s| <= |q + c - s| + |c| * 2**-51, the first term exact
+    (Fast2Sum) and the second the rounding of c, lies strictly within half
+    the smaller ulp beside s: then s is the correctly rounded value.  Every
+    other field, and the rare near-tie, takes :func:`_exact_values`."""
+    keep, after, pow10_int = _read_tables()
+    pow10 = _tables()[1]
+    text = np.frombuffer(buf, np.uint8, end)
+    seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    count = seps.size
+    breaks = text[seps] == ord("\n")
+    if count % n or not breaks[n - 1::n].all() or np.count_nonzero(breaks) != count // n:
+        wrong = breaks != (np.arange(count) % n == n - 1)
+        raise ValueError(f"line {line + np.argmax(wrong) // n + 1} does not hold n={n} values")
+    starts = np.empty_like(seps)
+    starts[0] = _PAD
+    starts[1:] = seps[:-1] + 1
+    neg = text[starts] == ord("-")
+    size = seps - starts - neg
+    windows = np.ndarray((end - 23,), "V24", buffer=text, strides=(1,))
+    d = np.bitwise_xor(windows[seps - 24].view("<u8").reshape(count, 3).T, _each_byte(ord("0")),
+                       out=np.empty((3, count), np.uint64))
+    d &= np.take(keep, np.minimum(size, 25), axis=1)
+    # A digit byte now holds its value and a point 0x1E.  The borrow trick
+    # marks the lowest zero byte of d ^ 0x1E exactly; a false mark lies above
+    # a true one, and a field with two marks is refused.
+    z = d ^ _each_byte(0x1E)
+    point = z - _each_byte(1)
+    point &= ~z
+    point &= _each_byte(0x80)
+    d ^= (point >> 7) * 0x1E
+    bad = ((d + _each_byte(6)) | d) & _each_byte(0xF0)  # a byte that is no digit
+    d *= 10 * 2**8 + 1
+    d >>= 8
+    d &= 0x00FF00FF00FF00FF
+    d *= 100 * 2**16 + 1
+    d >>= 16
+    d &= 0x0000FFFF0000FFFF
+    d *= 10_000 * 2**32 + 1
+    d >>= 32  # each word's 8 digits, the first the most significant
+    mark = (point[0] >> 7) | (point[1] >> 6) | (point[2] >> 5)
+    f = after[np.frexp(mark.astype(np.float64))[1] - 1]
+    fast = ((bad[0] | bad[1] | bad[2] | (mark & (mark - 1))) == 0) & (d[0] < 100)
+    fast &= (f <= 22) & (size <= 24)
+    np.minimum(d[0], 99, out=d[0])  # D' < 2**63 in every field, fast or not
+    np.minimum(f, 22, out=f)
+    digits = d[0] * 10**16 + d[1] * 10**8 + d[2]
+    frac = digits % pow10_int[f]
+    digits -= frac
+    digits //= 10
+    digits += frac
+    whole = digits.astype(np.float64)
+    rest = digits.view(np.int64) - whole.astype(np.int64)  # D - fl(D), exact
+    scale = pow10[f]
+    q = whole / scale
+    p, err = _product_pow10(q, f)
+    c = (((whole - p) + rest) - err) / scale  # whole - p is exact (Sterbenz)
+    s = q + c
+    gap = np.abs((q - s) + c)
+    gap += np.abs(c) * 2**-50  # twice the bound, for the rounding of this sum
+    fast &= gap < (s - (s.view(np.int64) - 1).view(np.float64)) / 2
+    sign = s.view(np.uint64)
+    sign |= neg.astype(np.uint64) << 63
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        s[slow] = _exact_values(buf, windows, starts[slow], seps[slow])
+    return s
+
+
+def _exact_values(buf: bytearray, windows, starts, ends) -> np.ndarray:
+    """float() of each field ``buf[start:end]``, through numpy's bytes-to-float
+    cast, which rounds correctly.  A field of at most 24 bytes is cast from
+    its window, with the bytes before it as spaces, which the cast skips.
+    The cast reads a field up to a NUL byte and, as float() does, skips a '_'
+    between digits; both are refused here."""
+    for byte in b"_\0":
+        if buf.find(byte, starts[0], ends[-1]) >= 0:
+            raise ValueError(f"a field holds {bytes([byte])!r}")
+    size = ends - starts
+    short = size <= 24
+    values = np.empty(size.size)
+    words = windows[ends[short] - 24].view("<u8").reshape(-1, 3)
+    held = np.take(_read_tables()[0], size[short], axis=1).T
+    words = ((words & held) | (_each_byte(ord(" ")) & ~held)).astype("<u8", copy=False)
+    values[short] = words.view("S24")[:, 0].astype(np.float64)
+    longer = zip(starts[~short].tolist(), ends[~short].tolist())
+    values[~short] = np.array([bytes(buf[s:e]) for s, e in longer]).astype(np.float64)
+    return values
+
+
+def _read_csv(path: Path, m: int, n: int) -> np.ndarray:
+    """The m x n values of a CSV file, parsed a block of whole lines at a time
+    into one preallocated array; raises ValueError unless the file holds m
+    lines of n comma-separated numbers.  The final newline may be missing."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 2 * m * n - 1:  # each value takes a byte and a separator
+            raise ValueError(f"{size} bytes cannot hold {m}x{n} values")
+        values = np.empty((m, n))
+        flat = values.reshape(-1)
+        done = 0
+        buf = bytearray(_PAD + _READ + 1)  # the last byte is kept for a final newline
+        filled = _PAD
+        while True:
+            with memoryview(buf) as view:
+                got = fh.readinto(view[filled:-1])
+            filled += got
+            if not got and filled > _PAD:
+                buf[filled] = ord("\n")
+                filled += 1
+            end = buf.rfind(b"\n", _PAD, filled) + 1
+            if end:
+                block = _csv_values(buf, end, n, done // n)
+                if done + block.size > flat.size:
+                    raise ValueError(f"more than m={m} lines")
+                flat[done:done + block.size] = block
+                done += block.size
+                buf[_PAD:_PAD + filled - end] = buf[end:filled]
+                filled -= end - _PAD
+            elif filled == len(buf) - 1:  # a line longer than the buffer
+                buf.extend(bytes(len(buf)))
+            if not got:
+                break
+    if done < flat.size:
+        raise ValueError(f"{done // n} lines, metadata says m={m}")
+    return values
+
+
 def _check(ok, path: Path, mismatch: str) -> None:
     if not ok:
         raise IoError(f"{path}: {mismatch}")
@@ -410,10 +590,12 @@ _FILES = {"b_observed": "b_observed.csv", "x_star": "metadata.json",
 def load_system(directory) -> CorruptedSystem:
     """Read a system written by :func:`save_system`; raises :class:`IoError`
     naming the file when it is not JSON or CSV of numbers, when a metadata
-    value is missing or of the wrong type, or when what it holds disagrees
-    with the metadata, repeats or leaves [0, m) in the corrupted indices, is
-    not finite, or has matrix rows that are not unit-norm, or when beta is
-    not the corrupted indices' share of the m rows."""
+    value is missing or of the wrong type, or m or n is below 1, when a CSV
+    does not hold m lines of n values (one for b_observed), or when what it
+    holds disagrees with the metadata, repeats or leaves [0, m) in the
+    corrupted indices, is not finite, or has matrix rows that are not
+    unit-norm, or when beta is not the corrupted indices' share of the m
+    rows."""
     src = Path(directory)
     meta_path = src / "metadata.json"
     meta = _parse(meta_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
@@ -427,12 +609,11 @@ def load_system(directory) -> CorruptedSystem:
                if isinstance(kinds, list) else type(value) in kinds,
                meta_path, f"{key} is missing or of the wrong type")
     m, n = meta["m"], meta["n"]
-    matrix = _parse(src / "matrix.csv", lambda p: np.loadtxt(p, delimiter=",", ndmin=2))
-    b_observed = _parse(src / "b_observed.csv", lambda p: np.loadtxt(p, ndmin=1))
+    _check(m >= 1 and n >= 1, meta_path, f"m={m} and n={n} must be at least 1")
+    matrix = _parse(src / "matrix.csv", lambda p: _read_csv(p, m, n))
+    b_observed = _parse(src / "b_observed.csv", lambda p: _read_csv(p, m, 1)[:, 0])
     x_star = np.asarray(meta["x_star"], dtype=float)
     indices = np.asarray(meta["corrupted_indices"], dtype=np.intp)
-    _check(matrix.shape == (m, n), src / "matrix.csv",
-           f"matrix is {matrix.shape[0]}x{matrix.shape[1]}, metadata says {m}x{n}")
     fault = _fault(matrix, b_observed, x_star, indices)
     if fault is not None:
         name, problem = fault

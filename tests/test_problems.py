@@ -3,10 +3,14 @@ import decimal
 import itertools
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantile_kaczmarz.cli as cli
 import quantile_kaczmarz.problems as problems
@@ -36,10 +40,14 @@ def csv_family(family: str, rng: np.random.Generator) -> np.ndarray:
         big = np.finfo(float).max
         return np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, 1.2345678901234568e+17,
                          big, -big])
-    if family == "powers-of-ten":  # where the decimal exponent changes
-        powers = [float(f"1e{k}") for k in range(-6, 17)]
+    if family in ("powers-of-ten", "powers-of-two"):  # decimal exponent, binary ulp changes
+        powers = ([float(f"1e{k}") for k in range(-6, 17)] if family == "powers-of-ten"
+                  else [s * 2.0**k for k in range(-40, 55) for s in (1.0, -1.0)])
         return np.array([w for p in powers
                          for w in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))])
+    if family == "bit-patterns":
+        values = rng.integers(0, 2**64, 5_000, dtype=np.uint64).view(np.float64)
+        return values[np.isfinite(values)]
     if family == "dyadic-ties":
         # k / 2**j with odd k in [10**(17-j), 10**(18-j)) * 2**j has exactly 18
         # significant digits, the last a 5: a tie, rounded to even, at the 17th
@@ -52,6 +60,28 @@ def csv_family(family: str, rng: np.random.Generator) -> np.ndarray:
         return np.array(values)
     assert family == "log-uniform"
     return rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-8, 18, 10_000)
+
+
+@st.composite
+def decimal_texts(draw) -> str:
+    """A decimal number's text: a sign, 1-20 digits, the point anywhere or
+    nowhere, and an optional exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=20))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-30, 30))
+    return (draw(st.sampled_from(["", "-"])) + digits
+            + ("" if exponent is None else f"e{exponent}"))
+
+
+def with_line(index: int, line: str):
+    """An edit of a file's text that puts ``line`` in place of line ``index``."""
+    def edit(text: str) -> str:
+        lines = text.splitlines()
+        lines[index] = line
+        return "\n".join(lines) + "\n"
+    return edit
 
 
 def validate(system: CorruptedSystem) -> None:
@@ -288,12 +318,13 @@ class TestRoundTrip:
         for name in ("matrix.csv", "b_observed.csv", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("family", ["edge", "powers-of-ten", "dyadic-ties", "log-uniform",
-                                        "generated"])
+    @pytest.mark.parametrize("family", ["edge", "powers-of-ten", "powers-of-two", "dyadic-ties",
+                                        "log-uniform", "bit-patterns", "generated"])
     def test_csv_holds_each_float_as_format_17g(self, tmp_path, family):
-        """The writer against the plain reference, format(v, ".17g") per value:
-        here on b_observed beside a random unit-row matrix, or, for
-        "generated", on a whole generated system."""
+        """The writer against the plain reference, format(v, ".17g") per value,
+        and the reader against the values saved: here on b_observed beside a
+        random unit-row matrix, or, for "generated", on a whole generated
+        system."""
         rng = np.random.default_rng(21)
         if family == "generated":
             system = generate(spec(m=600, n=10, seed=21, beta=0.2))
@@ -310,6 +341,9 @@ class TestRoundTrip:
         for name, expected in lines.items():
             text = "".join(line + "\n" for line in expected)
             assert (tmp_path / "sys" / name).read_bytes() == text.encode()
+        loaded = load_system(tmp_path / "sys")
+        assert loaded.matrix.tobytes() == system.matrix.tobytes()
+        assert loaded.b_observed.tobytes() == system.b_observed.tobytes()
 
     def test_save_streams_the_csv(self, tmp_path):
         """No text of a whole file is built: the traced peak of a save stays
@@ -324,6 +358,54 @@ class TestRoundTrip:
         written = sum(path.stat().st_size for path in (tmp_path / "sys").iterdir())
         assert written > 8_000_000
         assert peak < written / 4
+
+    def test_load_streams_the_csv(self, tmp_path):
+        """The CSV is parsed a block at a time into the loaded arrays: the
+        traced peak of a load stays below the matrix's bytes plus a quarter of
+        the bytes it reads."""
+        system = generate(spec(m=20_000, n=20, seed=5, beta=0.1))
+        save_system(system, tmp_path / "sys")
+        tracemalloc.start()
+        try:
+            load_system(tmp_path / "sys")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        read = sum(path.stat().st_size for path in (tmp_path / "sys").iterdir())
+        assert read > 8_000_000
+        assert peak < system.matrix.nbytes + read / 4
+
+    def test_line_longer_than_a_read(self, tmp_path):
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((3, 8_000))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        system = CorruptedSystem(matrix=matrix, x_star=np.zeros(8_000),
+                                 b_observed=rng.standard_normal(3), corrupted_indices=np.arange(1))
+        save_system(system, tmp_path / "sys")
+        assert (tmp_path / "sys" / "matrix.csv").stat().st_size > 3 * problems._READ
+        assert load_system(tmp_path / "sys").matrix.tobytes() == matrix.tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_every_saved_float_reads_back(self, values):
+        system = CorruptedSystem(matrix=np.ones((len(values), 1)), x_star=np.zeros(1),
+                                 b_observed=np.array(values), corrupted_indices=np.arange(0))
+        with tempfile.TemporaryDirectory() as out:
+            save_system(system, out)
+            loaded = load_system(out)
+        assert loaded.b_observed.tobytes() == system.b_observed.tobytes()
+
+    @given(st.lists(decimal_texts(), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_decimal_text_reads_as_float(self, texts):
+        system = CorruptedSystem(matrix=np.ones((len(texts), 1)), x_star=np.zeros(1),
+                                 b_observed=np.zeros(len(texts)), corrupted_indices=np.arange(0))
+        with tempfile.TemporaryDirectory() as out:
+            save_system(system, out)
+            (Path(out) / "b_observed.csv").write_text("".join(t + "\n" for t in texts))
+            loaded = load_system(out)
+        expected = np.array([float(t) for t in texts])
+        assert loaded.b_observed.tobytes() == expected.tobytes()
 
     def test_beta_follows_the_indices(self, tmp_path):
         system = CorruptedSystem(matrix=np.eye(3), x_star=np.zeros(3),
@@ -433,12 +515,62 @@ class TestLoadValidation:
                                                     '"corrupted_indices": [1.5, ')),
         ("matrix.csv", lambda text: "one" + text[text.index(","):]),
         ("b_observed.csv", lambda text: "one" + text[text.index("\n"):]),
+        *[("b_observed.csv", with_line(3, line)) for line in [
+            "1_0", "", "1..5", "--1", "1-2", "0x10", "1.5e", "0.5,0.5", "0.5\n", "0.5\n# a comment",
+            "1\0"]],
     ], ids=["not-json", "json-list", "missing-m", "string-in-x-star", "string-beta",
-            "fractional-index", "word-in-matrix", "word-in-b"])
+            "fractional-index", "word-in-matrix", "word-in-b", "underscore", "empty-field",
+            "two-points", "two-signs", "inner-sign", "hex", "bare-exponent", "ragged-line",
+            "blank-line", "comment-line", "nul"])
     def test_malformed_file_is_an_io_error_naming_it(self, saved, name, edit):
         path = saved / name
         path.write_text(edit(path.read_text()))
         with pytest.raises(IoError, match=name):
+            load_system(saved)
+
+    @pytest.mark.parametrize("text", [
+        "+1.5", " 0.5", "5e-1", "1", "-0", "1.0000000000000001e-05",
+        "10000000.00000000000000005", "-0.000000000000000000000012345",  # longer than 24 bytes
+        "4503599627370496.5", "4503599627370497.5", "-9007199254740993.0"])  # ties between doubles
+    def test_hand_edited_field_reads_as_float(self, saved, text):
+        path = saved / "b_observed.csv"
+        path.write_text(with_line(3, text)(path.read_text()))
+        assert load_system(saved).b_observed[3:4].tobytes() == np.array([float(text)]).tobytes()
+
+    def test_missing_final_newline(self, saved):
+        expected = load_system(saved)
+        for name in ("matrix.csv", "b_observed.csv"):
+            path = saved / name
+            path.write_bytes(path.read_bytes()[:-1])
+        loaded = load_system(saved)
+        assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+        assert loaded.b_observed.tobytes() == expected.b_observed.tobytes()
+
+    def test_extra_matrix_line(self, saved):
+        path = saved / "matrix.csv"
+        text = path.read_text()
+        path.write_text(text + text.split("\n", 1)[0] + "\n")
+        with pytest.raises(IoError, match="matrix.csv: more than m=40 lines"):
+            load_system(saved)
+
+    def test_ragged_matrix_line_is_named(self, saved):
+        path = saved / "matrix.csv"
+        text = path.read_text()
+        path.write_text(with_line(6, text.splitlines()[6] + ",0.5")(text))
+        with pytest.raises(IoError, match="matrix.csv: line 7 does not hold n=5 values"):
+            load_system(saved)
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (40, 0), (-1, 5)])
+    def test_empty_shape_is_refused(self, saved, m, n):
+        for name in ("matrix.csv", "b_observed.csv"):
+            (saved / name).write_text("")
+        self.edit_meta(saved, m=m, n=n, beta=0.0, corrupted_indices=[], x_star=[0.0] * n)
+        with pytest.raises(IoError, match=f"metadata.json: m={m} and n={n} must be at least 1"):
+            load_system(saved)
+
+    def test_shape_larger_than_the_file_is_refused_before_allocating(self, saved):
+        self.edit_meta(saved, m=10**12, beta=10 / 10**12)
+        with pytest.raises(IoError, match=r"matrix.csv: \d+ bytes cannot hold 10{12}x5 values"):
             load_system(saved)
 
     def test_non_finite_x_star(self, saved):
