@@ -501,29 +501,19 @@ def _csv_values(buf: bytearray, end: int, n: int, line: int) -> np.ndarray:
     sign |= neg.astype(np.uint64) << 63
     slow = np.flatnonzero(~fast)
     if slow.size:
-        s[slow] = _exact_values(buf, windows, starts[slow], seps[slow])
+        s[slow] = _exact_values(buf, starts[slow], seps[slow])
     return s
 
 
-def _exact_values(buf: bytearray, windows, starts, ends) -> np.ndarray:
+def _exact_values(buf: bytearray, starts, ends) -> np.ndarray:
     """float() of each field ``buf[start:end]``, through numpy's bytes-to-float
-    cast, which rounds correctly.  A field of at most 24 bytes is cast from
-    its window, with the bytes before it as spaces, which the cast skips.
-    The cast reads a field up to a NUL byte and, as float() does, skips a '_'
-    between digits; both are refused here."""
+    cast, which rounds correctly.  The cast reads a field up to a NUL byte
+    and, as float() does, skips a '_' between digits; both are refused here."""
     for byte in b"_\0":
         if buf.find(byte, starts[0], ends[-1]) >= 0:
             raise ValueError(f"a field holds {bytes([byte])!r}")
-    size = ends - starts
-    short = size <= 24
-    values = np.empty(size.size)
-    words = windows[ends[short] - 24].view("<u8").reshape(-1, 3)
-    held = np.take(_read_tables()[0], size[short], axis=1).T
-    words = ((words & held) | (_each_byte(ord(" ")) & ~held)).astype("<u8", copy=False)
-    values[short] = words.view("S24")[:, 0].astype(np.float64)
-    longer = zip(starts[~short].tolist(), ends[~short].tolist())
-    values[~short] = np.array([bytes(buf[s:e]) for s, e in longer]).astype(np.float64)
-    return values
+    fields = zip(starts.tolist(), ends.tolist())
+    return np.array([bytes(buf[s:e]) for s, e in fields]).astype(np.float64)
 
 
 def _read_csv(path: Path, m: int, n: int) -> np.ndarray:
