@@ -59,23 +59,47 @@ class CorruptedSystem:
     differs from the consistent one, ``matrix @ x_star``, exactly on
     ``corrupted_indices``.
 
-    The matrix rows are checked for unit norm once, at construction
-    (:class:`ConfigError` otherwise), and ``matrix`` is then a read-only view of
-    the array passed in, so an in-place write cannot break that check.
+    Every field is checked once, at construction, and a failure raises
+    :class:`ConfigError` naming the field: the matrix rows are unit-norm,
+    ``b_observed`` has shape (m,) and ``x_star`` shape (n,), both finite, and
+    the corrupted indices are integers, unique and in [0, m).  ``matrix`` is
+    then a read-only view of the array passed in, and the other fields and
+    the corrupted mask are read-only copies, so no write can break a check.
     """
 
     matrix: np.ndarray
     x_star: np.ndarray
     b_observed: np.ndarray
     corrupted_indices: np.ndarray
+    _mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=float)
         if not is_row_normalized(matrix):
             raise ConfigError("system matrix must have unit-norm rows")
-        view = matrix.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "matrix", view)
+        m, n = matrix.shape
+        fields = {"matrix": matrix.view()}
+        for name, dim, size in (("b_observed", "m", m), ("x_star", "n", n)):
+            values = fields[name] = np.array(getattr(self, name), dtype=float)
+            if values.ndim != 1:
+                raise ConfigError(f"{name} has shape {values.shape}, expected ({size},)")
+            if values.size != size:
+                raise ConfigError(f"{name} has {values.size} entries, expected {dim}={size}")
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{name} has a non-finite entry")
+        indices = np.asarray(self.corrupted_indices)
+        if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+            raise ConfigError(f"corrupted_indices must be a 1-D array of integers, "
+                              f"got shape {indices.shape} and dtype {indices.dtype}")
+        # A repeated or out-of-range index leaves the mask short of one row.
+        mask = fields["_mask"] = np.zeros(m, dtype=bool)
+        mask[indices[(indices >= 0) & (indices < m)]] = True
+        if np.count_nonzero(mask) != indices.size:
+            raise ConfigError(f"corrupted_indices must be unique and lie in [0, {m})")
+        fields["corrupted_indices"] = indices.astype(np.intp)
+        for name, value in fields.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -91,9 +115,8 @@ class CorruptedSystem:
         return self.corrupted_indices.size / self.m
 
     def corrupted_mask(self) -> np.ndarray:
-        mask = np.zeros(self.m, dtype=bool)
-        mask[self.corrupted_indices] = True
-        return mask
+        """The read-only boolean mask of the corrupted rows, built once."""
+        return self._mask
 
 
 def _validate_spec(spec: GeneratorSpec) -> None:
@@ -117,6 +140,12 @@ def _validate_spec(spec: GeneratorSpec) -> None:
                               f"so beta must be unset (0), got {c.beta}")
     elif c.indices is not None:
         raise ConfigError("placement 'uniform' draws its rows from beta, so indices must be unset")
+
+
+def _unallocatable(m: int, n: int) -> ConfigError:
+    """The error for an m x n matrix that memory cannot hold."""
+    return ConfigError(f"an m={m} by n={n} matrix needs {8 * m * n} bytes, "
+                       "more than could be allocated")
 
 
 def _streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -144,8 +173,7 @@ def generate(spec: GeneratorSpec) -> CorruptedSystem:
             entries = rng_matrix.standard_normal((spec.m, spec.n))
         a = row_normalize(entries, out=entries)
     except MemoryError:
-        raise ConfigError(f"an m={spec.m} by n={spec.n} matrix needs {8 * spec.m * spec.n} "
-                          "bytes, more than could be allocated") from None
+        raise _unallocatable(spec.m, spec.n) from None
 
     x_star = rng_xstar.standard_normal(spec.n)
     b_observed = a @ x_star
@@ -188,11 +216,14 @@ def generate_adversarial_duplicate(
                           f"dup_rows={dup_rows}, seed={seed!r}, target={target!r}")
     rng_matrix, rng_xstar, rng_dup = _streams(seed, 3)
 
-    clean = rng_matrix.standard_normal((clean_rows, n))
-    row_normalize(clean, out=clean)
-    a_dup = row_normalize(rng_dup.standard_normal((1, n)))[0]
-    matrix = np.vstack([clean, np.tile(a_dup, (dup_rows, 1))])
     m = clean_rows + dup_rows
+    try:
+        clean = rng_matrix.standard_normal((clean_rows, n))
+        row_normalize(clean, out=clean)
+        a_dup = row_normalize(rng_dup.standard_normal((1, n)))[0]
+        matrix = np.vstack([clean, np.tile(a_dup, (dup_rows, 1))])
+    except MemoryError:
+        raise _unallocatable(m, n) from None
 
     x_star = rng_xstar.standard_normal(n)
     b_observed = matrix @ x_star
@@ -217,46 +248,23 @@ def generate_adversarial_duplicate(
 # wrote.  The writer builds them with numpy arithmetic, a block of a few
 # thousand values at a time, and the reader parses them back the same way,
 # each field to float()'s bits, straight into arrays of the metadata's shape.
-# save_system refuses what load_system would refuse, before it creates the
-# directory.
-
-def _fault(matrix, b_observed, x_star, indices) -> tuple[str, str] | None:
-    """The first reason these arrays are not a system that :func:`load_system`
-    reads back, as the field at fault and what is wrong with it, or None.
-    The matrix's own check is :class:`CorruptedSystem`'s unit-norm test, which
-    a non-finite entry fails without an m x n temporary."""
-    m, n = matrix.shape
-    if b_observed.shape != (m,):
-        return "b_observed", f"has {b_observed.size} entries, expected m={m}"
-    if x_star.shape != (n,):
-        return "x_star", f"has {x_star.size} entries, expected n={n}"
-    if len(set(indices.tolist())) != indices.size or not np.all((indices >= 0) & (indices < m)):
-        return "corrupted_indices", f"must be unique and lie in [0, {m})"
-    for name, values in (("b_observed", b_observed), ("x_star", x_star)):
-        if not np.all(np.isfinite(values)):
-            return name, "has a non-finite entry"
-    return None
-
+# A system was checked when it was built, so save_system writes any system
+# that load_system reads back.
 
 def save_system(
     system: CorruptedSystem, directory, spec: GeneratorSpec | None = None
 ) -> Path:
-    b_observed = np.asarray(system.b_observed, dtype=float)
-    x_star = np.asarray(system.x_star, dtype=float)
-    fault = _fault(system.matrix, b_observed, x_star, np.asarray(system.corrupted_indices))
-    if fault is not None:
-        raise ConfigError("cannot save the system: {} {}".format(*fault))
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "matrix.csv", system.matrix)
-    _write_csv(out / "b_observed.csv", b_observed[:, None])
+    _write_csv(out / "b_observed.csv", system.b_observed[:, None])
     meta = {
         "format_version": _FORMAT_VERSION,
         "m": system.m,
         "n": system.n,
         "beta": system.beta,
         "corrupted_indices": [int(i) for i in system.corrupted_indices],
-        "x_star": [float(v) for v in x_star],
+        "x_star": [float(v) for v in system.x_star],
         "spec": asdict(spec) if spec is not None else None,
     }
     write_json(meta, out / "metadata.json")
@@ -318,14 +326,14 @@ def _times_pow10(a, k):
 def _csv_text(values, seps) -> np.ndarray:
     """The bytes of ``format(v, ".17g") + sep`` for each value and separator.
 
-    Where 1e-5 <= |v| < 1e15, v's 17 significant digits are the integer
+    Where 1e-4 <= |v| < 1e15, v's 17 significant digits are the integer
     round(|v| * 10**(16 - e)) in [10**16, 10**17), e the decimal exponent, and
-    they are laid out by e in a 25-byte slot: d.ddde-05, 0.000ddd or ddd.ddd,
-    with no trailing zeros and no bare point.  Other values (zeros,
-    subnormals, tiny or huge ones) take ``format`` itself."""
+    they are laid out by e in a 25-byte slot: 0.000ddd or ddd.ddd, with no
+    trailing zeros and no bare point.  Other values (zeros, and those below
+    1e-4 or from 1e15 up) take ``format`` itself."""
     count = values.size
     a = np.abs(values)
-    fast = (a >= 1e-5) & (a < 1e15)
+    fast = (a >= 1e-4) & (a < 1e15)
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.int8)
     digits = _times_pow10(a, 16 - e)
@@ -348,12 +356,9 @@ def _csv_text(values, seps) -> np.ndarray:
     digits = np.take(quads, order, axis=0).view(np.uint8)[:, 3:]
     text = np.zeros((count, 25), np.uint8)  # sign, up to 23 bytes, separator
     lo = 0
-    for x, hi in enumerate(np.cumsum(np.bincount(e + 5)), start=-5):
+    for x, hi in enumerate(np.cumsum(np.bincount(e + 4)), start=-4):
         t, d = text[lo:hi], digits[lo:hi]
         lo = hi
-        if x == -5:  # d.ddde-05 is laid out as x = 0, then its exponent
-            t[:, 19:23] = list(b"e-05")
-            x = 0
         if x >= 0:
             t[:, 1:x + 2] = d[:, :x + 1] | ord("0")  # integer digits keep their zeros
             t[:, x + 2] = np.where(d[:, x + 1] != 0, ord("."), 0)
@@ -560,11 +565,12 @@ def _check(ok, path: Path, mismatch: str) -> None:
 
 
 def _parse(path: Path, read):
-    """``read(path)``, with the ``ValueError`` of a malformed file raised as
-    an :class:`IoError` naming it."""
+    """``read(path)``, with the ``ValueError`` of a malformed file, or the
+    ``OverflowError`` of a number too large for its array, raised as an
+    :class:`IoError` naming it."""
     try:
         return read(path)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise IoError(f"{path}: {exc}") from exc
 
 
@@ -572,8 +578,8 @@ def _parse(path: Path, read):
 # have (a JSON true or false is neither); a list type means a list of them.
 _META_TYPES = {"m": (int,), "n": (int,), "beta": (int, float),
                "x_star": [int, float], "corrupted_indices": [int]}
-# The file that holds each field.
-_FILES = {"b_observed": "b_observed.csv", "x_star": "metadata.json",
+# The file that holds each field, by the first word of the constructor's refusal.
+_FILES = {"system": "matrix.csv", "b_observed": "b_observed.csv", "x_star": "metadata.json",
           "corrupted_indices": "metadata.json"}
 
 
@@ -581,11 +587,9 @@ def load_system(directory) -> CorruptedSystem:
     """Read a system written by :func:`save_system`; raises :class:`IoError`
     naming the file when it is not JSON or CSV of numbers, when a metadata
     value is missing or of the wrong type, or m or n is below 1, when a CSV
-    does not hold m lines of n values (one for b_observed), or when what it
-    holds disagrees with the metadata, repeats or leaves [0, m) in the
-    corrupted indices, is not finite, or has matrix rows that are not
-    unit-norm, or when beta is not the corrupted indices' share of the m
-    rows."""
+    does not hold m lines of n values (one for b_observed), when
+    :class:`CorruptedSystem` refuses what it holds, or when beta is not the
+    corrupted indices' share of the m rows."""
     src = Path(directory)
     meta_path = src / "metadata.json"
     meta = _parse(meta_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
@@ -602,20 +606,17 @@ def load_system(directory) -> CorruptedSystem:
     _check(m >= 1 and n >= 1, meta_path, f"m={m} and n={n} must be at least 1")
     matrix = _parse(src / "matrix.csv", lambda p: _read_csv(p, m, n))
     b_observed = _parse(src / "b_observed.csv", lambda p: _read_csv(p, m, 1)[:, 0])
-    x_star = np.asarray(meta["x_star"], dtype=float)
-    indices = np.asarray(meta["corrupted_indices"], dtype=np.intp)
-    fault = _fault(matrix, b_observed, x_star, indices)
-    if fault is not None:
-        name, problem = fault
-        raise IoError(f"{src / _FILES[name]}: {name} {problem}")
-    _check(meta["beta"] == indices.size / m, meta_path,
-           f"beta {meta['beta']!r} is not the corrupted share {indices.size}/{m}")
-    try:  # the constructor checks the rows for unit norm
-        return CorruptedSystem(
+    x_star = _parse(meta_path, lambda p: np.asarray(meta["x_star"], dtype=float))
+    indices = _parse(meta_path, lambda p: np.asarray(meta["corrupted_indices"], dtype=np.intp))
+    try:
+        system = CorruptedSystem(
             matrix=matrix,
             x_star=x_star,
             b_observed=b_observed,
             corrupted_indices=indices,
         )
     except ConfigError as exc:
-        raise IoError(f"{src / 'matrix.csv'}: {exc}") from exc
+        raise IoError(f"{src / _FILES[str(exc).split()[0]]}: {exc}") from exc
+    _check(meta["beta"] == system.beta, meta_path,
+           f"beta {meta['beta']!r} is not the corrupted share {indices.size}/{m}")
+    return system

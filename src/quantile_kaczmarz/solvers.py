@@ -492,16 +492,13 @@ def check_config(
 ) -> tuple[MethodSpec, int, np.ndarray]:
     """The method's table entry, the sample size and ``x0`` as a float array,
     after the checks every solve makes: ``x0`` has shape (n,) and is finite,
-    ``system.b_observed`` is finite (it stays writable, so it can change
-    between calls), the rules relating two values hold, and ``alpha`` is a
-    number where a step size applies (or, with ``allow_auto``, ``"auto"``)."""
+    the rules relating the configuration to the system hold, and ``alpha`` is
+    a number where a step size applies (or, with ``allow_auto``, ``"auto"``)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.n,):
         raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ConfigError("x0 must be finite")
-    if not np.all(np.isfinite(system.b_observed)):
-        raise ConfigError("b_observed must be finite")
     spec = METHOD_TABLE[config.method]
     m = system.m
     t = config.t if config.t is not None else m
@@ -539,10 +536,10 @@ def solve(
     drops to ``stop_rel_error``.  Raises :class:`DivergedError` (carrying the
     partial trace) if the relative error exceeds 1e12 or turns non-finite.
 
-    Each call first runs :func:`check_config`, at O(m + n) cost, so a bad
-    ``x0``, system or ``config`` raises :class:`ConfigError`.  Unit-norm rows
-    are not checked here: :class:`CorruptedSystem` checks them once, when it
-    is built.
+    Each call first runs :func:`check_config`, at O(n) cost, so a bad ``x0``
+    or ``config`` raises :class:`ConfigError`.  The system is not checked
+    here: :class:`CorruptedSystem` checks every field once, when it is built,
+    and holds its corrupted mask.
     """
     spec, t, x0 = check_config(config, system, x0)
     alpha = float(config.alpha) if spec.takes_alpha else None  # no step size: pure projection

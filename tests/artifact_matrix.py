@@ -118,6 +118,9 @@ CASES: dict[str, list[str]] = {
     "adversarial-ridge": ["adversarial-demo", "--n", "100", "--clean-rows", "29",
                           "--dup-rows", "2", "--target", "0", *NONE, *OUT],
     "adversarial-default": ["adversarial-demo", *NONE, *OUT],
+    # a matrix of 71 PiB: refused with exit 2 before anything is allocated
+    "adversarial-demo-unallocatable": ["adversarial-demo", "--n", "1000000000",
+                                       "--clean-rows", "10000000", *NONE, *OUT],
     # rate and generate
     "rate-exact": ["rate", *EXACT, "--json-out", "rate.json"],
     "rate-exact-prefixes": ["rate", *EXACT_PREFIXES, "--json-out", "rate.json"],

@@ -329,9 +329,11 @@ class TestEmpiricalAlpha:
         solver = SolverConfig("sampled-quantile-averaged-block", q=0.7, t=system.m + 1, seed=1)
         with pytest.raises(ConfigError, match="sample size"):
             empirical_alpha(system, solver, 0.7, 9)
-        system.b_observed[0] = math.nan
-        with pytest.raises(ConfigError, match="b_observed"):
-            empirical_alpha(system, dataclasses.replace(solver, t=None), 0.7, 9)
+        # A NaN cannot reach it: the system refuses one when it is built.
+        with pytest.raises(ValueError, match="read-only"):
+            system.b_observed[0] = math.nan
+        with pytest.raises(ConfigError, match="^b_observed has a non-finite entry"):
+            dataclasses.replace(system, b_observed=np.full(system.m, math.nan))
 
 
 class TestCompare:

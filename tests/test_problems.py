@@ -34,6 +34,21 @@ def spec(family="gaussian", m=120, n=10, seed=0, beta=0.0, **corruption):
     )
 
 
+class OutOfMemory:
+    """A stream whose every draw fails the way numpy fails on a matrix too
+    large for memory, so that a test of that failure allocates nothing."""
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            raise MemoryError
+        return draw
+
+
+def arguments(system: CorruptedSystem) -> dict:
+    """The constructor's arguments that built ``system``."""
+    return {f: getattr(system, f) for f in ("matrix", "x_star", "b_observed", "corrupted_indices")}
+
+
 def csv_family(family: str, rng: np.random.Generator) -> np.ndarray:
     """Values whose ".17g" text takes each path of the CSV writer."""
     if family == "edge":  # mostly zeros, subnormals and extremes, which take format() itself
@@ -209,14 +224,6 @@ class TestGenerate:
             generate(GeneratorSpec(family="adversarial-duplicate", m=100, n=10, seed=0))
 
     def test_unallocatable_matrix_is_a_config_error(self, monkeypatch, capsys, tmp_path):
-        # Nothing is allocated: every draw of the patched streams fails the
-        # way numpy fails on a matrix too large for memory.
-        class OutOfMemory:
-            def __getattr__(self, name):
-                def draw(*args, **kwargs):
-                    raise MemoryError
-                return draw
-
         monkeypatch.setattr(problems, "_streams", lambda seed, count: [OutOfMemory()] * count)
         for family in ("gaussian", "coherent"):
             with pytest.raises(ConfigError, match=r"m=1000000000 by n=50 .* 400000000000 bytes"):
@@ -278,6 +285,18 @@ class TestAdversarialDuplicate:
                                                    target=-3.5, seed=4)
         np.testing.assert_array_equal(system.b_observed[20:], -3.5)
         assert np.all(system.b_observed[:20] == (system.matrix @ system.x_star)[:20])
+
+    def test_unallocatable_matrix_is_a_config_error(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(problems, "_streams", lambda seed, count: [OutOfMemory()] * count)
+        message = r"m=10000250 by n=1000000000 .* 80002000000000000 bytes"
+        with pytest.raises(ConfigError, match=message):
+            generate_adversarial_duplicate(n=10**9, clean_rows=10**7)
+        out = tmp_path / "out"
+        argv = ["adversarial-demo", "--n", "1000000000", "--clean-rows", "10000000",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "80002000000000000 bytes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -573,6 +592,13 @@ class TestLoadValidation:
         with pytest.raises(IoError, match=r"matrix.csv: \d+ bytes cannot hold 10{12}x5 values"):
             load_system(saved)
 
+    @pytest.mark.parametrize("field, value", [("corrupted_indices", [10**30, 1]),
+                                              ("x_star", [10**400, 0, 0, 0, 0])])
+    def test_integer_beyond_its_array_type(self, saved, field, value):
+        self.edit_meta(saved, **{field: value})
+        with pytest.raises(IoError, match="metadata.json: .*int too large to convert"):
+            load_system(saved)
+
     def test_non_finite_x_star(self, saved):
         meta = json.loads((saved / "metadata.json").read_text())
         self.edit_meta(saved, x_star=[math.inf] + meta["x_star"][1:])
@@ -581,25 +607,79 @@ class TestLoadValidation:
 
 
 class TestSaveValidation:
-    """save_system refuses, before it makes the directory, each system that
-    load_system would refuse to read back."""
+    """A system that load_system would refuse cannot be built, so save_system
+    never makes a directory for it: the constructor refuses it, directly and
+    through dataclasses.replace, naming the field."""
 
-    @pytest.mark.parametrize("field, edit", [
-        ("b_observed", lambda s: np.where(np.arange(s.m) == 3, np.nan, s.b_observed)),
-        ("b_observed", lambda s: np.where(np.arange(s.m) == 3, -np.inf, s.b_observed)),
-        ("b_observed", lambda s: s.b_observed[:-1]),
-        ("corrupted_indices", lambda s: np.append(s.corrupted_indices, s.corrupted_indices[0])),
-        ("corrupted_indices", lambda s: np.array([s.m])),
-        ("x_star", lambda s: np.where(np.arange(s.n) == 1, np.nan, s.x_star)),
-        ("x_star", lambda s: s.x_star[:-1]),
+    @pytest.mark.parametrize("field, edit, message", [
+        ("b_observed", lambda s: np.where(np.arange(s.m) == 3, np.nan, s.b_observed),
+         "has a non-finite entry"),
+        ("b_observed", lambda s: np.where(np.arange(s.m) == 3, -np.inf, s.b_observed),
+         "has a non-finite entry"),
+        ("b_observed", lambda s: s.b_observed[:-1], "has 39 entries, expected m=40"),
+        ("corrupted_indices", lambda s: np.append(s.corrupted_indices, s.corrupted_indices[0]),
+         r"must be unique and lie in \[0, 40\)"),
+        ("corrupted_indices", lambda s: np.array([s.m]), r"must be unique and lie in \[0, 40\)"),
+        ("x_star", lambda s: np.where(np.arange(s.n) == 1, np.nan, s.x_star),
+         "has a non-finite entry"),
+        ("x_star", lambda s: s.x_star[:-1], "has 4 entries, expected n=5"),
+        ("corrupted_indices", lambda s: np.array([-1]), r"must be unique and lie in \[0, 40\)"),
+        ("corrupted_indices", lambda s: np.array([1.5]), "must be a 1-D array of integers"),
+        ("corrupted_indices", lambda s: np.array([True]), "must be .* dtype bool"),
+        ("corrupted_indices", lambda s: [], "must be .* dtype float64"),
+        ("corrupted_indices", lambda s: np.array([[1]]), r"must be .* shape \(1, 1\)"),
+        ("b_observed", lambda s: s.b_observed[:, None], r"has shape \(40, 1\), expected \(40,\)"),
     ], ids=["nan-b", "inf-b", "short-b", "repeated-index", "index-out-of-range", "nan-x-star",
-            "short-x-star"])
-    def test_refused_before_the_directory_is_made(self, tmp_path, field, edit):
+            "short-x-star", "negative-index", "float-index", "bool-index", "empty-list",
+            "2-d-indices", "2-d-b"])
+    def test_refused_before_the_directory_is_made(self, tmp_path, field, edit, message):
         system = generate(spec(m=40, n=5, seed=4, beta=0.25))
-        broken = dataclasses.replace(system, **{field: edit(system)})
-        with pytest.raises(ConfigError, match=f"cannot save the system: {field} "):
-            save_system(broken, tmp_path / "sys")
+        with pytest.raises(ConfigError, match=f"^{field} {message}"):
+            CorruptedSystem(**{**arguments(system), field: edit(system)})
+        with pytest.raises(ConfigError, match=f"^{field} {message}"):
+            save_system(dataclasses.replace(system, **{field: edit(system)}), tmp_path / "sys")
         assert not (tmp_path / "sys").exists()
+
+
+class TestFieldInvariants:
+    """What the constructor checked is held where no write can change it."""
+
+    def system(self):
+        return generate(spec(m=40, n=5, seed=4, beta=0.25))
+
+    def test_fields_are_read_only_copies(self):
+        system = self.system()
+        x_star, b_observed = system.x_star.copy(), system.b_observed.copy()
+        indices = system.corrupted_indices.astype(np.int32)
+        built = CorruptedSystem(matrix=system.matrix, x_star=x_star, b_observed=b_observed,
+                                corrupted_indices=indices)
+        for name, given in (("x_star", x_star), ("b_observed", b_observed),
+                            ("corrupted_indices", indices)):
+            held = getattr(built, name)
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+            assert not np.shares_memory(held, given)
+            assert given.flags.writeable
+        indices[0] = 7  # the caller's array stays the caller's
+        assert built.corrupted_indices[0] != 7
+        assert built.corrupted_indices.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            built.corrupted_mask()[0] = True
+
+    def test_corrupted_mask_is_built_once(self):
+        system = self.system()
+        mask = system.corrupted_mask()
+        assert mask is system.corrupted_mask()
+        assert not mask.flags.writeable
+        assert np.array_equal(np.flatnonzero(mask), system.corrupted_indices)
+        assert np.count_nonzero(mask) == 10
+
+    def test_replace_builds_a_new_mask(self):
+        system = self.system()
+        moved = dataclasses.replace(system, corrupted_indices=np.array([0, 39]))
+        assert np.array_equal(np.flatnonzero(moved.corrupted_mask()), [0, 39])
+        assert moved.beta == 2 / 40
+        assert np.count_nonzero(system.corrupted_mask()) == 10
 
 
 class TestUnitRowInvariant:
