@@ -221,9 +221,7 @@ def _cmd_adversarial(args) -> int:
     results = adversarial_demo(
         **{k: v for k, v in vars(args).items() if k in params and v is not None}
     )
-    with open(results["summary_json"], encoding="utf-8") as fh:
-        summary = json.load(fh)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(results["summary"], indent=2, sort_keys=True))
     return 0
 
 

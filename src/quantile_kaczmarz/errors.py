@@ -74,20 +74,34 @@ def one_of(choices: tuple, **kwargs):
     return domain(f"one of {choices}", lambda v: v in choices, **kwargs)
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_seed(value) -> bool:
     """Whether ``value`` can seed a generator: a non-negative integer."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    return is_int(value) and value >= 0
 
 
 def domain_check(obj) -> None:
     """A dataclass ``__post_init__``: raise :class:`ConfigError` on the first field
-    that is a non-finite float, a ``seed`` failing :func:`is_seed` or outside its
-    :func:`domain`."""
+    that is a non-finite float, a ``seed`` failing :func:`is_seed`, a non-integer
+    in a field annotated ``int`` (``None`` too, unless ``int | None``) or outside
+    its :func:`domain`, a domain test that raises :class:`TypeError` included."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         text, ok = f.metadata.get("domain", ("finite", lambda v: True))
         if f.name == "seed":
             text, ok = "a non-negative integer", is_seed
+        # The declaring modules postpone annotations, so a type is its text.
+        elif f.type in ("int", "int | None") and not (
+                is_int(value) or value is None and f.type == "int | None"):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         finite = not isinstance(value, float) or math.isfinite(value)
-        if not (finite and ok(value)):
+        try:
+            valid = finite and ok(value)
+        except TypeError:
+            valid = False
+        if not valid:
             raise ConfigError(f"{f.name} must be {text if finite else 'finite'}, got {value!r}")

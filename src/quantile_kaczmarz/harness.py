@@ -376,9 +376,10 @@ def adversarial_demo(
     ``iterations`` steps (the failure exhibit: it never escapes the
     neighborhood of the corrupted hyperplane); the averaged method runs
     until it reaches ``averaged_stop`` or exhausts ``averaged_max_iters``.
-    Returns artifact paths, both traces, and the per-iterate inner products
-    of the duplicated row direction with the projective iterates (the
-    corrupted hyperplane offset is their distance to the target value).
+    Returns artifact paths, the summary that ``summary.json`` holds, both
+    traces, and the per-iterate inner products of the duplicated row
+    direction with the projective iterates (the corrupted hyperplane offset
+    is their distance to the target value).
     """
     check_timing(timing)
     system, x0 = generate_adversarial_duplicate(
@@ -420,7 +421,7 @@ def adversarial_demo(
     # JSON has no NaN or Infinity: a diverged solve's error is written as null.
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
-    results["summary_json"] = write_json(summary, out / "summary.json")
+    results.update(summary=summary, summary_json=write_json(summary, out / "summary.json"))
     if svg:
         _plot(results, out / "adversarial.svg", "projective vs averaged blocking",
               [(label, trace.rel_error) for label, trace in traces.items()])

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, is_int
 
 # Exhaustive enumeration refuses to start above this many subsets; callers
 # fall back to the sampled estimator instead of silently degrading exactness.
@@ -60,15 +59,12 @@ def as_count(value, name: str, minimum: int = 0) -> int:
     Raises
     ------
     ShapeError
-        If ``value`` is a bool or not an integer (``operator.index`` fails),
-        or is below ``minimum``; the message names ``name``.
+        If ``value`` is not an integer (a bool is not) or is below
+        ``minimum``; the message names ``name``.
     """
-    if isinstance(value, (bool, np.bool_)):
+    if not is_int(value):
         raise ShapeError(f"{name} must be an integer, got {value!r}")
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+    count = int(value)
     if count < minimum:
         raise ShapeError(f"{name} must be >= {minimum}, got {count}")
     return count

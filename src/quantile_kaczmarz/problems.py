@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IoError, domain, domain_check, is_seed, one_of
+from .errors import ConfigError, IoError, domain, domain_check, is_int, is_seed, one_of
 from .linalg import is_row_normalized, row_normalize
 
 FAMILIES = ("gaussian", "coherent")
@@ -129,7 +129,7 @@ def _validate_spec(spec: GeneratorSpec) -> None:
     if c.placement == "given-indices":
         if c.indices is None:
             raise ConfigError("placement 'given-indices' requires indices")
-        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in c.indices):
+        if not all(map(is_int, c.indices)):
             raise ConfigError(f"given indices must be integers, got {c.indices!r}")
         if len(set(c.indices)) != len(c.indices):
             raise ConfigError("given indices must be unique")
@@ -210,6 +210,9 @@ def generate_adversarial_duplicate(
 
     Returns the system together with that start vector.
     """
+    for name, value in (("n", n), ("clean_rows", clean_rows), ("dup_rows", dup_rows)):
+        if not is_int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n < 2 or clean_rows < 1 or dup_rows < 1 or not is_seed(seed) or not math.isfinite(target):
         raise ConfigError("need n >= 2, clean_rows >= 1, dup_rows >= 1, a non-negative integer "
                           f"seed and a finite target, got n={n}, clean_rows={clean_rows}, "

@@ -8,10 +8,8 @@ concrete iterations using exact realized quantities.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from .linalg import (
     sigma_max_sq,
     sigma_min_sq,
 )
-from .problems import CorruptedSystem
+from .problems import CorruptedSystem, write_json
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,8 @@ class RateInputs:
 class RateReport:
     """The convergence condition's verdict and constants; where it holds, also
     the optimal step size and contraction factor, which are None where it is
-    refuted.  ``to_json`` writes an infinite ``epsilon`` as null."""
+    refuted.  ``to_json(path)`` writes it as the package's JSON artifacts
+    are written, an infinite ``epsilon`` as null, and returns ``path``."""
 
     c1: float
     c2: float
@@ -65,13 +64,9 @@ class RateReport:
     epsilon: float
     inputs: RateInputs
 
-    def to_json(self, path=None) -> str:
+    def to_json(self, path):
         epsilon = None if math.isinf(self.epsilon) else self.epsilon
-        text = json.dumps({**asdict(self), "epsilon": epsilon}, indent=2, sort_keys=True,
-                          allow_nan=False)
-        if path is not None:
-            Path(path).write_text(text + "\n", encoding="utf-8")
-        return text
+        return write_json({**asdict(self), "epsilon": epsilon}, path)
 
     def summary(self) -> str:
         lines = [f"condition holds: {self.condition_holds} (epsilon = {self.epsilon:.6g})"]

@@ -21,10 +21,10 @@ the harness's step-size resolution read only that table.  The ``*_step``
 functions are pure, and :func:`solve` owns the RNG stream, the stopping
 rules, and the per-iteration trace.  One step is not pure: where that costs
 less than gathering its sample, quantile-rk's solve keeps the residual from
-step to step in a :class:`_QuantileRkRun`, one block of up to 8 MiB of Gram
-rows at a time, for which :func:`quantile_rk_step` is the one-step
-reference; such a solve does not call it, so rebinding that name does not
-change it.
+step to step in one generator, :func:`_quantile_rk_run`, one block of up to
+8 MiB of Gram rows at a time, for which :func:`quantile_rk_step` is the
+one-step reference; such a solve does not call it, so rebinding that name
+does not change it.
 """
 from __future__ import annotations
 
@@ -285,7 +285,7 @@ def quantile_rk_step(
 
     :func:`solve` calls this function only where ``t`` is small (see
     :func:`_quantile_rk`); elsewhere it is the one-step reference of the
-    :class:`_QuantileRkRun` that the solve uses.
+    :func:`_quantile_rk_run` generator that the solve uses.
     """
     m = matrix.shape[0]
     rows = slice(None) if t == m else rng.choice(m, size=t, replace=False)
@@ -323,8 +323,8 @@ class MethodSpec:
     applies, and ``build(matrix, b, config, t, alpha)``, which returns one
     solve's step ``(x, rng) -> (x_next, stats)``.  A step calls its kernel
     by module-global name, so a kernel rebound in this module takes effect,
-    except where quantile-rk's step is a :class:`_QuantileRkRun`, which
-    keeps state and calls no step kernel."""
+    except where quantile-rk's step sends to a :func:`_quantile_rk_run`
+    generator, which keeps state and calls no step kernel."""
 
     scope: str | None
     takes_alpha: bool
@@ -349,8 +349,9 @@ _GATHER_CALLS = 60  # a gather's calls beside its copy, in gathered rows
 
 
 def _quantile_rk(a, b, config, t, alpha) -> Step:
-    """quantile-rk's step: a :class:`_QuantileRkRun` where its step costs no
-    more than a gather's, else :func:`quantile_rk_step` by module-global name.
+    """quantile-rk's step: a primed :func:`_quantile_rk_run` generator, sent
+    each ``(x, rng)``, where its step costs no more than a gather's, else
+    :func:`quantile_rk_step` by module-global name.
 
     Both make the same draws and take the same threshold and verdict.  Beyond
     those, a gather copies ``t`` rows of A and makes a few more calls, which
@@ -365,7 +366,9 @@ def _quantile_rk(a, b, config, t, alpha) -> Step:
     """
     m = a.shape[0]
     if (t + _GATHER_CALLS) * min(_plan_steps(m), _GEMM_STEPS) >= m:
-        return _QuantileRkRun(a, b, config, t)
+        run = _quantile_rk_run(a, b, config, t)
+        next(run)
+        return lambda x, rng: run.send((x, rng))
     return lambda x, rng: quantile_rk_step(a, b, x, config.q, t, rng, config.comparator)
 
 
@@ -375,58 +378,46 @@ def _plan_steps(m: int) -> int:
     return max(1, _PLAN_BYTES // (8 * m))
 
 
-class _QuantileRkRun:
-    """One solve's quantile-rk step, which keeps the residual ``r = A x - b``
+def _quantile_rk_run(a, b, config: SolverConfig, t: int):
+    """One solve's quantile-rk steps as a generator, sent ``(x, rng)`` and
+    yielding ``(x_next, stats)``, which keeps the residual ``r = A x - b``
     instead of gathering its ``t`` sampled rows again at every step.
 
-    It works one block of steps at a time, :func:`_plan_steps` steps, but
-    never more than are left of ``max_iters``.  A block first draws its
-    samples and candidates with the calls :func:`quantile_rk_step` makes, in
-    the same order.  One GEMM, ``vstack([x, A[J]]) @ A.T``, then gives the
-    fresh residual at ``x`` and the Gram rows ``A a_j`` of the block's
-    candidates ``J``.  Each step reads its threshold from ``|r[sample]|``
-    (all of ``r`` when ``t == m``) and its gap from ``r[j]``, so a row has
-    one residual per step, as in the reference.  An accepted step sets ``x
-    <- x - r_j a_j`` and ``r <- r - r_j (A a_j)``, scaling its Gram row in
-    place, as each is used once.  Every block's GEMM writes into one buffer
-    that the solve allocates once, so it holds one block's Gram rows.
-    Called with an ``x`` it did not return last, the run recomputes ``r``.
+    It works one block of :func:`_plan_steps` steps at a time, but never
+    more than are left of ``max_iters``.  A block first draws its samples
+    and candidates with the calls :func:`quantile_rk_step` makes, in the same
+    order.  One GEMM, ``vstack([x, A[J]]) @ A.T``, into one buffer that the
+    solve allocates once, then gives the fresh residual at ``x`` and the Gram
+    rows ``A a_j`` of the block's candidates ``J``.  Each step reads its
+    threshold from ``|r[sample]|`` (all of ``r`` when ``t == m``) and its gap
+    from ``r[j]``, so a row has one residual per step, as in the reference.
+    An accepted step sets ``x <- x - r_j a_j`` and ``r <- r - r_j (A a_j)``,
+    scaling its Gram row in place, as each is used once.  Sent an ``x`` it
+    did not yield last, the run recomputes ``r``.
     """
-
-    def __init__(self, a, b, config: SolverConfig, t: int):
-        self.a, self.b, self.t = a, b, t
-        self.q, self.comparator = config.q, config.comparator
-        self.block = min(_plan_steps(a.shape[0]), config.max_iters)
-        self.left = config.max_iters  # steps not yet drawn
-        self.plan: list = []  # the block's steps still to take, last first
-        self.x = self.r = None
-        self.gram = np.empty((self.block + 1, a.shape[0]))
-
-    def _draw(self, x, rng) -> None:
-        m = self.a.shape[0]
-        size = max(1, min(self.block, self.left))
-        self.left -= size
-        draws = [(None if self.t == m else rng.choice(m, size=self.t, replace=False),
-                  int(rng.integers(m))) for _ in range(size)]
-        fresh = np.matmul(np.vstack([x, self.a[[j for _, j in draws]]]), self.a.T,
-                          out=self.gram[:size + 1])
-        self.r = fresh[0] - self.b
-        self.plan = [(*draw, gram) for draw, gram in zip(draws, fresh[1:])][::-1]
-
-    def __call__(self, x, rng) -> tuple[np.ndarray, StepStats]:
-        if not self.plan:
-            self._draw(x, rng)
-        elif x is not self.x:
-            self.r = self.a @ x - self.b
-        sample, j, gram = self.plan.pop()
-        r = self.r
-        threshold = quantile_of_multiset(np.abs(r if sample is None else r[sample]), self.q)
-        gap = r[j]
-        self.x, stats = _gate(x, self.a[j], j, gap, threshold, self.comparator)
-        if stats.tau.size:
-            gram *= gap  # r -= gap * gram, without a temporary
-            r -= gram
-        return self.x, stats
+    m = a.shape[0]
+    block = min(_plan_steps(m), config.max_iters)
+    left = config.max_iters  # steps not yet drawn
+    gram = np.empty((block + 1, m))
+    x, rng = yield
+    while True:
+        size = max(1, min(block, left))
+        left -= size
+        draws = [(None if t == m else rng.choice(m, size=t, replace=False), int(rng.integers(m)))
+                 for _ in range(size)]
+        fresh = np.matmul(np.vstack([x, a[[j for _, j in draws]]]), a.T, out=gram[:size + 1])
+        r, last = fresh[0] - b, x
+        for (sample, j), row in zip(draws, fresh[1:]):
+            if x is not last:
+                r = a @ x - b
+            threshold = quantile_of_multiset(np.abs(r if sample is None else r[sample]), config.q)
+            gap = r[j]
+            last, stats = _gate(x, a[j], j, gap, threshold, config.comparator)
+            if stats.tau.size:
+                row *= gap  # r -= gap * row, without a temporary
+                r -= row
+            x, rng = yield last, stats
+        del draws  # freed before the next block's samples are drawn, not beside them
 
 
 def _averaged(a, b, config, t, alpha) -> Step:

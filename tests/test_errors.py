@@ -109,6 +109,20 @@ EXPERIMENT = ExperimentConfig(GENERATOR, SOLVER)
     (EXPERIMENT, "start", "twos", ConfigError),
     (SOLVER, "block_size", 0, ConfigError),
     (SOLVER, "block_size", -3, ConfigError),
+    # the wrong type: an int field refuses a non-integer, bools included, and a
+    # domain test that cannot compare the value refuses it too
+    (SOLVER, "max_iters", 2.5, ConfigError),
+    (SOLVER, "max_iters", True, ConfigError),
+    (SOLVER, "max_iters", None, ConfigError),
+    (SOLVER, "t", 2.0, ConfigError),
+    (SOLVER, "block_size", 1.5, ConfigError),
+    (GENERATOR, "m", 20.0, ConfigError),
+    (GENERATOR, "n", True, ConfigError),
+    (GENERATOR, "m", None, ConfigError),
+    (EXPERIMENT, "repetitions", 1.5, ConfigError),
+    (SOLVER, "q", "0.5", ConfigError),
+    (SOLVER, "alpha", None, ConfigError),
+    (CorruptionSpec(), "beta", None, ConfigError),
 ], ids=lambda v: repr(v) if isinstance(v, (str, float, int, tuple)) else None)
 def test_each_field_checks_its_domain_when_built(obj, field, value, error):
     with pytest.raises(error, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
@@ -131,10 +145,13 @@ def test_valid_boundary_values_are_accepted():
     (dict(seed=1.5), "seed=1.5"),
     (dict(target=math.nan), "target=nan"),
     (dict(target=math.inf), "target=inf"),
+    (dict(n=2.5), r"^n must be an integer, got 2\.5$"),
+    (dict(clean_rows=10.0), r"^clean_rows must be an integer, got 10\.0$"),
+    (dict(dup_rows=True), "^dup_rows must be an integer, got True$"),
 ])
 def test_adversarial_duplicate_checks_its_seed_and_target(kwargs, name):
     with pytest.raises(ConfigError, match=name):
-        generate_adversarial_duplicate(n=4, clean_rows=10, dup_rows=2, **kwargs)
+        generate_adversarial_duplicate(**{**dict(n=4, clean_rows=10, dup_rows=2), **kwargs})
 
 
 # Values outside a domain, given as flags: each exits 2 with one stderr line

@@ -797,9 +797,25 @@ def plan_steps(monkeypatch, m, steps):
     """Make quantile-rk's solve on m rows keep its residual, whatever its
     sample size, in blocks of ``steps`` steps."""
     monkeypatch.setattr(solvers, "_PLAN_BYTES", 8 * m * steps)
-    spec = METHOD_TABLE["quantile-rk"]
-    run = lambda a, b, config, t, alpha: solvers._QuantileRkRun(a, b, config, t)
-    monkeypatch.setitem(METHOD_TABLE, "quantile-rk", dataclasses.replace(spec, build=run))
+    monkeypatch.setattr(solvers, "_GATHER_CALLS", m)  # (t + m) * steps >= m
+
+
+def count_gathers(monkeypatch) -> list:
+    """The calls of :func:`quantile_rk_step`, the gather path's kernel, that
+    quantile-rk steps make from now on; the kept-residual path makes none."""
+    calls = []
+    pure = solvers.quantile_rk_step
+    monkeypatch.setattr(solvers, "quantile_rk_step", lambda *args: calls.append(1) or pure(*args))
+    return calls
+
+
+def count_draws(monkeypatch) -> list:
+    """The :class:`CountingRng` of each generator made from now on."""
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(CountingRng(default_rng(seed))) or made[-1])
+    return made
 
 
 class CountingRng:
@@ -856,50 +872,50 @@ class TestQuantileRkRun:
         (50_000, 200, 2_500, True), (50_000, 200, 5_000, True), (50_000, 200, 9_999, True),
         (50_000, 200, 10_000, True), (200, 10, 3, True),
     ])
-    def test_residual_is_kept_where_the_gather_costs_more(self, m, n, t, kept):
+    def test_residual_is_kept_where_the_gather_costs_more(self, monkeypatch, m, n, t, kept):
         # A gather's step costs what gathering t + 60 rows does, a run's what
         # gathering m / min(block, 30) rows does (blocks of 524 steps at m =
         # 2000, 104 at m = 10000, 20 at m = 50000).
         a = np.zeros((m, n))
-        config = SolverConfig(method="quantile-rk", q=0.7, t=t)
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=1)
         step = METHOD_TABLE["quantile-rk"].build(a, np.zeros(m), config, t, None)
-        assert isinstance(step, solvers._QuantileRkRun) == kept
+        gathers = count_gathers(monkeypatch)
+        step(np.zeros(n), np.random.default_rng(0))
+        assert gathers == ([] if kept else [1])
 
-    def test_a_solve_holds_one_block_of_gram_rows(self):
-        # Three blocks' worth of steps: a Gram block or plan that outlived its
-        # block would add another block's rows, about 8 MiB, to the peak.
+    def test_a_solve_holds_one_block_of_gram_rows(self, monkeypatch):
+        # Three blocks' worth of steps: a Gram block that outlived its block
+        # would add another block's rows, about 8 MiB, to the peak, and a
+        # block's samples kept while the next block draws 0.8 MB (5 m-vectors).
         m, n, t = 20_000, 50, 2_000
         system = corrupted_system(m=m, n=n, seed=47)
         block = solvers._plan_steps(m)
         config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=3 * block, seed=5)
-        step = METHOD_TABLE["quantile-rk"].build(system.matrix, system.b_observed, config, t, None)
-        assert isinstance(step, solvers._QuantileRkRun)
+        gathers = count_gathers(monkeypatch)
         tracemalloc.start()
         try:
             assert solve(system, config, np.zeros(n)).iterations == 3 * block
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert gathers == []
         gram = 8 * (block + 1) * m  # the block's Gram rows and its fresh residual
         samples = 8 * block * t
-        assert peak <= gram + samples + 8 * (8 * m)
+        assert peak <= gram + samples + 4 * (8 * m)  # the residual and its temporaries
 
     def test_small_sample_solve_calls_the_pure_step(self, monkeypatch):
         system = corrupted_system(m=10_000, n=5, seed=46)
-        made = []
-        pure = solvers.quantile_rk_step
-        monkeypatch.setattr(solvers, "quantile_rk_step",
-                            lambda *args: made.append(1) or pure(*args))
+        gathers = count_gathers(monkeypatch)
         config = SolverConfig(method="quantile-rk", q=0.7, t=50, max_iters=5, seed=2)
-        assert solve(system, config, np.zeros(5)).iterations == len(made) == 5
+        assert solve(system, config, np.zeros(5)).iterations == len(gathers) == 5
 
     @pytest.mark.parametrize("t", [60, None])
-    def test_foreign_x_gets_the_pure_decision(self, t):
+    def test_foreign_x_gets_the_pure_decision(self, monkeypatch, t):
         system = corrupted_system(m=200, n=10, seed=42)
         a, b = system.matrix, system.b_observed
         config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=20, seed=3)
         step = METHOD_TABLE["quantile-rk"].build(a, b, config, t or 200, None)
-        assert isinstance(step, solvers._QuantileRkRun)
+        gathers = count_gathers(monkeypatch)  # the reference below is not counted
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
         x = np.zeros(10)
         for _ in range(4):  # into the middle of the run's one 20-step block
@@ -911,6 +927,7 @@ class TestQuantileRkRun:
         np.testing.assert_array_equal(got_stats.tau, want_stats.tau)
         assert got_stats.quantile == pytest.approx(want_stats.quantile, rel=1e-12)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert gathers == []
 
     def test_timing_none_is_deterministic_across_blocks(self, monkeypatch, tmp_path):
         system = corrupted_system(seed=43)
@@ -926,14 +943,22 @@ class TestQuantileRkRun:
     def test_one_step_solve_draws_one_step(self, monkeypatch, t, draws):
         system = corrupted_system(seed=44)
         plan_steps(monkeypatch, system.m, 100)
-        made = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: made.append(CountingRng(default_rng(seed))) or made[-1])
+        made = count_draws(monkeypatch)
         config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=1, seed=8)
         trace = solve(system, config, np.zeros(system.n))
         assert trace.iterations == 1
         assert [rng.calls for rng in made] == [draws]
+
+    @pytest.mark.parametrize("t, draws", [(50, ["choice", "integers"]), (None, ["integers"])])
+    def test_last_block_draws_only_the_budget(self, monkeypatch, t, draws):
+        # Blocks of 4 steps and a budget of 10: the third block draws 2 steps.
+        system = corrupted_system(seed=48)
+        plan_steps(monkeypatch, system.m, 4)
+        gathers, made = count_gathers(monkeypatch), count_draws(monkeypatch)
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=10, seed=8)
+        assert solve(system, config, np.zeros(system.n)).iterations == 10
+        assert [rng.calls for rng in made] == [draws * 10]
+        assert gathers == []
 
 
 class TestTraceSerialization:
