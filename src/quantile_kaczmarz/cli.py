@@ -107,26 +107,22 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _typed(value, hint, key: str):
-    """``value`` from the config file, checked against the field annotation
-    ``hint``; a float field also takes a JSON integer."""
-    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    for arm in arms:
+    """``value`` from the config file in the form the field annotation
+    ``hint`` takes: an object as its dataclass and a list as a tuple.  The
+    dataclass checks the result when it is built."""
+    for arm in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
         if dataclasses.is_dataclass(arm) and isinstance(value, dict):
             return _read(arm, value, {}, {}, key + ".")
         if typing.get_origin(arm) is tuple and isinstance(value, list):
-            return tuple(_typed(v, typing.get_args(arm)[0], key) for v in value)
-        if arm is float and type(value) is int:
-            return float(value)
-        if type(value) is arm:
-            return value
-    raise ConfigError(f"config key {key!r} must be {getattr(hint, '__name__', hint)}, "
-                      f"got {value!r}")
+            return tuple(value)
+    return value
 
 
 def _read(cls, section, flags: dict, defaults: dict, where: str = ""):
     """Build the dataclass ``cls`` from its own fields: a set flag wins, then
     ``section`` (the file's object for ``cls``), then ``defaults``, then the
-    field's default.  ``flags`` and ``defaults`` apply at every depth."""
+    field's default.  ``flags`` and ``defaults`` apply at every depth.  A
+    refused value from the file is named by its key, such as ``solver.q``."""
     if not isinstance(section, dict):
         raise ConfigError(f"config key {where[:-1]!r} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -134,7 +130,7 @@ def _read(cls, section, flags: dict, defaults: dict, where: str = ""):
     if unknown:
         raise ConfigError(f"unknown config key {where + unknown[0]!r}")
     hints = typing.get_type_hints(cls)
-    kwargs = {}
+    kwargs, overrides = {}, {}
     for f in fields:
         key, hint = where + f.name, hints[f.name]
         if dataclasses.is_dataclass(hint):
@@ -146,8 +142,14 @@ def _read(cls, section, flags: dict, defaults: dict, where: str = ""):
         elif f.name not in flags and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"config key {key!r} is required")
         if f.name in flags:
-            kwargs[f.name] = flags[f.name]
-    return cls(**kwargs)
+            (overrides if f.name in section else kwargs)[f.name] = flags[f.name]
+    try:
+        config = cls(**kwargs)
+    except ConfigError as exc:  # its message begins with the field's name
+        if str(exc).split()[0] not in section:
+            raise
+        raise ConfigError(where + str(exc)) from None
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _inputs(args, defaults: dict) -> tuple[dict, dict, dict]:

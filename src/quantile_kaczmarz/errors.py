@@ -8,6 +8,9 @@ the valid values of a configuration field once, at its declaration.
 import dataclasses
 import math
 import numbers
+import sys
+import types
+import typing
 
 
 class QkError(Exception):
@@ -79,29 +82,60 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: a Python or numpy int or float, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """Whether ``value`` is a real number that a finite float holds."""
+    if is_int(value):  # compared exactly: math.isfinite overflows on a huge int
+        return abs(value) <= sys.float_info.max
+    return is_real(value) and math.isfinite(value)
+
+
 def is_seed(value) -> bool:
     """Whether ``value`` can seed a generator: a non-negative integer."""
     return is_int(value) and value >= 0
 
 
+def _cast(value, hint):
+    """``value`` as the annotation ``hint`` takes it: an ``int`` an integer, a
+    ``float`` a finite real number as a float, a ``tuple[X, ...]`` a tuple of
+    ``X``, another class an instance, and ``X | Y`` what either arm takes.
+    Raises :class:`ValueError` for a real number in a ``float`` that no
+    finite float holds, and :class:`TypeError` for any other misfit."""
+    for arm in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
+        if typing.get_origin(arm) is tuple:
+            if isinstance(value, tuple):
+                return tuple(_cast(v, typing.get_args(arm)[0]) for v in value)
+        elif arm in (int, float):
+            if is_int(value) or arm is float and is_real(value):
+                if arm is float and not is_finite(value):
+                    raise ValueError(value)
+                return arm(value)
+        elif isinstance(value, arm):  # str, bool, None or a config dataclass
+            return value
+    raise TypeError(value)
+
+
 def domain_check(obj) -> None:
-    """A dataclass ``__post_init__``: raise :class:`ConfigError` on the first field
-    that is a non-finite float, a ``seed`` failing :func:`is_seed`, a non-integer
-    in a field annotated ``int`` (``None`` too, unless ``int | None``) or outside
-    its :func:`domain`, a domain test that raises :class:`TypeError` included."""
+    """A dataclass ``__post_init__``: raise :class:`ConfigError` on the first
+    field whose value is not of its annotated type (a bool is neither an int
+    nor a float, and a float is finite) or lies outside its :func:`domain`.
+    The value is stored as its type holds it: a number in a float field as a
+    float, and a numpy number as a Python one, also inside a tuple."""
+    hints = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        text, ok = f.metadata.get("domain", ("finite", lambda v: True))
-        if f.name == "seed":
-            text, ok = "a non-negative integer", is_seed
-        # The declaring modules postpone annotations, so a type is its text.
-        elif f.type in ("int", "int | None") and not (
-                is_int(value) or value is None and f.type == "int | None"):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        finite = not isinstance(value, float) or math.isfinite(value)
         try:
-            valid = finite and ok(value)
+            typed = _cast(value, hints[f.name])
+        except ValueError:
+            raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
         except TypeError:
-            valid = False
-        if not valid:
-            raise ConfigError(f"{f.name} must be {text if finite else 'finite'}, got {value!r}")
+            # The declaring modules postpone annotations, so a type is its text.
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}") from None
+        text, ok = f.metadata.get("domain", (None, lambda v: True))
+        if not ok(typed):
+            raise ConfigError(f"{f.name} must be {text}, got {value!r}")
+        object.__setattr__(obj, f.name, typed)

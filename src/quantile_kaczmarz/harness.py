@@ -60,8 +60,7 @@ _ALPHA_GRID_SCALED = (0.4, 0.8, 1.2, 1.6, 2.0)
 class SweepSpec:
     parameter: str = one_of(("alpha", "q", "t"))
     values: tuple[float, ...] = domain(
-        "non-empty, finite and strictly increasing",
-        lambda v: len(v) > 0 and all(map(math.isfinite, v)) and list(v) == sorted(set(v)))
+        "non-empty and strictly increasing", lambda v: len(v) > 0 and list(v) == sorted(set(v)))
 
     __post_init__ = domain_check
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IoError, domain, domain_check, is_int, is_seed, one_of
+from .errors import ConfigError, IoError, domain, domain_check, is_finite, is_int, is_seed, one_of
 from .linalg import is_row_normalized, row_normalize
 
 FAMILIES = ("gaussian", "coherent")
@@ -37,7 +37,8 @@ class CorruptionSpec:
     magnitude_low: float = -100.0
     magnitude_high: float = 100.0
     placement: str = one_of(PLACEMENTS, default="uniform")
-    indices: tuple[int, ...] | None = None
+    indices: tuple[int, ...] | None = domain(
+        "unique", lambda v: v is None or len(set(v)) == len(v), default=None)
 
     __post_init__ = domain_check
 
@@ -47,7 +48,7 @@ class GeneratorSpec:
     family: str = one_of(FAMILIES)
     m: int
     n: int
-    seed: int
+    seed: int = domain("a non-negative integer", is_seed)
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
     __post_init__ = domain_check
@@ -129,10 +130,6 @@ def _validate_spec(spec: GeneratorSpec) -> None:
     if c.placement == "given-indices":
         if c.indices is None:
             raise ConfigError("placement 'given-indices' requires indices")
-        if not all(map(is_int, c.indices)):
-            raise ConfigError(f"given indices must be integers, got {c.indices!r}")
-        if len(set(c.indices)) != len(c.indices):
-            raise ConfigError("given indices must be unique")
         if not all(0 <= i < spec.m for i in c.indices):
             raise ConfigError("given indices out of range")
         if c.beta != 0.0:
@@ -213,7 +210,7 @@ def generate_adversarial_duplicate(
     for name, value in (("n", n), ("clean_rows", clean_rows), ("dup_rows", dup_rows)):
         if not is_int(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if n < 2 or clean_rows < 1 or dup_rows < 1 or not is_seed(seed) or not math.isfinite(target):
+    if n < 2 or clean_rows < 1 or dup_rows < 1 or not is_seed(seed) or not is_finite(target):
         raise ConfigError("need n >= 2, clean_rows >= 1, dup_rows >= 1, a non-negative integer "
                           f"seed and a finite target, got n={n}, clean_rows={clean_rows}, "
                           f"dup_rows={dup_rows}, seed={seed!r}, target={target!r}")

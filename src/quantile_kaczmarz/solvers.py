@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergedError, ShapeError, domain, domain_check, one_of
+from .errors import ConfigError, DivergedError, ShapeError, domain, domain_check, is_seed, one_of
 from .linalg import quantile_of_multiset
 from .problems import CorruptedSystem
 
@@ -473,7 +473,7 @@ class SolverConfig:
     max_iters: int = domain(">= 1", lambda v: v >= 1, default=100)
     stop_rel_error: float = domain(">= 0", lambda v: v >= 0, default=0.0)
     comparator: str = one_of(COMPARATORS, default="strict-below")
-    seed: int = 0
+    seed: int = domain("a non-negative integer", is_seed, default=0)
 
     __post_init__ = domain_check
 

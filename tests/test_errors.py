@@ -3,12 +3,17 @@ configuration field checks its domain when it is built."""
 import ast
 import dataclasses
 import inspect
+import json
 import math
 import re
+import types
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import quantile_kaczmarz as qk
 import quantile_kaczmarz.cli as cli
 from quantile_kaczmarz import errors
 from quantile_kaczmarz.errors import ConfigError, DomainError, QkError, ShapeError
@@ -16,7 +21,9 @@ from quantile_kaczmarz.harness import ExperimentConfig, SweepSpec
 from quantile_kaczmarz.problems import (
     CorruptionSpec,
     GeneratorSpec,
+    generate,
     generate_adversarial_duplicate,
+    save_system,
 )
 from quantile_kaczmarz.solvers import SolverConfig
 
@@ -123,6 +130,30 @@ EXPERIMENT = ExperimentConfig(GENERATOR, SOLVER)
     (SOLVER, "q", "0.5", ConfigError),
     (SOLVER, "alpha", None, ConfigError),
     (CorruptionSpec(), "beta", None, ConfigError),
+    # every field is checked against its annotation: a bool is neither an int
+    # nor a float, and a tuple field refuses a list
+    (SOLVER, "q", True, ConfigError),
+    (SOLVER, "alpha", True, ConfigError),
+    (SOLVER, "stop_rel_error", False, ConfigError),
+    (SOLVER, "method", 3, ConfigError),
+    (CorruptionSpec(), "magnitude_low", None, ConfigError),
+    (CorruptionSpec(), "magnitude_low", "1", ConfigError),
+    pytest.param(CorruptionSpec(), "magnitude_high", 10**400, ConfigError,
+                 id="magnitude_high-10**400"),  # no float holds it
+    (CorruptionSpec(), "placement", None, ConfigError),
+    (CorruptionSpec(placement="given-indices", indices=(1,)), "indices", [1, 2], ConfigError),
+    (CorruptionSpec(placement="given-indices", indices=(1,)), "indices", (1, 1), ConfigError),
+    (CorruptionSpec(placement="given-indices", indices=(1,)), "indices", (True, 3), ConfigError),
+    (CorruptionSpec(placement="given-indices", indices=(1,)), "indices", (1.0, 2.0), ConfigError),
+    (GENERATOR, "corruption", {"beta": 0.1}, ConfigError),
+    (EXPERIMENT, "output_dir", 3, ConfigError),
+    (EXPERIMENT, "svg", "yes", ConfigError),
+    (EXPERIMENT, "generator", {"family": "gaussian"}, ConfigError),
+    (EXPERIMENT, "solver", None, ConfigError),
+    (EXPERIMENT, "sweep", "q", ConfigError),
+    (SweepSpec("q", (0.5,)), "values", (False, True), ConfigError),
+    (SweepSpec("q", (0.5,)), "values", [0.5], ConfigError),
+    (SweepSpec("q", (0.5,)), "values", (0.5, "0.7"), ConfigError),
 ], ids=lambda v: repr(v) if isinstance(v, (str, float, int, tuple)) else None)
 def test_each_field_checks_its_domain_when_built(obj, field, value, error):
     with pytest.raises(error, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
@@ -140,6 +171,67 @@ def test_valid_boundary_values_are_accepted():
     ExperimentConfig(GENERATOR, SOLVER, repetitions=1, timing="none", start="zeros")
 
 
+def test_a_numpy_number_is_stored_as_the_python_number_of_its_field():
+    solver = SolverConfig("rk", q=np.float32(0.5), alpha=np.int64(2), t=np.int32(4),
+                          max_iters=np.int64(3), seed=np.uint8(3))
+    assert [(type(getattr(solver, k)), getattr(solver, k)) for k in
+            ("q", "alpha", "t", "max_iters", "seed")] == [
+        (float, 0.5), (float, 2.0), (int, 4), (int, 3), (int, 3)]
+    spec = CorruptionSpec(placement="given-indices", indices=tuple(np.array([3, 7])))
+    assert list(map(type, spec.indices)) == [int, int]
+    assert list(map(type, SweepSpec("q", (np.float16(0.5), 1)).values)) == [float, float]
+    assert type(CorruptionSpec(magnitude_low=-1).magnitude_low) is float
+
+
+# A numpy number must not reach an artifact: json cannot write it, so the run
+# would leave trace.csv and a truncated config.json behind.
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", np.int64(3)), ("seed", np.int64(3)), ("q", np.float32(0.5))])
+def test_a_run_with_a_numpy_number_writes_its_config(tmp_path, field, value):
+    solver = dataclasses.replace(SOLVER, **{"max_iters": 3, field: value})
+    config = ExperimentConfig(GENERATOR, solver, output_dir=str(tmp_path), timing="none")
+    paths = qk.run(config)
+    assert json.loads(paths["config_json"].read_text())["solver"][field] == value
+
+
+def test_a_saved_spec_with_numpy_indices_writes_its_metadata(tmp_path):
+    corruption = CorruptionSpec(placement="given-indices", indices=tuple(np.array([3, 7])))
+    spec = GeneratorSpec("gaussian", 20, 3, 1, corruption)
+    save_system(generate(spec), tmp_path, spec=spec)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["spec"]["corruption"]["indices"] == [3, 7]
+
+
+def test_adversarial_demo_refuses_a_bool_q_before_writing(tmp_path):
+    with pytest.raises(ConfigError, match="^q must be of type float, got True$"):
+        qk.adversarial_demo(tmp_path / "demo", n=4, clean_rows=10, dup_rows=2, q=True)
+    assert not (tmp_path / "demo").exists()
+
+
+def _handled(hint) -> bool:
+    """Whether ``errors.domain_check`` checks a value against ``hint``: int,
+    float, str, bool, None, a config dataclass, a ``tuple[X, ...]`` of one
+    of these, or a union of them."""
+    if isinstance(hint, types.UnionType):
+        return all(map(_handled, typing.get_args(hint)))
+    if typing.get_origin(hint) is tuple:
+        element, dots = typing.get_args(hint)
+        return dots is Ellipsis and _handled(element)
+    return hint in (int, float, str, bool, type(None)) or dataclasses.is_dataclass(hint)
+
+
+CONFIGS = (CorruptionSpec, GeneratorSpec, SolverConfig, SweepSpec, ExperimentConfig)
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+def test_every_annotation_is_a_form_the_checker_handles(cls):
+    """A field of any other form (a list, a dict, a Literal) would pass
+    unchecked, so adding one fails here first."""
+    assert cls.__post_init__ is errors.domain_check
+    hints = typing.get_type_hints(cls)
+    assert [name for name, hint in hints.items() if not _handled(hint)] == []
+
+
 @pytest.mark.parametrize("kwargs, name", [
     (dict(seed=-2), "seed=-2"),
     (dict(seed=1.5), "seed=1.5"),
@@ -148,6 +240,9 @@ def test_valid_boundary_values_are_accepted():
     (dict(n=2.5), r"^n must be an integer, got 2\.5$"),
     (dict(clean_rows=10.0), r"^clean_rows must be an integer, got 10\.0$"),
     (dict(dup_rows=True), "^dup_rows must be an integer, got True$"),
+    (dict(target="1"), "target='1'"),
+    (dict(target=True), "target=True"),
+    (dict(target=10**400), "target=10000"),  # an int that no float holds
 ])
 def test_adversarial_duplicate_checks_its_seed_and_target(kwargs, name):
     with pytest.raises(ConfigError, match=name):

@@ -813,6 +813,11 @@ class TestCli:
         ([], {"generator": {"corruption": {"beta": 0.2, "mag-low": 5}}},
          "generator.corruption.mag-low"),
         ([], {"iters": 4}, "iters"),
+        ([], {"solver": {"alpha": True}}, "solver.alpha must be of type float | str, got True"),
+        ([], {"generator": {"corruption": {"placement": "given-indices", "indices": [1.5]}}},
+         "generator.corruption.indices must be of type tuple[int, ...] | None, got (1.5,)"),
+        ([], {"sweep": {"parameter": "q", "values": [0.5, 0.5]}}, "sweep.values must be"),
+        ([], {"svg": "yes"}, "configuration error: svg must be of type bool, got 'yes'"),
     ])
     def test_malformed_input_exits_2_naming_it(self, tmp_path, capsys, flags, cfg, key):
         argv = ["run", "--seed", "1", "--m", "60", "--n", "4", "--out", str(tmp_path / "o"), *flags]
