@@ -23,7 +23,7 @@ _HOMES = {
                "IoError", "NoConvergenceError", "QkError", "ShapeError"),
     "linalg": ("SUBSET_ENUMERATION_CAP", "SpectralSummary", "quantile_of_multiset",
                "restricted_min_sv_bruteforce", "restricted_min_sv_sampled", "row_normalize",
-               "sigma_max_sq", "sigma_min_sq"),
+               "sigma_max_sq"),
     "problems": ("CorruptedSystem", "CorruptionSpec", "GeneratorSpec", "generate",
                  "generate_adversarial_duplicate", "load_system", "save_system"),
     "rates": ("CertificateResult", "RateReport", "alpha_opt_closed_form", "certify_iteration",

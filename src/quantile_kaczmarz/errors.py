@@ -6,6 +6,7 @@ and message label the CLI reports it with.  The functions at the end state
 the valid values of a configuration field once, at its declaration.
 """
 import dataclasses
+import functools
 import math
 import numbers
 import sys
@@ -119,13 +120,17 @@ def _cast(value, hint):
     raise TypeError(value)
 
 
+# A class's resolved annotations do not change, so each class resolves them once.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def domain_check(obj) -> None:
     """A dataclass ``__post_init__``: raise :class:`ConfigError` on the first
     field whose value is not of its annotated type (a bool is neither an int
     nor a float, and a float is finite) or lies outside its :func:`domain`.
     The value is stored as its type holds it: a number in a float field as a
     float, and a numpy number as a Python one, also inside a tuple."""
-    hints = typing.get_type_hints(type(obj))
+    hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         try:

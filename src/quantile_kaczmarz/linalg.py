@@ -1,6 +1,6 @@
 """Dense row-space primitives.
 
-Row normalization, the residual quantile, extremal singular values of the
+Row normalization, the residual quantile, the largest eigenvalue of the
 row Gram matrix, and the restricted smallest singular value over row subsets
 of a fixed size -- the quantity that controls how badly conditioned an
 accepted block of rows can be.
@@ -152,26 +152,6 @@ def sigma_max_sq(matrix) -> float:
     """
     a = as_matrix(matrix)
     return float(max(np.linalg.eigvalsh(a.T @ a)[-1], 0.0))
-
-
-def sigma_min_sq(matrix) -> float:
-    """Smallest eigenvalue of ``matrix.T @ matrix`` for a tall matrix.
-
-    Uses a dense symmetric eigendecomposition of the n x n Gram matrix;
-    sized for n up to a few hundred.  The result is clipped at zero since
-    the Gram matrix is positive semi-definite.
-
-    Raises
-    ------
-    ShapeError
-        If the matrix has fewer rows than columns.
-    """
-    a = as_matrix(matrix)
-    m, n = a.shape
-    if m < n:
-        raise ShapeError(f"need rows >= cols, got {m}x{n}")
-    w = np.linalg.eigvalsh(a.T @ a)
-    return float(max(w[0], 0.0))
 
 
 @dataclass(frozen=True)
@@ -470,7 +450,7 @@ def _validate_subset_size(a: np.ndarray, k) -> int:
 
 
 def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
-    """Exact infimum of ``sigma_min_sq`` over all row subsets of size ``k``.
+    """Exact infimum of the smallest Gram eigenvalue over all row subsets of size ``k``.
 
     Enumerates every subset, so the binomial count must stay below
     ``SUBSET_ENUMERATION_CAP``.  The subsets come as grids of prefixes times
@@ -515,7 +495,7 @@ def restricted_min_sv_bruteforce(matrix, k: int) -> SpectralSummary:
 def restricted_min_sv_sampled(
     matrix, k: int, samples: int, seed: int
 ) -> SpectralSummary:
-    """Minimum of ``sigma_min_sq`` over ``samples`` uniformly drawn size-k subsets.
+    """Minimum of the smallest Gram eigenvalue over ``samples`` uniformly drawn size-k subsets.
 
     A heuristic stand-in for the exhaustive infimum when the subset count is
     combinatorially out of reach.  Deterministic given ``seed``; the estimate

@@ -391,10 +391,14 @@ def _write_csv(path: Path, table: np.ndarray) -> None:
 
 def write_json(payload: dict, path: Path) -> Path:
     """Write ``payload`` as the package's JSON artifacts are written: sorted
-    keys, two-space indent, a final newline, and no NaN or infinity."""
+    keys, two-space indent, a final newline, and no NaN or infinity.  A numpy
+    number is written as its Python value.  The text is built before the file
+    is opened, so a payload that cannot be written leaves no file."""
+    # np.generic.item raises TypeError on anything that is not a numpy scalar.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=np.generic.item)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

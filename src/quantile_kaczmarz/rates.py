@@ -26,7 +26,6 @@ from .linalg import (
     restricted_min_sv_bruteforce,
     restricted_min_sv_sampled,
     sigma_max_sq,
-    sigma_min_sq,
 )
 from .problems import CorruptedSystem, write_json
 
@@ -318,7 +317,7 @@ def certify_iteration(
     y_sq = float(corrupted_part @ corrupted_part)
     e_next_sq = float(np.sum((x_next - system.x_star) ** 2))
 
-    smin_tau1 = sigma_min_sq(a1)
+    smin_tau1 = max(float(np.linalg.eigvalsh(a1.T @ a1)[0]), 0.0)
     bound1 = (1.0 - g * smin_tau1) * e_sq
     bound2 = 2.0 * c * threshold * math.sqrt(s2max) * math.sqrt(tau2.size) * math.sqrt(x_sq)
     bound3 = c * c * threshold * threshold * s2max * tau2.size

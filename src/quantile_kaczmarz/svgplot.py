@@ -23,6 +23,14 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _text(x, y, size: int, body: str, anchor: str = "middle", extra: str = "") -> str:
+    """A monospace ``<text>`` element; ``x`` and ``y`` are written as given, and
+    an empty ``anchor`` leaves out ``text-anchor``."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="monospace" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
 def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
     """Write a standalone SVG line chart of relative error on a log axis.
 
@@ -49,12 +57,14 @@ def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    bottom = MARGIN_TOP + plot_h
+    legend_x = WIDTH - MARGIN_RIGHT - 150
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
-        return MARGIN_TOP + (y_hi - math.log10(y)) / (y_hi - y_lo) * plot_h
+    def py(log_y: float) -> float:
+        return MARGIN_TOP + (y_hi - log_y) / (y_hi - y_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -64,58 +74,30 @@ def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
         f'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="monospace" font-size="16">{title}</text>'
-        )
+        out.append(_text(WIDTH // 2, 24, 16, title))
     if x_label:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">{x_label}</text>'
-        )
-    out.append(
-        f'<text x="18" y="{HEIGHT // 2}" text-anchor="middle" '
-        f'font-family="monospace" font-size="13" '
-        f'transform="rotate(-90 18 {HEIGHT // 2})">relative error</text>'
-    )
+        out.append(_text(WIDTH // 2, HEIGHT - 16, 13, x_label))
+    out.append(_text(18, HEIGHT // 2, 13, "relative error",
+                     extra=f' transform="rotate(-90 18 {HEIGHT // 2})"'))
 
     for tick in _ticks(x_lo, x_hi):
-        x = px(tick)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{MARGIN_TOP + plot_h}" x2="{x:.2f}" '
-            f'y2="{MARGIN_TOP + plot_h + 5}" stroke="#444444"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{tick:.4g}</text>'
-        )
+        x = f"{px(tick):.2f}"
+        out.append(f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{bottom + 5}" stroke="#444444"/>')
+        out.append(_text(x, bottom + 20, 11, f"{tick:.4g}"))
     for tick in _ticks(y_lo, y_hi):
-        y = MARGIN_TOP + (y_hi - tick) / (y_hi - y_lo) * plot_h
-        out.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" '
-            f'y2="{y:.2f}" stroke="#444444"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">1e{tick:.2f}</text>'
-        )
+        y = py(tick)
+        out.append(f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" '
+                   f'y2="{y:.2f}" stroke="#444444"/>')
+        out.append(_text(MARGIN_LEFT - 8, f"{y + 4:.2f}", 11, f"1e{tick:.2f}", anchor="end"))
 
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        out.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
-        )
+        pts = " ".join(f"{px(x):.2f},{py(math.log10(y)):.2f}" for x, y in zip(xs, ys))
+        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = MARGIN_TOP + 16 + 16 * idx
-        lx = WIDTH - MARGIN_RIGHT - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="monospace" '
-            f'font-size="12">{label}</text>'
-        )
+        out.append(f'<line x1="{legend_x}" y1="{ly - 4}" x2="{legend_x + 22}" y2="{ly - 4}" '
+                   f'stroke="{color}" stroke-width="1.5"/>')
+        out.append(_text(legend_x + 28, ly, 12, label, anchor=""))
 
     out.append("</svg>")
     path = Path(path)

@@ -2,14 +2,18 @@
 against one source tree and keep everything they leave behind.
 
     python tests/artifact_matrix.py TREE OUT
+    python tests/artifact_matrix.py PARENT_TREE CHANGE_TREE OUT
 
 ``TREE`` is a checkout that holds ``src/quantile_kaczmarz``.  Each command
 runs as ``python -m quantile_kaczmarz.cli`` with ``TREE/src`` on the path,
 in its own directory ``OUT/<case>/``, and writes its artifacts there under
 relative paths, beside ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
 Within one build every artifact is byte-identical, so running the matrix on
-two trees and comparing them with ``diff -r OUT_A OUT_B`` shows exactly what
-a change does to the program's output.  pytest does not collect this file.
+two trees and comparing the results shows exactly what a change does to the
+program's output.  Given two trees, the script runs the first into
+``OUT/parent`` and the second into ``OUT/change``, prints the relative path of
+each file that differs or exists on one side only, and exits 1 if any does.
+pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -139,11 +143,7 @@ CASES: dict[str, list[str]] = {
 }
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+def run_cases(tree: Path, out: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     for name, args in CASES.items():
         case = out / name
@@ -155,7 +155,31 @@ def main(argv: list[str]) -> int:
         (case / "stderr.txt").write_text(done.stderr)
         (case / "exit_code.txt").write_text(f"{done.returncode}\n")
         print(f"{name}: exit {done.returncode}, {time.perf_counter() - started:.1f} s")
-    return 0
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """The relative paths of the files that differ between ``a`` and ``b``,
+    or that only one of them holds."""
+    files = {p.relative_to(root).as_posix()
+             for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    return sorted(f for f in files if not ((a / f).is_file() and (b / f).is_file()
+                                           and (a / f).read_bytes() == (b / f).read_bytes()))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (2, 3):
+        print(__doc__, file=sys.stderr)
+        return 2
+    *trees, out = (Path(arg).resolve() for arg in argv)
+    if len(trees) == 1:
+        run_cases(trees[0], out)
+        return 0
+    for side, tree in zip(("parent", "change"), trees):
+        run_cases(tree, out / side)
+    changed = differences(out / "parent", out / "change")
+    for rel in changed:
+        print(rel)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -7,10 +7,16 @@ Each averaged reference copies the rows it uses and forms the paper's update
 ``x - (alpha/|tau|) A_tau^T r_tau`` as written; the projective reference
 forms ``x + pinv(A_tau)(b_tau - A_tau x)``.  The threshold is the
 ceil(q*S)-th smallest residual magnitude, taken from a full sort.
+
+The smallest Gram eigenvalue, ``sigma_min_sq``, is here too: the spectral
+tests compare the restricted routines against it.
 """
 import math
 
 import numpy as np
+
+from quantile_kaczmarz.errors import ShapeError
+from quantile_kaczmarz.linalg import as_matrix
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -76,6 +82,19 @@ def quantile_pbk_reference(matrix, b, x, q: float, comparator: str = "strict-bel
 def gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u)."""
     return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def sigma_min_sq(matrix) -> float:
+    """Smallest eigenvalue of ``matrix.T @ matrix`` for a tall matrix, by a
+    dense symmetric eigendecomposition of the n x n Gram matrix, clipped at
+    zero since the Gram matrix is positive semi-definite.  Raises
+    :class:`ShapeError` if the matrix has fewer rows than columns."""
+    a = as_matrix(matrix)
+    m, n = a.shape
+    if m < n:
+        raise ShapeError(f"need rows >= cols, got {m}x{n}")
+    w = np.linalg.eigvalsh(a.T @ a)
+    return float(max(w[0], 0.0))
 
 
 def update_bound(matrix, b, x, tau, alpha: float, rows_summed: int) -> np.ndarray:

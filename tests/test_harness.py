@@ -4,6 +4,7 @@ import math
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ from quantile_kaczmarz.solvers import METHOD_TABLE, SolverConfig, lane_errors, s
 from quantile_kaczmarz.svgplot import emit_svg
 from reference_steps import UNIT_ROUNDOFF, gamma, quantile_pbk_reference
 from sweep_stats import all_diverged, argmin_value
+
+GOLDEN = Path(__file__).parent / "golden"
+# The inputs of the charts under tests/golden: (series, emit_svg's labels).
+GOLDEN_CHARTS = {
+    "two_series": (
+        [("averaged", range(1, 9), [1.0, 0.31, 0.097, 0.03, 9.1e-3, 2.8e-3, 8.7e-4, 2.6e-4]),
+         ("projective", range(1, 9), [1.0, 0.8, 0.75, 0.74, 0.74, 0.74, 0.739, 0.739])],
+        {"title": "projective vs averaged blocking", "x_label": "iteration"},
+    ),
+    "one_series": (
+        [("q=0.7", [0.5, 0.6, 0.7, 0.8, 0.9], [3.2e-9, 1.1e-7, 4.0e-6, 2.2e-3, 0.5])],
+        {},
+    ),
+}
 
 
 def experiment(tmp_path, sweep=None, reps=1, m=150, n=8, beta=0.2, **solver_kwargs):
@@ -517,6 +532,15 @@ class TestAdversarialDemo:
         bound = 3 * gamma(n + 1) * max(map(np.linalg.norm, xs)) + max(step_terms)
         assert max(map(abs, out["hyperplane_dots"])) <= bound
 
+    @pytest.mark.parametrize("argument", [{"q": np.float32(0.7)}, {"seed": np.int64(1)},
+                                          {"n": np.int64(4)}], ids=["q", "seed", "n"])
+    def test_numpy_arguments_write_a_whole_summary(self, tmp_path, argument):
+        base = dict(n=4, clean_rows=10, dup_rows=2, iterations=2, averaged_max_iters=2, svg=False)
+        adversarial_demo(tmp_path / "demo", **{**base, **argument})
+        summary = json.loads((tmp_path / "demo" / "summary.json").read_text())
+        name, value = next(iter(argument.items()))
+        assert summary[name] == value.item()
+
     def test_bad_timing_rejected_before_any_solve(self, tmp_path, monkeypatch):
         import quantile_kaczmarz.harness as harness
 
@@ -549,6 +573,15 @@ class TestSvg:
     def test_log_requires_positive(self, tmp_path):
         with pytest.raises(DomainError):
             emit_svg([("s", [0, 1], [1.0, 0.0])], path=tmp_path / "x.svg")
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHARTS))
+    def test_golden_bytes(self, tmp_path, name):
+        # A chart's bytes depend only on Python's float formatting, so the
+        # files under tests/golden hold on any machine; rewrite them only
+        # for an intended change to the drawing.
+        series, labels = GOLDEN_CHARTS[name]
+        path = emit_svg(series, tmp_path / f"{name}.svg", **labels)
+        assert path.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
 
 
 class TestDerivedSeeds:

@@ -14,9 +14,9 @@ from quantile_kaczmarz.linalg import (
     restricted_min_sv_sampled,
     row_normalize,
     sigma_max_sq,
-    sigma_min_sq,
 )
 from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate
+from reference_steps import sigma_min_sq
 
 SQRT2 = math.sqrt(2.0)
 

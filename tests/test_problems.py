@@ -641,6 +641,23 @@ class TestSaveValidation:
         assert not (tmp_path / "sys").exists()
 
 
+class TestWriteJson:
+    def test_numpy_numbers_are_written_as_python_values(self, tmp_path):
+        payload = {"f": np.float32(0.7), "i": np.int64(4), "b": np.bool_(True), "x": 1.5}
+        path = problems.write_json(payload, str(tmp_path / "a.json"))
+        assert path == str(tmp_path / "a.json")
+        assert json.loads(Path(path).read_text()) == {"f": 0.699999988079071, "i": 4,
+                                                      "b": True, "x": 1.5}
+
+    @pytest.mark.parametrize("value, error", [(object(), TypeError), (np.zeros(2), TypeError),
+                                              (math.nan, ValueError)],
+                             ids=["object", "array", "nan"])
+    def test_a_payload_that_cannot_be_written_leaves_no_file(self, tmp_path, value, error):
+        with pytest.raises(error):
+            problems.write_json({"a": 1, "x": value}, tmp_path / "a.json")
+        assert not (tmp_path / "a.json").exists()
+
+
 class TestFieldInvariants:
     """What the constructor checked is held where no write can change it."""
 
