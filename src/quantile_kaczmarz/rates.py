@@ -173,10 +173,11 @@ def restricted_summary(system: CorruptedSystem, q: float, seed: int,
     over ``samples`` seeded draws.  Below the column count every such
     submatrix is rank deficient, so the restricted value is an exact 0 and no
     subset is examined.  Raises :class:`DomainError` unless beta < q < 1 - beta,
-    and :class:`ShapeError` unless ``samples`` is an integer >= 1 (on every
-    path)."""
+    and :class:`ShapeError` unless ``samples`` is an integer >= 1 and ``seed``
+    one >= 0 (on every path)."""
     _check_domain(q, system.beta)
     samples = as_count(samples, "samples", 1)
+    seed = as_count(seed, "seed")
     m = system.m
     k = math.ceil((q - system.beta) * m)
     if k < system.n:

@@ -24,9 +24,12 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def _text(x, y, size: int, body: str, anchor: str = "middle", extra: str = "") -> str:
-    """A monospace ``<text>`` element; ``x`` and ``y`` are written as given, and
-    an empty ``anchor`` leaves out ``text-anchor``."""
+    """A monospace ``<text>`` element; ``x`` and ``y`` are written as given,
+    ``body`` with ``&``, ``<`` and ``>`` escaped, and an empty ``anchor``
+    leaves out ``text-anchor``."""
     anchor = f' text-anchor="{anchor}"' if anchor else ""
+    # the replacements of xml.sax.saxutils.escape, whose import loads urllib.request
+    body = body.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     return (f'<text x="{x}" y="{y}"{anchor} font-family="monospace" '
             f'font-size="{size}"{extra}>{body}</text>')
 

@@ -131,7 +131,7 @@ CASES: dict[str, list[str]] = {
     "rate-exact-wide": ["rate", *EXACT_WIDE, "--json-out", "rate.json"],
     "rate-exact-unbounded": ["rate", *EXACT_UNBOUNDED, "--json-out", "rate.json"],
     "rate-exact-single-column": ["rate", *EXACT_SINGLE_COLUMN, "--json-out", "rate.json"],
-    "rate-sampled": ["rate", *SAMPLED, "--q", "0.7"],
+    "rate-sampled": ["rate", *SAMPLED, "--q", "0.7", "--json-out", "rate.json"],
     "rate-below-column-count": ["rate", "--m", "20", "--n", "10", "--beta", "0.1",
                                 "--q", "0.5"],
     "rate-condition-fails": ["rate", "--m", "200", "--n", "10", "--beta", "0.2", "--seed", "1",

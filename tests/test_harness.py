@@ -4,6 +4,7 @@ import math
 import threading
 import time
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -573,6 +574,12 @@ class TestSvg:
     def test_log_requires_positive(self, tmp_path):
         with pytest.raises(DomainError):
             emit_svg([("s", [0, 1], [1.0, 0.0])], path=tmp_path / "x.svg")
+
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        path = emit_svg([("q<0.5 & t", [1, 2], [1.0, 0.1])], tmp_path / "x.svg",
+                        title="a&b", x_label="t > 0")
+        texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert {"a&b", "t > 0", "q<0.5 & t"} <= set(texts)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CHARTS))
     def test_golden_bytes(self, tmp_path, name):

@@ -210,6 +210,20 @@ class TestRestrictedSampled:
         two = restricted_min_sv_sampled(a, 5, samples=20, seed=11)
         assert one == two
 
+    # the edges of the complement route (m - k < k): k = m, m - k = 1, and
+    # either side of 2k = m
+    @pytest.mark.parametrize("m, k", [(30, 30), (30, 29), (30, 15), (31, 16)])
+    def test_complement_edges_match_literal_reference(self, monkeypatch, m, k):
+        a = unit_rows(np.random.default_rng(300 + k), m, 4)
+        solved = assert_solves_draws_directly(monkeypatch, a, k, 40, k)
+        assert len(solved) < 40 or k == m  # at k = m every subset ties the first
+
+    @pytest.mark.parametrize("seed", [True, None, -1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        a = unit_rows(np.random.default_rng(5), 10, 3)
+        with pytest.raises(ShapeError, match="^seed must be"):
+            restricted_min_sv_sampled(a, 5, samples=3, seed=seed)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_never_undershoots_bruteforce(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -244,6 +258,37 @@ def sampled_inputs(draw):
         a = a[rng.integers(0, n, size=m)]
     k = draw(st.integers(n, m))
     return a, k, draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1)), repeated
+
+
+def assert_solves_draws_directly(monkeypatch, a, k, samples, seed):
+    """Run ``restricted_min_sv_sampled`` with every ``eigvalsh`` input recorded,
+    check that it returns the literal reference bit for bit and that each Gram
+    matrix it eigen-solves before ``sigma_max_sq``'s is its draw's ``x.T @
+    x``, bit for bit, no draw twice; return the indices of the draws solved."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(grams):
+        seen.extend(np.array(grams).reshape(-1, *grams.shape[-2:]))  # a copy: buffers are reused
+        return eigvalsh(grams)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    summary = restricted_min_sv_sampled(a, k, samples=samples, seed=seed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert summary.sigma_restricted_min_sq == restricted_sampled_reference(a, k, samples, seed)
+    rng = np.random.default_rng(seed)
+    draws = [x.T @ x for x in (a[rng.choice(a.shape[0], size=k, replace=False)]
+                               for _ in range(samples))]
+    whole = a.T @ a  # sigma_max_sq's Gram matrix, solved last
+    *subsets, last = seen
+    assert np.array_equal(last, whole)
+    solved = []
+    for gram in subsets:  # each the next draw it equals: in order, none twice
+        start = solved[-1] + 1 if solved else 0
+        solved.append(next((j for j in range(start, samples) if np.array_equal(gram, draws[j])),
+                           None))
+        assert solved[-1] is not None
+    return solved
 
 
 class TestRestrictedAgainstReference:
@@ -298,22 +343,9 @@ class TestRestrictedAgainstReference:
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_solves_each_subset_once(self, monkeypatch, seed):
         a = unit_rows(np.random.default_rng(450 + seed), 30, 4)
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording_eigvalsh(grams):
-            if grams.ndim == 3:  # subset Gram matrices, not sigma_max_sq's
-                seen.extend(grams)
-            return eigvalsh(grams)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 7 * 8 * 12 * 4)  # chunks of 7 subsets
-        restricted_min_sv_sampled(a, 12, samples=40, seed=seed)
-        rng = np.random.default_rng(seed)
-        draws = [a[rng.choice(30, size=12, replace=False)] for _ in range(40)]
-        assert len(seen) == 40
-        for gram, x in zip(seen, draws):
-            np.testing.assert_array_equal(gram, x.T @ x)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 7 * 8 * 12 * 4)  # chunks of a few subsets
+        solved = assert_solves_draws_directly(monkeypatch, a, 12, 40, seed)
+        assert solved[0] == 0 and len(solved) < 40
 
     def test_sampled_peak_memory_is_bounded_by_the_chunk(self):
         a = unit_rows(np.random.default_rng(600), 2000, 50)

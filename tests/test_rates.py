@@ -372,6 +372,15 @@ class TestResolveAlphaAuto:
         with pytest.raises(ShapeError, match="samples"):
             resolve_alpha_auto(system, q=0.5, samples=samples)
 
+    @pytest.mark.parametrize("route", ["exact", "sampled"])
+    @pytest.mark.parametrize("seed", [True, None, -1, 1.5, "3"])
+    def test_bad_seed_rejected_on_every_route(self, route, seed):
+        # seed=None would draw from OS entropy, seed=True run as seed 1
+        m = 12 if route == "exact" else 40  # C(40, 20) subsets are sampled
+        system = small_system(seed=9, m=m, n=3)
+        with pytest.raises(ShapeError, match="^seed must be"):
+            resolve_alpha_auto(system, q=0.5, seed=seed, samples=5)
+
     @pytest.mark.parametrize("q", [0.05, 0.1, 0.9, 5.0, math.nan])
     def test_q_outside_beta_window_is_a_domain_error(self, q):
         # The window is checked before (q - beta) * m is formed: otherwise
