@@ -12,6 +12,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from .problems import (
     generate,
     generate_adversarial_duplicate,
     write_json,
+    write_table,
 )
 from .rates import resolve_alpha_auto
 from .solvers import (
@@ -172,15 +174,8 @@ def _solve(
 
 
 def write_sweep_csv(result: SweepResult, path) -> Path:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for p in result.points:
-            fh.write(
-                f"{p.value!r},{p.repetition},{p.rel_error!r},"
-                f"{'true' if p.diverged else 'false'},{p.wall_ms!r}\n"
-            )
-    return path
+    return write_table(path, SWEEP_CSV_HEADER, (
+        (p.value, p.repetition, p.rel_error, p.diverged, p.wall_ms) for p in result.points))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +331,11 @@ def compare_methods(config: ExperimentConfig, methods) -> dict[str, object]:
         )
 
     names = [f"{m}_{i}" for i, m in enumerate(methods)]
-    elapsed = [t.elapsed(config.timing) for t in traces]
-    with open(out / "compare.csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(["iter", *(f"rel_error_{n}" for n in names),
-                           *(f"elapsed_ns_{n}" for n in names)]) + "\n")
-        for k in range(max(t.iterations for t in traces)):
-            rels = [repr(t.rel_error[k]) if k < t.iterations else "" for t in traces]
-            ns = [str(e[k]) if k < len(e) else "" for e in elapsed]
-            fh.write(",".join([str(k + 1), *rels, *ns]) + "\n")
-    paths["compare_csv"] = out / "compare.csv"
+    header = ["iter", *(f"rel_error_{n}" for n in names), *(f"elapsed_ns_{n}" for n in names)]
+    # a trace's columns are empty past its last iteration
+    paths["compare_csv"] = write_table(out / "compare.csv", ",".join(header), itertools.zip_longest(
+        range(1, max(t.iterations for t in traces) + 1), *(t.rel_error for t in traces),
+        *(t.elapsed(config.timing) for t in traces)))
 
     if config.svg:
         _plot(paths, out / "compare.svg", "method comparison",

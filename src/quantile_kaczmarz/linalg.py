@@ -182,14 +182,6 @@ def _index_rows(tuples, width: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(rows), width)
 
 
-def _chunked(subsets, k: int, per_chunk: int):
-    """An iterable of size-k index subsets as (per_chunk, k) arrays, the
-    last one possibly shorter."""
-    subsets = iter(subsets)
-    while (idx := np.fromiter(itertools.islice(subsets, per_chunk), dtype=(np.intp, k))).size:
-        yield idx
-
-
 def _grams(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Gram matrix of each row subset in ``idx``, by one batched ``matmul``;
     the gathered rows are freed on return."""
@@ -604,7 +596,6 @@ def restricted_min_sv_sampled(
     k = _validate_subset_size(a, k)
     samples = as_count(samples, "samples", 1)
     rng = np.random.default_rng(as_count(seed, "seed"))
-    draws = (rng.choice(m, size=k, replace=False) for _ in range(samples))
     complement = m - k < k
     gram = a.T @ a if complement else None
     rows = m - k if complement else k
@@ -615,7 +606,9 @@ def restricted_min_sv_sampled(
     width = _screen_margin(m, n, k) * float(np.einsum("ij,ij->", a, a))
     eye = np.eye(n)
     best = np.inf
-    for idx in _chunked(draws, k, per_chunk):
+    for drawn in range(0, samples, per_chunk):
+        idx = np.array([rng.choice(m, size=k, replace=False)
+                        for _ in range(min(per_chunk, samples - drawn))])
         # mode="clip": "raise" would copy through a buffer; every index is valid
         sub = np.take(a, _complement(idx, m) if complement else idx, axis=0,
                       out=gathered[:len(idx)], mode="clip")

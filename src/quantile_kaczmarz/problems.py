@@ -402,6 +402,27 @@ def write_json(payload: dict, path: Path) -> Path:
     return path
 
 
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_table(path, header: str, rows) -> Path:
+    """Write ``rows`` under the ``header`` line as the package's experiment
+    CSVs are written: a float (Python or numpy) as its ``repr``, a bool as
+    ``true`` or ``false``, None as an empty field, anything else as ``str``.
+    The text is built before the file is opened, so a table that cannot be
+    written leaves no file."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    path = Path(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + text)
+    return path
+
+
 # Bytes per read: the reader parses a block of whole lines at a time, and each
 # temporary of a block (three uint64 words per field of about 20 bytes) stays
 # below glibc's 128 KiB mmap threshold.  A longer line grows the buffer.

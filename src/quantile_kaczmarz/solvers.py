@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError, ShapeError, domain, domain_check, is_seed, one_of
 from .linalg import quantile_of_multiset
-from .problems import CorruptedSystem
+from .problems import CorruptedSystem, write_table
 
 COMPARATORS = ("strict-below", "at-or-below")
 TIMINGS = ("real", "none")
@@ -58,7 +58,7 @@ class StepStats:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration record of a solve plus the final iterate.
+    """Per-iteration record of a solve of ``config`` plus the final iterate.
 
     Row ``k`` stores the quantile threshold used to produce iterate ``x_k``
     (i.e. the quantile of the residual at ``x_{k-1}``) and the relative error
@@ -66,11 +66,8 @@ class IterationTrace:
     monotone within a trace.
     """
 
-    method: str
-    q: float
-    alpha: float | None  # None for a method without a step size
-    comparator: str
-    seed: int
+    config: SolverConfig
+    alpha: float | None  # the step size taken; None for a method without one
     base_error: float
     rel_error: list[float] = field(default_factory=list)
     quantile: list[float] = field(default_factory=list)
@@ -85,8 +82,9 @@ class IterationTrace:
         return len(self.rel_error)
 
     def config_dict(self) -> dict:
-        keys = ("method", "q", "alpha", "comparator", "seed", "base_error")
-        return {**{k: getattr(self, k) for k in keys}, "iterations": self.iterations}
+        c = self.config
+        return {"method": c.method, "q": c.q, "alpha": self.alpha, "comparator": c.comparator,
+                "seed": c.seed, "base_error": self.base_error, "iterations": self.iterations}
 
     def elapsed(self, timing: str) -> list[int]:
         """The cumulative wall times, zeroed under ``timing="none"`` so that
@@ -98,16 +96,9 @@ class IterationTrace:
         """Write the trace in the ``iter,rel_error,quantile,tau_size,
         tau_corrupted,elapsed_ns`` schema, wall times as :meth:`elapsed`
         gives them."""
-        elapsed = self.elapsed(timing)
-        path = Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,rel_error,quantile,tau_size,tau_corrupted,elapsed_ns\n")
-            for k in range(self.iterations):
-                fh.write(
-                    f"{k + 1},{self.rel_error[k]!r},{self.quantile[k]!r},"
-                    f"{self.tau_size[k]},{self.tau_corrupted[k]},{elapsed[k]}\n"
-                )
-        return path
+        return write_table(path, "iter,rel_error,quantile,tau_size,tau_corrupted,elapsed_ns",
+                           zip(range(1, self.iterations + 1), self.rel_error, self.quantile,
+                               self.tau_size, self.tau_corrupted, self.elapsed(timing)))
 
 
 def check_timing(timing: str) -> None:
@@ -539,15 +530,7 @@ def solve(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     corrupted = system.corrupted_mask()
 
-    trace = IterationTrace(
-        method=config.method,
-        q=config.q,
-        alpha=alpha,
-        comparator=config.comparator,
-        seed=config.seed,
-        base_error=base,
-        iterates=[] if keep_iterates else None,
-    )
+    trace = IterationTrace(config, alpha, base, iterates=[] if keep_iterates else None)
 
     x = x0.copy()
     elapsed = 0

@@ -37,8 +37,8 @@ def _text(x, y, size: int, body: str, anchor: str = "middle", extra: str = "") -
 def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
     """Write a standalone SVG line chart of relative error on a log axis.
 
-    ``series`` is a list of ``(label, xs, ys)`` triples; every y value must be
-    strictly positive.
+    ``series`` is a list of ``(label, xs, ys)`` triples; every value must be
+    finite and every y value strictly positive.
     """
     series = [(str(label), list(map(float, xs)), list(map(float, ys))) for label, xs, ys in series]
     if not series:
@@ -46,6 +46,8 @@ def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
     for label, xs, ys in series:
         if len(xs) != len(ys) or not xs:
             raise DomainError(f"series {label!r} must have matching nonempty x and y")
+        if not all(map(math.isfinite, xs + ys)):
+            raise DomainError(f"series {label!r} has non-finite values")
         if min(ys) <= 0.0:
             raise DomainError(f"series {label!r} has nonpositive values on a log axis")
 

@@ -77,6 +77,8 @@ CASES: dict[str, list[str]] = {
     "sweep-alpha-svg": ["sweep-alpha", *DESK, "--values", "1,5,20", "--svg", *NONE, *OUT],
     "sweep-alpha-small": ["sweep-alpha", "--m", "100", "--n", "5", "--seed", "2",
                           "--values", "0.5,2,8", *NONE, *OUT],
+    # three rows of 1e6 diverge: the sweep CSV's true cells
+    "sweep-alpha-diverged": ["sweep-alpha", *DESK, "--values", "1,20,1000000", *NONE, *OUT],
     "sweep-q-explicit": ["sweep-q", *DESK, "--alpha", "10", "--values", "0.5,0.7,0.9",
                          *NONE, *OUT],
     "sweep-q-auto": ["sweep-q", *DESK, "--method", "quantile-averaged-block",
@@ -115,6 +117,11 @@ CASES: dict[str, list[str]] = {
                                   "--methods", "rk,quantile-projective-block", *NONE, *OUT],
     "compare-auto-averaged-block": ["compare", *DESK, "--block-size", "20", "--methods",
                                     "quantile-averaged-block,averaged-block", *NONE, *OUT],
+    # traces that end at different iterations: compare.csv's empty cells
+    "compare-ragged": ["compare", *DESK, "--alpha", "10", "--t", "100", "--iters", "60",
+                       "--stop", "1e-3", "--methods",
+                       "rk,quantile-averaged-block,sampled-quantile-averaged-block",
+                       *NONE, *OUT],
     # adversarial demo; the second's projective steps meet Gram matrices that
     # duplicated rows make singular, and take their pseudoinverse
     "adversarial-small": ["adversarial-demo", "--n", "10", "--clean-rows", "50",

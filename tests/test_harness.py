@@ -575,6 +575,14 @@ class TestSvg:
         with pytest.raises(DomainError):
             emit_svg([("s", [0, 1], [1.0, 0.0])], path=tmp_path / "x.svg")
 
+    @pytest.mark.parametrize("xs, ys", [([1, 2], [1.0, math.inf]), ([1, 2], [math.nan, 0.5]),
+                                        ([1, math.inf], [1.0, 0.5]), ([math.nan, 2], [1.0, 0.5])],
+                             ids=["y-inf", "y-nan", "x-inf", "x-nan"])
+    def test_non_finite_values_rejected(self, tmp_path, xs, ys):
+        with pytest.raises(DomainError, match="^series 'a' has non-finite values$"):
+            emit_svg([("b", [1, 2], [1.0, 0.5]), ("a", xs, ys)], path=tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
     def test_markup_in_labels_is_escaped(self, tmp_path):
         path = emit_svg([("q<0.5 & t", [1, 2], [1.0, 0.1])], tmp_path / "x.svg",
                         title="a&b", x_label="t > 0")

@@ -658,6 +658,31 @@ class TestWriteJson:
         assert not (tmp_path / "a.json").exists()
 
 
+class TestWriteTable:
+    def test_numpy_numbers_are_written_as_python_values(self, tmp_path):
+        row = (np.float64(0.1), np.float32(0.7), np.int64(4), np.bool_(True), np.bool_(False),
+               1.5, 3, True)
+        problems.write_table(tmp_path / "a.csv", "a,b,c,d,e,f,g,h", [row])
+        assert (tmp_path / "a.csv").read_text() == (
+            "a,b,c,d,e,f,g,h\n0.1,0.699999988079071,4,true,false,1.5,3,true\n")
+
+    def test_none_is_an_empty_field(self, tmp_path):
+        problems.write_table(tmp_path / "a.csv", "a,b,c", [(1, None, 2.0), (None, None, None)])
+        assert (tmp_path / "a.csv").read_text() == "a,b,c\n1,,2.0\n,,\n"
+
+    def test_header_then_one_line_per_row(self, tmp_path):
+        path = problems.write_table(str(tmp_path / "a.csv"), "i,x",
+                                    ((i, i / 4) for i in range(3)))
+        assert path == tmp_path / "a.csv" and isinstance(path, Path)
+        assert path.read_text().splitlines() == ["i,x", "0,0.0", "1,0.25", "2,0.5"]
+        assert problems.write_table(tmp_path / "b.csv", "i,x", []).read_text() == "i,x\n"
+
+    def test_a_table_that_cannot_be_written_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            problems.write_table(tmp_path / "a.csv", "a", [(1,), 2])
+        assert not (tmp_path / "a.csv").exists()
+
+
 class TestFieldInvariants:
     """What the constructor checked is held where no write can change it."""
 
