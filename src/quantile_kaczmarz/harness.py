@@ -213,8 +213,8 @@ def sweep(config: ExperimentConfig) -> SweepResult:
     swept field set to the value (an ``int`` for ``t``) and a seed derived
     from both.  A ``q`` sweep with ``alpha="auto"`` on a searchable method
     takes each point's step size from :func:`empirical_alpha`; other sweeps
-    resolve one per repetition's system.  A point counts as diverged if the
-    solver raised, or if its final relative error is non-finite or above 1.
+    resolve one per repetition's system.  A point counts as diverged if its
+    last relative error is above 1 or not finite (every solve that raised ends so).
     """
     if config.sweep is None:
         raise ConfigError("config.sweep is unset, so there is nothing to sweep")
@@ -253,10 +253,9 @@ def sweep(config: ExperimentConfig) -> SweepResult:
                         solver_cfg = dataclasses.replace(solver_cfg, alpha=empirical_alpha(
                             system, config.solver, value, derived_seed(
                                 config.solver.seed, _TAG_ALPHA_SEARCH, rep), start=config.start))
-                    trace, failure = _solve(system, solver_cfg, x0)
+                    trace = _solve(system, solver_cfg, x0)[0]
                     rel = trace.rel_error[-1]
-                    diverged = failure is not None or not math.isfinite(rel) or rel > 1.0
-                    result.points.append(SweepPoint(float(value), rep, rel, diverged,
+                    result.points.append(SweepPoint(float(value), rep, rel, not rel <= 1.0,
                                                     trace.elapsed(config.timing)[-1] / 1e6))
             del systems, system
     result.points.sort(key=lambda p: (p.value, p.repetition))

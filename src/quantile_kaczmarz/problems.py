@@ -61,7 +61,8 @@ class CorruptedSystem:
     ``corrupted_indices``.
 
     Every field is checked once, at construction, and a failure raises
-    :class:`ConfigError` naming the field: the matrix rows are unit-norm,
+    :class:`ConfigError` naming the field: each is an array of numbers, the
+    matrix is 2-D with a row and a column and its rows are unit-norm,
     ``b_observed`` has shape (m,) and ``x_star`` shape (n,), both finite, and
     the corrupted indices are integers, unique and in [0, m).  ``matrix`` is
     then a read-only view of the array passed in, and the other fields and
@@ -75,20 +76,23 @@ class CorruptedSystem:
     _mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = _array("system matrix", self.matrix, float, copy=None)
+        if matrix.ndim != 2 or 0 in matrix.shape:
+            raise ConfigError(f"system matrix must be 2-D with a row and a column, "
+                              f"got shape {matrix.shape}")
         if not is_row_normalized(matrix):
             raise ConfigError("system matrix must have unit-norm rows")
         m, n = matrix.shape
         fields = {"matrix": matrix.view()}
         for name, dim, size in (("b_observed", "m", m), ("x_star", "n", n)):
-            values = fields[name] = np.array(getattr(self, name), dtype=float)
+            values = fields[name] = _array(name, getattr(self, name), float, copy=True)
             if values.ndim != 1:
                 raise ConfigError(f"{name} has shape {values.shape}, expected ({size},)")
             if values.size != size:
                 raise ConfigError(f"{name} has {values.size} entries, expected {dim}={size}")
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"{name} has a non-finite entry")
-        indices = np.asarray(self.corrupted_indices)
+        indices = _array("corrupted_indices", self.corrupted_indices, None, copy=None)
         if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
             raise ConfigError(f"corrupted_indices must be a 1-D array of integers, "
                               f"got shape {indices.shape} and dtype {indices.dtype}")
@@ -118,6 +122,15 @@ class CorruptedSystem:
     def corrupted_mask(self) -> np.ndarray:
         """The read-only boolean mask of the corrupted rows, built once."""
         return self._mask
+
+
+def _array(name: str, value, dtype, copy) -> np.ndarray:
+    """``np.array(value, dtype, copy=copy)``, with numpy's refusal of a ragged
+    or non-numeric ``value`` raised as a :class:`ConfigError` naming it."""
+    try:
+        return np.array(value, dtype=dtype, copy=copy)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an array of numbers: {exc}") from None
 
 
 def _validate_spec(spec: GeneratorSpec) -> None:

@@ -312,10 +312,10 @@ class MethodSpec:
     """What sets one method apart: the rows its quantile ranks (``"m"``: all,
     ``"t"``: the sampled ones, None: no quantile test), whether a step size
     applies, and ``build(matrix, b, config, t, alpha)``, which returns one
-    solve's step ``(x, rng) -> (x_next, stats)``.  A step calls its kernel
-    by module-global name, so a kernel rebound in this module takes effect,
-    except where quantile-rk's step sends to a :func:`_quantile_rk_run`
-    generator, which keeps state and calls no step kernel."""
+    solve's step ``(x, rng) -> (x_next, stats)`` over ``t`` ranked rows.  A
+    step calls its kernel by module-global name, so a kernel rebound in this
+    module takes effect, except where quantile-rk's step sends to a
+    :func:`_quantile_rk_run` generator, which keeps state and calls none."""
 
     scope: str | None
     takes_alpha: bool
@@ -417,10 +417,6 @@ def _averaged(a, b, config, t, alpha) -> Step:
     )
 
 
-def _quantile_averaged(a, b, config, t, alpha) -> Step:
-    return lambda x, rng: quantile_abk_step(a, b, x, config.q, alpha, config.comparator)
-
-
 def _sampled_quantile_averaged(a, b, config, t, alpha) -> Step:
     return lambda x, rng: sampled_qabk_step(a, b, x, config.q, t, alpha, rng, config.comparator)
 
@@ -434,7 +430,7 @@ METHOD_TABLE = {
     "rk":                              MethodSpec(None, False, _rk),
     "quantile-rk":                     MethodSpec("t",  False, _quantile_rk),
     "averaged-block":                  MethodSpec(None, True,  _averaged),
-    "quantile-averaged-block":         MethodSpec("m",  True,  _quantile_averaged),
+    "quantile-averaged-block":         MethodSpec("m",  True,  _sampled_quantile_averaged),
     "sampled-quantile-averaged-block": MethodSpec("t",  True,  _sampled_quantile_averaged),
     "quantile-projective-block":       MethodSpec("m",  False, _projective),
 }
@@ -471,12 +467,17 @@ class SolverConfig:
 
 def check_config(
     config: SolverConfig, system: CorruptedSystem, x0, allow_auto: bool = False
-) -> tuple[MethodSpec, int, np.ndarray]:
-    """The method's table entry, the sample size and ``x0`` as a float array,
-    after the checks every solve makes: ``x0`` has shape (n,) and is finite,
-    the rules relating the configuration to the system hold, and ``alpha`` is
-    a number where a step size applies (or, with ``allow_auto``, ``"auto"``)."""
-    x0 = np.asarray(x0, dtype=float)
+) -> tuple[MethodSpec, int, np.ndarray, float, np.random.Generator]:
+    """The start of a solve: the table entry, the rows its quantile ranks (t
+    or m), ``x0`` as floats, its distance to ``x_star`` and the generator of
+    ``config.seed``, after the checks every solve makes: ``x0`` has shape (n,)
+    and is finite, the rules relating the configuration to the system hold,
+    and ``alpha`` is a number where a step size applies (or, with
+    ``allow_auto``, ``"auto"``)."""
+    try:
+        x0 = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"x0 must be an array of numbers: {exc}") from None
     if x0.shape != (system.n,):
         raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
@@ -495,7 +496,8 @@ def check_config(
     size = config.block_size
     if config.method == "averaged-block" and (size is None or size > m):
         raise ConfigError(f"method {config.method!r} requires 1 <= block_size <= m")
-    return spec, t, x0
+    base = float(np.linalg.norm(x0 - system.x_star))
+    return spec, scope, x0, base, np.random.default_rng(np.random.SeedSequence(config.seed))
 
 
 def _relative_error(system: CorruptedSystem, x: np.ndarray, base: float) -> float:
@@ -523,11 +525,9 @@ def solve(
     here: :class:`CorruptedSystem` checks every field once, when it is built,
     and holds its corrupted mask.
     """
-    spec, t, x0 = check_config(config, system, x0)
+    spec, t, x0, base, rng = check_config(config, system, x0)
     alpha = float(config.alpha) if spec.takes_alpha else None  # no step size: pure projection
     step = spec.build(system.matrix, system.b_observed, config, t, alpha)
-    base = float(np.linalg.norm(x0 - system.x_star))
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     corrupted = system.corrupted_mask()
 
     trace = IterationTrace(config, alpha, base, iterates=[] if keep_iterates else None)
@@ -549,13 +549,10 @@ def solve(
             if trace.iterates is not None:
                 trace.iterates.append(x_next.copy())
 
-            if not math.isfinite(rel_k) or rel_k > DIVERGENCE_LIMIT:
+            if not rel_k <= DIVERGENCE_LIMIT:  # NaN fails it too
                 trace.x_final = x_next
-                raise DivergedError(
-                    f"relative error {rel_k!r} left the trust region at iteration "
-                    f"{trace.iterations}",
-                    trace=trace,
-                )
+                raise DivergedError(f"relative error {rel_k!r} left the trust region at "
+                                    f"iteration {trace.iterations}", trace=trace)
             x = x_next
             if rel_k <= config.stop_rel_error:
                 break
@@ -580,12 +577,14 @@ def lane_errors(system: CorruptedSystem, config: SolverConfig, x0, alphas) -> np
     """
     if not METHOD_TABLE[config.method].auto_alpha:
         raise ConfigError(f"method {config.method!r} does not run step-size lanes")
-    spec, t, x0 = check_config(config, system, x0, allow_auto=True)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or not np.all(np.isfinite(alphas) & (alphas > 0)):
+    spec, t, x0, base, rng = check_config(config, system, x0, allow_auto=True)
+    try:
+        alphas = np.asarray(alphas, dtype=float)
+        ok = alphas.ndim == 1 and np.all(np.isfinite(alphas) & (alphas > 0))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ConfigError(f"alphas must be a list of finite positive step sizes, got {alphas}")
-    base = float(np.linalg.norm(x0 - system.x_star))
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     x = np.repeat(x0[:, None], alphas.size, axis=1)  # the live lanes' iterates
     errors = np.empty(alphas.size)
@@ -596,7 +595,7 @@ def lane_errors(system: CorruptedSystem, config: SolverConfig, x0, alphas) -> np
             x, _ = step(x, rng)
             err = np.array([_relative_error(system, lane, base) for lane in x.T])
             errors[live] = err
-            going = np.isfinite(err) & (err <= DIVERGENCE_LIMIT) & (err > config.stop_rel_error)
+            going = (err <= DIVERGENCE_LIMIT) & (err > config.stop_rel_error)
             live, x = live[going], x[:, going]
             if live.size == 0:
                 break

@@ -79,6 +79,8 @@ CASES: dict[str, list[str]] = {
                           "--values", "0.5,2,8", *NONE, *OUT],
     # three rows of 1e6 diverge: the sweep CSV's true cells
     "sweep-alpha-diverged": ["sweep-alpha", *DESK, "--values", "1,20,1000000", *NONE, *OUT],
+    # rows that end above 1 without raising: 30 on two of three repetitions, 40 on all three
+    "sweep-alpha-above-start": ["sweep-alpha", *DESK, "--values", "20,30,40", *NONE, *OUT],
     "sweep-q-explicit": ["sweep-q", *DESK, "--alpha", "10", "--values", "0.5,0.7,0.9",
                          *NONE, *OUT],
     "sweep-q-auto": ["sweep-q", *DESK, "--method", "quantile-averaged-block",

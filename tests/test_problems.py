@@ -629,9 +629,16 @@ class TestSaveValidation:
         ("corrupted_indices", lambda s: [], "must be .* dtype float64"),
         ("corrupted_indices", lambda s: np.array([[1]]), r"must be .* shape \(1, 1\)"),
         ("b_observed", lambda s: s.b_observed[:, None], r"has shape \(40, 1\), expected \(40,\)"),
+        ("b_observed", lambda s: [[1.0]] * 39 + [[1.0, 2.0]], "must be an array of numbers"),
+        ("b_observed", lambda s: ["a"] * s.m, "must be an array of numbers"),
+        ("b_observed", lambda s: [10**400] * s.m, "must be an array of numbers"),
+        ("x_star", lambda s: [[1.0], [1.0, 2.0]] * 2 + [[1.0]], "must be an array of numbers"),
+        ("x_star", lambda s: ["a"] * s.n, "must be an array of numbers"),
+        ("corrupted_indices", lambda s: [[0], [1, 2]], "must be an array of numbers"),
     ], ids=["nan-b", "inf-b", "short-b", "repeated-index", "index-out-of-range", "nan-x-star",
             "short-x-star", "negative-index", "float-index", "bool-index", "empty-list",
-            "2-d-indices", "2-d-b"])
+            "2-d-indices", "2-d-b", "ragged-b", "text-b", "huge-b", "ragged-x-star", "text-x-star",
+            "ragged-indices"])
     def test_refused_before_the_directory_is_made(self, tmp_path, field, edit, message):
         system = generate(spec(m=40, n=5, seed=4, beta=0.25))
         with pytest.raises(ConfigError, match=f"^{field} {message}"):
@@ -745,6 +752,22 @@ class TestUnitRowInvariant:
         matrix[2, 1] = bad
         with pytest.raises(ConfigError, match="unit-norm"):
             CorruptedSystem(**self.parts(matrix))
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones(3) / math.sqrt(3), r"must be 2-D with a row and a column, got shape \(3,\)"),
+        (np.array(1.0), r"must be 2-D with a row and a column, got shape \(\)"),
+        (np.zeros((0, 3)), r"must be 2-D with a row and a column, got shape \(0, 3\)"),
+        (np.zeros((3, 0)), r"must be 2-D with a row and a column, got shape \(3, 0\)"),
+        ([[1.0, 0.0], [1.0]], "must be an array of numbers"),
+        ([["a", "b"]], "must be an array of numbers"),
+    ], ids=["1-d", "0-d", "no-rows", "no-columns", "ragged", "text"])
+    def test_malformed_matrix_rejected(self, matrix, message):
+        # The message's first word is the one load_system maps to matrix.csv.
+        parts = dict(x_star=np.zeros(1), b_observed=np.zeros(1),
+                     corrupted_indices=np.array([], dtype=np.intp))
+        with pytest.raises(ConfigError, match=f"^system matrix {message}") as caught:
+            CorruptedSystem(matrix=matrix, **parts)
+        assert problems._FILES[str(caught.value).split()[0]] == "matrix.csv"
 
     def test_matrix_is_read_only_view(self):
         matrix = self.unit_matrix()

@@ -707,6 +707,9 @@ class TestSolve:
         (np.zeros((10, 1)), r"x0 must have shape \(10,\)"),
         ([0.0] * 9 + [math.nan], "x0 must be finite"),
         ([0.0] * 9 + [-math.inf], "x0 must be finite"),
+        (["a"] * 10, "x0 must be an array of numbers"),
+        ([[0.0]] * 9 + [[0.0, 1.0]], "x0 must be an array of numbers"),
+        ([10**400] + [0] * 9, "x0 must be an array of numbers"),
     ])
     def test_bad_x0_rejected(self, x0, match):
         system = corrupted_system(seed=31)
@@ -722,12 +725,44 @@ class TestSolve:
         ("sampled-quantile-averaged-block", [math.inf], "finite positive"),
         ("quantile-averaged-block", [[1.0, 2.0]], "finite positive"),
         ("averaged-block", [1.0], "does not run step-size lanes"),
+        ("quantile-averaged-block", [1.0, "a"], "finite positive"),
+        ("sampled-quantile-averaged-block", [[1.0], [1.0, 2.0]], "finite positive"),
     ])
     def test_lane_errors_rejects_bad_lanes(self, method, alphas, match):
         system = corrupted_system(seed=31)
         config = SolverConfig(method=method, q=0.7, block_size=5, max_iters=3, seed=0)
         with pytest.raises(ConfigError, match=match):
             solvers.lane_errors(system, config, np.zeros(system.n), alphas)
+
+    def test_lane_errors_ends_when_every_lane_has_stopped(self, monkeypatch):
+        # One lane reaches stop_rel_error and the other diverges, both well
+        # inside the budget, so the batched solve takes no further step.
+        calls = []
+        kernel = solvers.quantile_abk_step
+        monkeypatch.setattr(solvers, "quantile_abk_step",
+                            lambda *args: calls.append(1) or kernel(*args))
+        system = corrupted_system(seed=31)
+        config = SolverConfig(method="quantile-averaged-block", q=0.7, max_iters=100,
+                              stop_rel_error=1e-6, seed=0)
+        errors = solvers.lane_errors(system, config, np.zeros(system.n), [10.0, 1e6])
+        assert errors[0] <= 1e-6 and errors[1] > solvers.DIVERGENCE_LIMIT
+        assert 0 < len(calls) < config.max_iters
+
+    def test_full_method_ignores_t(self):
+        # The table builds quantile-averaged-block as the sampled step over
+        # all m rows, whatever config.t holds.
+        system = corrupted_system(seed=33)
+        config = SolverConfig(method="quantile-averaged-block", q=0.7, alpha=10.0,
+                              max_iters=12, seed=4)
+        half = dataclasses.replace(config, t=system.m // 2)
+        x0 = np.zeros(system.n)
+        want, got = solve(system, config, x0), solve(system, half, x0)
+        for name in ("rel_error", "quantile", "tau_size", "tau_corrupted"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.x_final.tobytes() == want.x_final.tobytes()
+        alphas = [1.0, 10.0, 1e6]
+        assert (solvers.lane_errors(system, half, x0, alphas).tobytes()
+                == solvers.lane_errors(system, config, x0, alphas).tobytes())
 
     def test_unit_rows_checked_once_per_system(self, monkeypatch):
         import quantile_kaczmarz.problems as problems
