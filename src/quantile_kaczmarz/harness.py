@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConditionViolatedError, ConfigError, DivergedError, DomainError,
-                     ShapeError, domain, domain_check, one_of)
+                     ShapeError, domain, domain_check, is_int, one_of)
 from .problems import (
     CorruptedSystem,
     GeneratorSpec,
@@ -138,8 +138,11 @@ def start_vector(n: int, start: str = "ones") -> np.ndarray:
     For coherent geometries this aligns the initial error with the dominant
     row direction, which is what makes step-size cliffs visible after a few
     iterations; for isotropic geometries it is equivalent to any fixed start.
-    A ``start`` outside :data:`STARTS` raises :class:`ConfigError`.
+    An ``n`` that is not a non-negative integer, or a ``start`` outside
+    :data:`STARTS`, raises :class:`ConfigError`.
     """
+    if not is_int(n) or n < 0:
+        raise ConfigError(f"n must be a non-negative integer, got {n!r}")
     if start not in STARTS:
         raise ConfigError(f"start must be one of {STARTS}, got {start!r}")
     return np.ones(n) if start == "ones" else np.zeros(n)

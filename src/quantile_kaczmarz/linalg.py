@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, is_int
+from .errors import ConfigError, DomainError, ShapeError, is_int
 
 # Exhaustive enumeration refuses to start above this many subsets; callers
 # fall back to the sampled estimator instead of silently degrading exactness.
@@ -28,8 +28,17 @@ _ROW_BLOCK_BYTES = 256 << 10
 _CHUNK_BYTES = 4 << 20
 
 
+def as_array(name: str, value, dtype, copy) -> np.ndarray:
+    """``np.array(value, dtype, copy=copy)``, with numpy's refusal of a ragged
+    or non-numeric ``value`` raised as a :class:`ConfigError` naming it."""
+    try:
+        return np.array(value, dtype=dtype, copy=copy)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def _as_2d(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=float)
+    a = as_array("matrix", matrix, float, copy=None)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     m, n = a.shape
@@ -43,6 +52,8 @@ def as_matrix(matrix) -> np.ndarray:
 
     Raises
     ------
+    ConfigError
+        If the input is ragged or not numeric.
     ShapeError
         If the input is not a 2-D array with at least one row and one column,
         or contains non-finite entries.
@@ -81,6 +92,8 @@ def row_normalize(matrix, out=None) -> np.ndarray:
 
     Raises
     ------
+    ConfigError
+        If the input is ragged or not numeric.
     ShapeError
         If the input is not a 2-D array with at least one row and one column,
         or holds a non-finite entry, or if any row norm falls below 1e-300;
@@ -115,6 +128,8 @@ def is_row_normalized(matrix, tol: float = 1e-9) -> bool:
 
     Raises
     ------
+    ConfigError
+        If the input is ragged or not numeric.
     ShapeError
         If the input is not a 2-D array with at least one row and one column.
     """
@@ -131,7 +146,7 @@ def quantile_of_multiset(values, q: float, axis: int | None = None) -> float | n
     along that axis is one multiset, and the result is the array of their
     quantiles: ``axis=0`` on an S×L block gives L values.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = as_array("values", values, float, copy=None)
     if axis is None:
         arr, axis = arr.ravel(), 0
     size = arr.shape[axis]

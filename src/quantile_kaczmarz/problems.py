@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IoError, domain, domain_check, is_finite, is_int, is_seed, one_of
-from .linalg import is_row_normalized, row_normalize
+from .linalg import as_array, is_row_normalized, row_normalize
 
 FAMILIES = ("gaussian", "coherent")
 PLACEMENTS = ("uniform", "given-indices")
@@ -76,7 +76,7 @@ class CorruptedSystem:
     _mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        matrix = _array("system matrix", self.matrix, float, copy=None)
+        matrix = as_array("system matrix", self.matrix, float, copy=None)
         if matrix.ndim != 2 or 0 in matrix.shape:
             raise ConfigError(f"system matrix must be 2-D with a row and a column, "
                               f"got shape {matrix.shape}")
@@ -85,14 +85,14 @@ class CorruptedSystem:
         m, n = matrix.shape
         fields = {"matrix": matrix.view()}
         for name, dim, size in (("b_observed", "m", m), ("x_star", "n", n)):
-            values = fields[name] = _array(name, getattr(self, name), float, copy=True)
+            values = fields[name] = as_array(name, getattr(self, name), float, copy=True)
             if values.ndim != 1:
                 raise ConfigError(f"{name} has shape {values.shape}, expected ({size},)")
             if values.size != size:
                 raise ConfigError(f"{name} has {values.size} entries, expected {dim}={size}")
             if not np.all(np.isfinite(values)):
                 raise ConfigError(f"{name} has a non-finite entry")
-        indices = _array("corrupted_indices", self.corrupted_indices, None, copy=None)
+        indices = as_array("corrupted_indices", self.corrupted_indices, None, copy=None)
         if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
             raise ConfigError(f"corrupted_indices must be a 1-D array of integers, "
                               f"got shape {indices.shape} and dtype {indices.dtype}")
@@ -122,15 +122,6 @@ class CorruptedSystem:
     def corrupted_mask(self) -> np.ndarray:
         """The read-only boolean mask of the corrupted rows, built once."""
         return self._mask
-
-
-def _array(name: str, value, dtype, copy) -> np.ndarray:
-    """``np.array(value, dtype, copy=copy)``, with numpy's refusal of a ragged
-    or non-numeric ``value`` raised as a :class:`ConfigError` naming it."""
-    try:
-        return np.array(value, dtype=dtype, copy=copy)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be an array of numbers: {exc}") from None
 
 
 def _validate_spec(spec: GeneratorSpec) -> None:

@@ -18,13 +18,13 @@ Six methods behind one trace-producing entry point :func:`solve`:
 Each method is one entry of a table that states its quantile scope, whether
 it takes a step size, and how to build its step; validation, dispatch and
 the harness's step-size resolution read only that table.  The ``*_step``
-functions are pure, and :func:`solve` owns the RNG stream, the stopping
-rules, and the per-iteration trace.  One step is not pure: where that costs
-less than gathering its sample, quantile-rk's solve keeps the residual from
-step to step in one generator, :func:`_quantile_rk_run`, one block of up to
-8 MiB of Gram rows at a time, for which :func:`quantile_rk_step` is the
-one-step reference; such a solve does not call it, so rebinding that name
-does not change it.
+functions are pure, and one loop, :func:`_run`, steps a :func:`solve` or the
+lanes of :func:`lane_errors` under one stop rule: budget, tolerance or
+divergence.  One step is not pure: where that costs less than gathering its
+sample, quantile-rk's solve keeps the residual from step to step in one
+generator, :func:`_quantile_rk_run`, one block of up to 8 MiB of Gram rows
+at a time, for which :func:`quantile_rk_step` is the one-step reference;
+such a solve does not call it, so rebinding that name does not change it.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergedError, ShapeError, domain, domain_check, is_seed, one_of
-from .linalg import quantile_of_multiset
+from .linalg import as_array, quantile_of_multiset
 from .problems import CorruptedSystem, write_table
 
 COMPARATORS = ("strict-below", "at-or-below")
@@ -62,7 +62,8 @@ class IterationTrace:
 
     Row ``k`` stores the quantile threshold used to produce iterate ``x_k``
     (i.e. the quantile of the residual at ``x_{k-1}``) and the relative error
-    of ``x_k`` itself.  ``elapsed_ns`` is cumulative wall time and therefore
+    of ``x_k`` itself.  ``elapsed_ns`` is the cumulative wall time of the
+    step calls alone, not of the error and trace bookkeeping, and therefore
     monotone within a trace.
     """
 
@@ -113,9 +114,9 @@ def check_timing(timing: str) -> None:
 
 def residual(matrix, b, x) -> np.ndarray:
     """The signed distances b - matrix @ x."""
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
+    a = as_array("matrix", matrix, float, copy=None)
+    b = as_array("b", b, float, copy=None)
+    x = as_array("x", x, float, copy=None)
     if a.ndim != 2 or b.shape != (a.shape[0],) or x.shape != (a.shape[1],):
         raise ShapeError(
             f"incompatible shapes: matrix {a.shape}, b {b.shape}, x {x.shape}"
@@ -474,10 +475,7 @@ def check_config(
     and is finite, the rules relating the configuration to the system hold,
     and ``alpha`` is a number where a step size applies (or, with
     ``allow_auto``, ``"auto"``)."""
-    try:
-        x0 = np.asarray(x0, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"x0 must be an array of numbers: {exc}") from None
+    x0 = as_array("x0", x0, float, copy=None)
     if x0.shape != (system.n,):
         raise ConfigError(f"x0 must have shape ({system.n},), got {x0.shape}")
     if not np.all(np.isfinite(x0)):
@@ -508,17 +506,39 @@ def _relative_error(system: CorruptedSystem, x: np.ndarray, base: float) -> floa
     return err if base == 0.0 else err / base
 
 
-def solve(
-    system: CorruptedSystem,
-    config: SolverConfig,
-    x0,
-    keep_iterates: bool = False,
-) -> IterationTrace:
+def _run(system: CorruptedSystem, config: SolverConfig, spec: MethodSpec, t: int, x: np.ndarray,
+         base: float, rng: np.random.Generator, alpha):
+    """The one loop of :func:`solve` and :func:`lane_errors`: up to
+    ``max_iters`` steps of ``x``, an n-vector or an n×L block of lanes with
+    one step size each in ``alpha``.  Each step yields the live iterate, its
+    stats, the ns of the step call alone, the live lanes' relative errors and
+    which lanes go on: those at most 1e12 and above ``stop_rel_error`` (NaN
+    is neither).  The step is built again only when a lane leaves the block."""
+    step = spec.build(system.matrix, system.b_observed, config, t, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as divergence
+        for _ in range(config.max_iters):
+            started = time.perf_counter_ns()
+            x, stats = step(x, rng)
+            ns = time.perf_counter_ns() - started
+            err = (_relative_error(system, x, base) if x.ndim == 1 else
+                   np.array([_relative_error(system, lane, base) for lane in x.T]))
+            going = (err <= DIVERGENCE_LIMIT) & (err > config.stop_rel_error)
+            yield x, stats, ns, err, going
+            if not (going if x.ndim == 1 else going.any()):
+                return
+            if x.ndim == 2 and not going.all():
+                x, alpha = x[:, going], alpha[going]
+                step = spec.build(system.matrix, system.b_observed, config, t, alpha)
+
+
+def solve(system: CorruptedSystem, config: SolverConfig, x0,
+          keep_iterates: bool = False) -> IterationTrace:
     """Run the configured method from ``x0`` and record a per-iteration trace.
 
-    Stops after ``max_iters`` iterations or as soon as the relative error
-    drops to ``stop_rel_error``.  Raises :class:`DivergedError` (carrying the
-    partial trace) if the relative error exceeds 1e12 or turns non-finite.
+    The solve runs the one loop that :func:`lane_errors` runs, with its one
+    stop rule: after ``max_iters`` iterations, as soon as the relative error
+    drops to ``stop_rel_error``, or where it exceeds 1e12 or turns non-finite;
+    there it raises :class:`DivergedError`, carrying the partial trace.
 
     Each call first runs :func:`check_config`, at O(n) cost, so a bad ``x0``
     or ``config`` raises :class:`ConfigError`.  The system is not checked
@@ -527,37 +547,22 @@ def solve(
     """
     spec, t, x0, base, rng = check_config(config, system, x0)
     alpha = float(config.alpha) if spec.takes_alpha else None  # no step size: pure projection
-    step = spec.build(system.matrix, system.b_observed, config, t, alpha)
     corrupted = system.corrupted_mask()
-
     trace = IterationTrace(config, alpha, base, iterates=[] if keep_iterates else None)
-
-    x = x0.copy()
     elapsed = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as divergence
-        for _ in range(config.max_iters):
-            started = time.perf_counter_ns()
-            x_next, stats = step(x, rng)
-            elapsed += time.perf_counter_ns() - started
-
-            rel_k = _relative_error(system, x_next, base)
-            trace.rel_error.append(rel_k)
-            trace.quantile.append(stats.quantile)
-            trace.tau_size.append(int(stats.tau.size))
-            trace.tau_corrupted.append(int(np.count_nonzero(corrupted[stats.tau])))
-            trace.elapsed_ns.append(elapsed)
-            if trace.iterates is not None:
-                trace.iterates.append(x_next.copy())
-
-            if not rel_k <= DIVERGENCE_LIMIT:  # NaN fails it too
-                trace.x_final = x_next
-                raise DivergedError(f"relative error {rel_k!r} left the trust region at "
-                                    f"iteration {trace.iterations}", trace=trace)
-            x = x_next
-            if rel_k <= config.stop_rel_error:
-                break
-
+    for x, stats, ns, err, _ in _run(system, config, spec, t, x0, base, rng, alpha):
+        elapsed += ns
+        trace.rel_error.append(err)
+        trace.quantile.append(stats.quantile)
+        trace.tau_size.append(int(stats.tau.size))
+        trace.tau_corrupted.append(int(np.count_nonzero(corrupted[stats.tau])))
+        trace.elapsed_ns.append(elapsed)
+        if trace.iterates is not None:
+            trace.iterates.append(x.copy())
     trace.x_final = x
+    if not err <= DIVERGENCE_LIMIT:
+        raise DivergedError(f"relative error {err!r} left the trust region at "
+                            f"iteration {trace.iterations}", trace=trace)
     return trace
 
 
@@ -568,12 +573,12 @@ def lane_errors(system: CorruptedSystem, config: SolverConfig, x0, alphas) -> np
     Lane ``j`` runs :func:`solve` with ``alpha=alphas[j]``, up to the rounding
     of a GEMM against a vector product: all lanes read the one sample stream
     of ``config.seed``, so each step draws and gathers one sample for all of
-    them.  A lane stops where that solve stops (the budget, ``stop_rel_error``
-    or an error that is non-finite or above 1e12, where the solve raises
-    :class:`DivergedError`), and its result is the error it stopped at.
-    ``config.alpha`` is not read.  A method without ``auto_alpha`` raises
-    :class:`ConfigError`, as do non-positive step sizes and whatever
-    :func:`check_config` refuses.
+    them.  A lane stops by the one stop rule of that solve (the budget,
+    ``stop_rel_error`` or an error that is non-finite or above 1e12, where the
+    solve raises :class:`DivergedError`), and its result is the error it
+    stopped at.  ``config.alpha`` is not read.  A method without
+    ``auto_alpha`` raises :class:`ConfigError`, as do non-positive step sizes
+    and whatever :func:`check_config` refuses.
     """
     if not METHOD_TABLE[config.method].auto_alpha:
         raise ConfigError(f"method {config.method!r} does not run step-size lanes")
@@ -586,17 +591,10 @@ def lane_errors(system: CorruptedSystem, config: SolverConfig, x0, alphas) -> np
     if not ok:
         raise ConfigError(f"alphas must be a list of finite positive step sizes, got {alphas}")
 
-    x = np.repeat(x0[:, None], alphas.size, axis=1)  # the live lanes' iterates
     errors = np.empty(alphas.size)
     live = np.arange(alphas.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends as divergence
-        for _ in range(config.max_iters):
-            step = spec.build(system.matrix, system.b_observed, config, t, alphas[live])
-            x, _ = step(x, rng)
-            err = np.array([_relative_error(system, lane, base) for lane in x.T])
-            errors[live] = err
-            going = (err <= DIVERGENCE_LIMIT) & (err > config.stop_rel_error)
-            live, x = live[going], x[:, going]
-            if live.size == 0:
-                break
+    lanes = np.repeat(x0[:, None], alphas.size, axis=1)
+    for _, _, _, err, going in _run(system, config, spec, t, lanes, base, rng, alphas):
+        errors[live] = err
+        live = live[going]
     return errors

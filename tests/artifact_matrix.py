@@ -69,6 +69,11 @@ CASES: dict[str, list[str]] = {
                             "--method", "quantile-averaged-block", *NONE, *OUT],
     "run-diverges": ["run", *DESK, "--method", "quantile-averaged-block", "--alpha", "1e6",
                      "--iters", "40", *NONE, *OUT],
+    # stopped on the tolerance, by the averaged step and by the kept residual
+    "run-stop": ["run", *DESK, "--method", "sampled-quantile-averaged-block", "--alpha", "10",
+                 "--t", "100", "--iters", "200", "--stop", "1e-6", *NONE, *OUT],
+    "run-quantile-rk-stop": ["run", *DESK, "--method", "quantile-rk", "--t", "100",
+                             "--iters", "3000", "--stop", "1e-6", *NONE, *OUT],
     "run-averaged-block-auto": ["run", *DESK, "--method", "averaged-block", "--block-size", "20",
                                 *NONE, *OUT],
     "run-below-column-count": ["run", "--m", "20", "--n", "10", "--beta", "0.1", "--seed", "1",

@@ -614,6 +614,11 @@ class TestStartVector:
         assert start_vector(3, "ones").tolist() == [1.0, 1.0, 1.0]
         assert start_vector(3, "zeros").tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("n", ["3", -1, 2.5, True, None])
+    def test_bad_length_is_a_config_error(self, n):
+        with pytest.raises(ConfigError, match="^n must be a non-negative integer, got "):
+            start_vector(n)
+
     def test_unknown_start_is_a_config_error(self, tmp_path):
         """An unknown start fails as the config field does, with the same
         message, in every route that builds a start vector."""

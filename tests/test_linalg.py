@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import linalg
-from quantile_kaczmarz.errors import ShapeError
+from quantile_kaczmarz.errors import ConfigError, ShapeError
 from quantile_kaczmarz.linalg import (
+    quantile_of_multiset,
     restricted_min_sv_bruteforce,
     restricted_min_sv_sampled,
     row_normalize,
@@ -537,6 +538,17 @@ def test_non_integer_subset_sizes_are_shape_errors(route, sizes, name):
     fn, defaults = RESTRICTED_ROUTES[route]
     with pytest.raises(ShapeError, match=rf"^{name} must be an integer"):
         fn(a, **{**defaults, **sizes})
+
+
+@pytest.mark.parametrize("route, args, name", [
+    (quantile_of_multiset, (["a"], 0.5), "values"),
+    (row_normalize, ([[1.0], [1.0, 2.0]],), "matrix"),
+    (restricted_min_sv_bruteforce, ([["a"]], 1), "matrix"),
+    (sigma_max_sq, ([["a"]],), "matrix"),
+], ids=["quantile", "row_normalize", "bruteforce", "sigma_max_sq"])
+def test_non_numeric_arrays_are_config_errors(route, args, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers: "):
+        route(*args)
 
 
 def test_numpy_integer_sizes_are_accepted():

@@ -718,6 +718,15 @@ class TestSolve:
         with pytest.raises(ConfigError, match=match):
             solve(system, config, x0)
 
+
+    @pytest.mark.parametrize("args, name", [
+        (([[1.0]], ["x"], [1.0]), "b"),
+        (([[1.0]], [1.0], [[1.0], [1.0, 2.0]]), "x"),
+        (([["a"]], [1.0], [1.0]), "matrix"),
+    ])
+    def test_residual_refuses_non_numeric_arrays(self, args, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers: "):
+            residual(*args)
     @pytest.mark.parametrize("method, alphas, match", [
         ("quantile-averaged-block", [1.0, 0.0], "finite positive"),
         ("quantile-averaged-block", [-1.0], "finite positive"),
@@ -747,6 +756,43 @@ class TestSolve:
         errors = solvers.lane_errors(system, config, np.zeros(system.n), [10.0, 1e6])
         assert errors[0] <= 1e-6 and errors[1] > solvers.DIVERGENCE_LIMIT
         assert 0 < len(calls) < config.max_iters
+
+    @pytest.mark.parametrize("method", ["quantile-averaged-block",
+                                        "sampled-quantile-averaged-block"])
+    @pytest.mark.parametrize("alpha, stop, ends", [
+        (10.0, 0.0, "budget"), (150.0, 1e-6, "tolerance"), (1e6, 0.0, "diverged")])
+    def test_one_lane_has_the_bits_of_its_solve(self, method, alpha, stop, ends):
+        system = corrupted_system(m=2000, n=50, seed=31, beta=0.1)
+        config = SolverConfig(method, q=0.7, t=500, max_iters=100, stop_rel_error=stop, seed=3)
+        x0 = np.zeros(system.n)
+        try:
+            trace, how = solve(system, dataclasses.replace(config, alpha=alpha), x0), None
+        except DivergedError as exc:
+            trace, how = exc.trace, "diverged"
+        how = how or ("budget" if trace.iterations == config.max_iters else "tolerance")
+        assert how == ends
+        lane = solvers.lane_errors(system, config, x0, [alpha])[0]
+        assert struct.pack("<d", lane) == struct.pack("<d", trace.rel_error[-1])
+
+    def test_lanes_build_the_step_once_per_live_set(self, monkeypatch):
+        # The step is built for the lanes that start, and again each time a
+        # lane leaves while others go on, never once per step.
+        builds = []
+        spec = METHOD_TABLE["quantile-averaged-block"]
+        monkeypatch.setitem(METHOD_TABLE, "quantile-averaged-block", dataclasses.replace(
+            spec, build=lambda *args: builds.append(len(args[-1])) or spec.build(*args)))
+        system = corrupted_system(seed=31, beta=0.1)
+        config = SolverConfig("quantile-averaged-block", q=0.7, max_iters=100, seed=3)
+        x0 = np.zeros(system.n)
+        solvers.lane_errors(system, config, x0, [0.5, 2.0, 10.0])
+        assert builds == [3]
+        builds.clear()
+        stop = dataclasses.replace(config, stop_rel_error=1e-6)
+        errors = solvers.lane_errors(system, stop, x0, [0.5, 10.0, 1e6])
+        # The last lane diverges first, then the second reaches the
+        # tolerance, and the first runs to the budget.
+        assert 1e-6 < errors[0] <= 1.0 and errors[1] <= 1e-6 and errors[2] > 1e12
+        assert builds == [3, 2, 1]
 
     def test_full_method_ignores_t(self):
         # The table builds quantile-averaged-block as the sampled step over
