@@ -17,10 +17,13 @@ from .errors import (
     ConditionViolatedError,
     DomainError,
     ShapeError,
+    is_int,
+    is_real,
 )
 from .linalg import (
     SUBSET_ENUMERATION_CAP,
     SpectralSummary,
+    as_array,
     as_count,
     quantile_of_multiset,
     restricted_min_sv_bruteforce,
@@ -80,7 +83,15 @@ class RateReport:
         return "\n".join([*lines, self.inputs.summary()])
 
 
-def _check_domain(q: float, beta: float) -> None:
+def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
+    """Raise :class:`DomainError` naming the first of q, beta and
+    ``spectral`` that is not a real number (a bool is not), or ``m`` unless
+    an integer >= 1; then unless 0 <= beta < 1 and beta < q < 1 - beta."""
+    for name, value in [("q", q), ("beta", beta), *spectral.items()]:
+        if not is_real(value):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not (is_int(m) and m >= 1):
+        raise DomainError(f"m must be an integer >= 1, got {m!r}")
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
     if not beta < q < 1.0 - beta:
@@ -96,7 +107,8 @@ def convergence_condition(
     a multiple of the ratio; a contraction exists exactly when epsilon < 1
     (strictly).  A zero restricted value gives epsilon = inf, whatever beta.
     """
-    _check_domain(q, beta)
+    _check_domain(q, beta, sigma_max_sq=sigma_max_sq,
+                  sigma_restricted_min_sq=sigma_restricted_min_sq)
     if sigma_max_sq <= 0 or sigma_restricted_min_sq < 0:
         raise DomainError("spectral inputs must be nonnegative with sigma_max_sq > 0")
     lhs = math.sqrt(beta) / math.sqrt(1.0 - q - beta)
@@ -113,7 +125,8 @@ def rate_constants(
 
     Valid regardless of the sign of c1; c2 is always nonnegative.
     """
-    _check_domain(q, beta)
+    _check_domain(q, beta, m, sigma_max_sq=sigma_max_sq,
+                  sigma_restricted_min_sq=sigma_restricted_min_sq)
     root = math.sqrt(beta) / math.sqrt(1.0 - q - beta)
     qm = q * m
     c1 = 2.0 * sigma_restricted_min_sq / qm - 2.0 * root * sigma_max_sq / qm
@@ -157,6 +170,7 @@ def alpha_opt_closed_form(
     Algebraically identical to ``c1 / (2 c2)``; kept as an independent route
     for consistency checks.
     """
+    _check_domain(q, beta, m)
     holds, epsilon = convergence_condition(q, beta, sigma_max_sq, sigma_restricted_min_sq)
     if not holds:
         raise ConditionViolatedError("convergence condition fails")
@@ -279,9 +293,9 @@ def certify_iteration(
         the first bound is vacuous.
     """
     a = system.matrix
-    x_k = np.asarray(x_k, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    tau = np.asarray(tau, dtype=np.intp)
+    x_k = as_array("x_k", x_k, float, copy=None)
+    x_next = as_array("x_next", x_next, float, copy=None)
+    tau = as_array("tau", tau, np.intp, copy=None)
     if tau.size == 0:
         raise ShapeError("cannot certify a no-op step (empty accepted set)")
 

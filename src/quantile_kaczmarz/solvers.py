@@ -20,11 +20,14 @@ it takes a step size, and how to build its step; validation, dispatch and
 the harness's step-size resolution read only that table.  The ``*_step``
 functions are pure, and one loop, :func:`_run`, steps a :func:`solve` or the
 lanes of :func:`lane_errors` under one stop rule: budget, tolerance or
-divergence.  One step is not pure: where that costs less than gathering its
-sample, quantile-rk's solve keeps the residual from step to step in one
-generator, :func:`_quantile_rk_run`, one block of up to 8 MiB of Gram rows
-at a time, for which :func:`quantile_rk_step` is the one-step reference;
-such a solve does not call it, so rebinding that name does not change it.
+divergence.  A step reports its quantile test's mask over the rows it
+ranked, which the trace counts as it is; the accepted rows' indices are
+built only where read.  One step is not pure: where that costs less than
+gathering its sample, quantile-rk's solve keeps the residual from step to
+step in one generator, :func:`_quantile_rk_run`, one block of up to 8 MiB of
+Gram rows at a time, for which :func:`quantile_rk_step` is the one-step
+reference; such a solve does not call it, so rebinding that name does not
+change it.
 """
 from __future__ import annotations
 
@@ -44,16 +47,26 @@ COMPARATORS = ("strict-below", "at-or-below")
 TIMINGS = ("real", "none")
 
 DIVERGENCE_LIMIT = 1e12
+_VERDICTS = tuple(np.frombuffer(bytes([ok]), dtype=bool) for ok in (0, 1))  # see _gate
 
 
 @dataclass
 class StepStats:
-    """A step's threshold and accepted row indices (empty for a no-op step);
-    an averaged step over an n×L block of lanes gives L thresholds and a list
-    of L index arrays, and over an n-vector, its one-lane case, one of each."""
+    """A step's threshold, the mask ``accepted`` of its test over the rows it
+    examined (all True without a test), and ``rows``, their system indices
+    (None: all m, in order); L lanes give L thresholds and an (rows, L) mask.
+    ``tau``, the accepted system rows (one array per lane), is built when read."""
 
     quantile: float | np.ndarray
-    tau: np.ndarray | list[np.ndarray]
+    accepted: np.ndarray
+    rows: np.ndarray | None = None
+
+    @property
+    def tau(self) -> np.ndarray | list[np.ndarray]:
+        rows = np.arange(len(self.accepted)) if self.rows is None else self.rows
+        if self.accepted.ndim == 2:
+            return [rows[lane] for lane in self.accepted.T]
+        return rows[self.accepted]
 
 
 @dataclass
@@ -145,25 +158,17 @@ def _quantile_test(rows, b, x, q: float, comparator: str):
     return r, threshold, _accepted_mask(abs_r, threshold, comparator)
 
 
-def _accepted_rows(keep: np.ndarray, index) -> np.ndarray | list[np.ndarray]:
-    """The system rows a mask over ``rows`` accepts, one array per lane of a
-    block; ``index[i]`` is the system row of ``rows[i]`` (None: row ``i``)."""
-    if keep.ndim == 2:
-        return [_accepted_rows(lane, index) for lane in keep.T]
-    return np.flatnonzero(keep) if index is None else index[keep]
-
-
 def _averaged_update(rows, index, x, r, keep, alpha, threshold):
-    """The averaged step ``x - (alpha/|tau|) A_tau^T r_tau`` after a quantile
-    test over ``rows`` (see :func:`_accepted_rows` for ``index``), taken as
-    one masked pass over them, so no accepted row is copied.  For an n×L
-    block ``x``, ``alpha`` holds one step size per lane and the pass is one
-    GEMM.  The masked sum over an empty accepted set is exactly zero, so such
-    a step (or lane) keeps its iterate: a defined no-op, never an error.
+    """The averaged step ``x - (alpha/|tau|) A_tau^T r_tau`` over the rows
+    ``rows`` that the mask ``keep`` accepts (``index`` as ``StepStats.rows``),
+    taken as one masked pass over them, so no accepted row is copied.  For an
+    n×L block ``x``, ``alpha`` holds one step size per lane and the pass is
+    one GEMM.  The masked sum over an empty accepted set is exactly zero, so
+    such a step (or lane) keeps its iterate: a defined no-op, never an error.
     """
     scale = alpha / np.maximum(keep.sum(axis=0), 1)
     x_next = x - scale * (np.where(keep, r, 0.0).T @ rows).T
-    return x_next, StepStats(threshold, _accepted_rows(keep, index))
+    return x_next, StepStats(threshold, keep, index)
 
 
 def quantile_abk_step(
@@ -232,17 +237,15 @@ def quantile_pbk_step(
     where it is singular.
     """
     r, threshold, keep = _quantile_test(matrix, b, x, q, comparator)
-    tau = np.flatnonzero(keep)
-    if tau.size == 0:
-        return x.copy(), StepStats(threshold, tau)
-    sub = matrix[tau]
-    gap = -r[tau]  # b_tau - A_tau x
-    if tau.size <= matrix.shape[1]:
+    sub, gap = matrix[keep], -r[keep]  # A_tau and b_tau - A_tau x
+    if gap.size == 0:
+        return x.copy(), StepStats(threshold, keep)
+    if gap.size <= matrix.shape[1]:
         y = _gram_solve(sub @ sub.T, gap)
         delta = sub.T @ y
     else:
         delta = _gram_solve(sub.T @ sub, sub.T @ gap)
-    return x + delta, StepStats(threshold, tau)
+    return x + delta, StepStats(threshold, keep)
 
 
 def rk_step(matrix, b, x, rng: np.random.Generator) -> tuple[np.ndarray, StepStats]:
@@ -250,16 +253,15 @@ def rk_step(matrix, b, x, rng: np.random.Generator) -> tuple[np.ndarray, StepSta
     i = int(rng.integers(matrix.shape[0]))
     ai = matrix[i]
     x_next = x - (ai @ x - b[i]) * ai
-    return x_next, StepStats(math.nan, np.array([i], dtype=np.intp))
+    return x_next, StepStats(math.nan, _VERDICTS[True], np.array([i]))
 
 
 def _gate(x, row, j: int, gap, threshold: float, comparator: str) -> tuple[np.ndarray, StepStats]:
-    """The single-row verdict: ``x - gap * row`` with tau ``[j]`` if the
-    candidate's residual ``gap`` passes ``comparator`` against ``threshold``,
-    else a copy of ``x`` with an empty tau."""
-    if _accepted_mask(abs(gap), threshold, comparator):
-        return x - gap * row, StepStats(threshold, np.array([j], dtype=np.intp))
-    return x.copy(), StepStats(threshold, np.array([], dtype=np.intp))
+    """``x - gap * row`` if candidate row ``j``'s residual ``gap`` passes
+    ``comparator`` against ``threshold``, else a copy of ``x``; its mask is
+    one of ``_VERDICTS``, read-only (from bytes), so that all steps share it."""
+    ok = bool(_accepted_mask(abs(gap), threshold, comparator))
+    return (x - gap * row if ok else x.copy()), StepStats(threshold, _VERDICTS[ok], np.array([j]))
 
 
 def quantile_rk_step(
@@ -292,14 +294,14 @@ def quantile_rk_step(
 def averaged_rbk_step(
     matrix, b, x, block, alpha: float
 ) -> tuple[np.ndarray, StepStats]:
-    """Uniformly weighted averaged projection step over a given row block."""
-    block = np.asarray(block, dtype=np.intp)
+    """Uniformly weighted averaged projection step over a given row block:
+    the averaged update with every row of ``block`` accepted."""
+    block = as_array("block", block, np.intp, copy=None)
     if block.size == 0:
         raise ShapeError("block must be nonempty")
     rows = matrix[block]
-    r = rows @ x - b[block]
-    x_next = x - (alpha / block.size) * (rows.T @ r)
-    return x_next, StepStats(math.nan, block)
+    return _averaged_update(rows, block, x, rows @ x - b[block], np.ones(block.size, dtype=bool),
+                            alpha, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +407,7 @@ def _quantile_rk_run(a, b, config: SolverConfig, t: int):
             threshold = quantile_of_multiset(np.abs(r if sample is None else r[sample]), config.q)
             gap = r[j]
             last, stats = _gate(x, a[j], j, gap, threshold, config.comparator)
-            if stats.tau.size:
+            if stats.accepted[0]:
                 row *= gap  # r -= gap * row, without a temporary
                 r -= row
             x, rng = yield last, stats
@@ -554,8 +556,9 @@ def solve(system: CorruptedSystem, config: SolverConfig, x0,
         elapsed += ns
         trace.rel_error.append(err)
         trace.quantile.append(stats.quantile)
-        trace.tau_size.append(int(stats.tau.size))
-        trace.tau_corrupted.append(int(np.count_nonzero(corrupted[stats.tau])))
+        hit = stats.accepted & (corrupted if stats.rows is None else corrupted[stats.rows])
+        trace.tau_size.append(int(np.count_nonzero(stats.accepted)))
+        trace.tau_corrupted.append(int(np.count_nonzero(hit)))
         trace.elapsed_ns.append(elapsed)
         if trace.iterates is not None:
             trace.iterates.append(x.copy())

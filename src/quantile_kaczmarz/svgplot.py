@@ -17,8 +17,6 @@ PALETTE = ("#1f6f8b", "#d1495b", "#66a182", "#edae49", "#55505c", "#8d6a9f")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -55,9 +53,10 @@ def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
     all_y = [math.log10(y) for _, _, ys in series for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
+    if x_hi == x_lo:  # widened by 1, or by one ulp where that is more, downward at the top
+        pad = max(1.0, math.ulp(x_lo))
+        x_lo, x_hi = (x_lo, x_lo + pad) if x_lo + pad < math.inf else (x_lo - pad, x_lo)
+    if y_hi == y_lo:  # a log10 lies within 400 of 0, so adding 1 widens it
         y_hi = y_lo + 1.0
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT

@@ -363,6 +363,10 @@ class TestCompare:
         lines = out["compare_csv"].read_text().strip().splitlines()
         assert len(lines) == 1 + config.solver.max_iters
 
+    def test_no_methods_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="^need at least one method to compare$"):
+            compare_methods(experiment(tmp_path), [])
+
     def test_distinct_methods_share_system(self, tmp_path):
         config = experiment(tmp_path, m=300, n=10, max_iters=40, alpha=12.0)
         out = compare_methods(config, ["quantile-averaged-block", "quantile-rk"])
@@ -571,6 +575,26 @@ class TestSvg:
         with pytest.raises(DomainError):
             emit_svg([], path=tmp_path / "x.svg")
 
+    def test_mismatched_x_and_y_rejected(self, tmp_path):
+        with pytest.raises(DomainError, match="^series 's' must have matching nonempty x and y$"):
+            emit_svg([("s", [0, 1, 2], [1.0, 2.0])], path=tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("x", [1e17, 2.0**53, -1e300, 1.7976931348623157e308])
+    def test_one_point_at_any_magnitude(self, tmp_path, x):
+        # x + 1.0 == x from 2**53 up: the axis is widened by an ulp there.
+        path = emit_svg([("s", [x], [0.5])], path=tmp_path / "x.svg")
+        lines = ET.parse(path).iter("{http://www.w3.org/2000/svg}polyline")
+        points = [el.get("points") for el in lines]
+        assert points == ["770.00,540.00" if x > 1e308 else "80.00,540.00"]
+        assert "nan" not in path.read_text() and "inf" not in path.read_text()
+
+    def test_one_value_sweep_at_a_huge_step_size_draws_its_chart(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sweep-alpha", "--m", "60", "--n", "5", "--seed", "1", "--values", "1e17",
+                         "--reps", "1", "--iters", "2", "--svg", "--timing", "none"]) == 0
+        assert (tmp_path / "artifacts" / "sweep.svg").exists()
+
     def test_log_requires_positive(self, tmp_path):
         with pytest.raises(DomainError):
             emit_svg([("s", [0, 1], [1.0, 0.0])], path=tmp_path / "x.svg")
@@ -646,6 +670,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", "--m", "50", "--n", "5", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content, code, message", [
+        (None, 4, "i/o error: cannot read config file: "),
+        ("{not json", 2, "configuration error: malformed config file: "),
+        ("[1, 2]", 2, "configuration error: config file must hold a JSON object"),
+    ], ids=["missing", "not-json", "list"])
+    def test_unusable_config_file(self, tmp_path, capsys, content, code, message):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        argv = ["run", "--m", "50", "--n", "5", "--seed", "1", "--config", str(path),
+                "--out", str(tmp_path / "o")]
+        assert cli_main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         rc = cli_main([

@@ -114,6 +114,15 @@ class TestSigmaMaxSq:
     def test_zero_matrix(self):
         assert sigma_max_sq(np.zeros((3, 2))) == 0.0
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([1.0, 2.0], "expected a 2-D matrix, got ndim=1"),
+        (np.empty((0, 3)), "matrix must be at least 1x1, got 0x3"),
+        ([[np.inf]], "matrix entries must be finite"),
+    ], ids=["vector", "no-rows", "infinite"])
+    def test_refused_matrices(self, matrix, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            sigma_max_sq(matrix)
+
     def test_matches_svd_on_slowly_separated_spectrum(self):
         # A 10000x100 system whose top two Gram eigenvalues are close enough
         # that a power iteration ran out of sweeps on it.

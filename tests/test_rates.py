@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quantile_kaczmarz.errors import (
     ConditionViolatedError,
+    ConfigError,
     DomainError,
     ShapeError,
 )
@@ -84,8 +85,50 @@ class TestConvergenceCondition:
         with pytest.raises(DomainError):
             convergence_condition(0.1, 0.2, 1.0, 0.5)  # q <= beta
 
+    @pytest.mark.parametrize("spectral", [(-1.0, 0.5), (0.0, 0.5), (1.0, -0.5)])
+    def test_negative_spectral_input_is_a_domain_error(self, spectral):
+        with pytest.raises(DomainError, match="^spectral inputs must be nonnegative"):
+            convergence_condition(0.5, 0.1, *spectral)
+
+
+# A misfit scalar per case: the error names it, before any arithmetic.
+SCALAR_MISFITS = [
+    (rate_report, ("0.5", 0.1, 40, 3, 1.0, 1.0), "q"),
+    (rate_report, (0.5, True, 40, 3.0, 1.0), "beta"),
+    (rate_report, (0.5, 0.1, 40.0, 3.0, 1.0), "m"),
+    (rate_report, (0.5, 0.1, 0, 3.0, 1.0), "m"),
+    (convergence_condition, (False, 0.1, 3.0, 1.0), "q"),
+    (convergence_condition, (0.5, None, 3.0, 1.0), "beta"),
+    (convergence_condition, (0.5, 0.1, "3", 1.0), "sigma_max_sq"),
+    (convergence_condition, (0.5, 0.1, 3.0, [1.0]), "sigma_restricted_min_sq"),
+    (rate_constants, (0.5, 0.1, "40", 3.0, 1.0), "m"),
+    (rate_constants, (0.5, 0.1, 40, None, 1.0), "sigma_max_sq"),
+    (rate_constants, (0.5, "0.1", 40, 3.0, 1.0), "beta"),
+    (alpha_opt_closed_form, (0.5, 0.1, True, 3.0, 1.0), "m"),
+    (alpha_opt_closed_form, (0.5, 0.1, 40, 3.0, "1"), "sigma_restricted_min_sq"),
+    (alpha_opt_closed_form, (1j, 0.1, 40, 3.0, 1.0), "q"),
+]
+
+
+@pytest.mark.parametrize("route, args, name", SCALAR_MISFITS, ids=[
+    f"{route.__name__}-{name}-{i}" for i, (route, _, name) in enumerate(SCALAR_MISFITS)])
+def test_a_misfit_scalar_is_a_domain_error_naming_it(route, args, name):
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        route(*args)
+
+
+@pytest.mark.parametrize("q", ["0.5", True, None])
+def test_resolve_alpha_auto_refuses_a_misfit_q(q):
+    system = small_system(seed=9, m=12, n=3)
+    with pytest.raises(DomainError, match="^q must be a real number"):
+        resolve_alpha_auto(system, q)
+
 
 class TestRateReport:
+    def test_beta_one_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=re.escape("beta must lie in [0, 1), got 1.0")):
+            rate_report(0.5, 1.0, 40, 3.0, 1.0)
+
     def test_worked_example_constants(self):
         m = worked_4x2()
         s2max = sigma_max_sq(m)
@@ -279,6 +322,20 @@ class TestCertifyIteration:
         system = small_system(seed=7)
         with pytest.raises(ShapeError):
             certify_iteration(system, np.zeros(2), np.zeros(2), 0.5, 1.0, np.array([]))
+
+    def test_step_from_the_solution_rejected(self):
+        system = small_system(seed=8, m=12, n=3)
+        x = system.x_star
+        with pytest.raises(ShapeError, match="starting at the exact solution"):
+            certify_iteration(system, x, x, 0.5, 1.0, np.arange(12))
+
+    @pytest.mark.parametrize("name, value", [("x_k", ["a", "b", "c"]), ("x_next", [[1.0], []]),
+                                             ("tau", [[0, 1], [2]])])
+    def test_arguments_that_are_no_arrays_of_numbers_rejected(self, name, value):
+        system = small_system(seed=8, m=12, n=3)
+        args = {"x_k": system.x_star + 1.0, "x_next": system.x_star, "tau": np.arange(12)}
+        with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers: "):
+            certify_iteration(system, q=0.5, alpha=1.0, **{**args, name: value})
 
     def test_short_uncorrupted_block_rejected(self):
         system = small_system(seed=8, m=12, n=3, beta=0.25)

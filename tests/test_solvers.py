@@ -16,6 +16,7 @@ from quantile_kaczmarz.errors import (
     ShapeError,
 )
 from quantile_kaczmarz import solvers
+from quantile_kaczmarz.harness import empirical_alpha
 from quantile_kaczmarz.problems import CorruptedSystem, CorruptionSpec, GeneratorSpec, generate
 from quantile_kaczmarz.solvers import (
     METHOD_TABLE,
@@ -372,6 +373,22 @@ class TestAveragedBlockStep:
         with pytest.raises(ShapeError):
             averaged_rbk_step(np.eye(2), np.ones(2), np.ones(2), [], 1.0)
 
+    @pytest.mark.parametrize("block", [["a"], [[0, 1], [1]]], ids=["non-numeric", "ragged"])
+    def test_block_that_is_no_array_of_numbers_rejected(self, block):
+        with pytest.raises(ConfigError, match="^block must be an array of numbers: "):
+            averaged_rbk_step(np.eye(2), np.ones(2), np.ones(2), block, 1.0)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda a, b, x, c: quantile_abk_step(a, b, x, 0.5, 1.0, c),
+    lambda a, b, x, c: sampled_qabk_step(a, b, x, 0.5, 2, 1.0, np.random.default_rng(0), c),
+    lambda a, b, x, c: quantile_pbk_step(a, b, x, 0.5, c),
+    lambda a, b, x, c: quantile_rk_step(a, b, x, 0.5, 3, np.random.default_rng(0), c),
+], ids=["abk", "sampled", "pbk", "rk"])
+def test_unknown_comparator_is_a_config_error(kernel):
+    with pytest.raises(ConfigError, match="^unknown comparator 'nope'$"):
+        kernel(np.eye(3), np.ones(3), np.zeros(3), "nope")
+
 
 @st.composite
 def step_inputs(draw):
@@ -644,6 +661,44 @@ class TestSolve:
         trace = solve(system, config, np.zeros(5))
         for size, corrupted in zip(trace.tau_size, trace.tau_corrupted):
             assert 0 <= corrupted <= size <= system.m
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trace_counts_the_rows_each_step_accepted(self, monkeypatch, method):
+        # The trace counts a step's mask; the index view of the same step
+        # must give the same counts, for every shape of StepStats.
+        steps = []
+        spec = METHOD_TABLE[method]
+
+        def build(*args):
+            step = spec.build(*args)
+            return lambda x, rng: steps.append(step(x, rng)) or steps[-1]
+
+        monkeypatch.setitem(METHOD_TABLE, method, dataclasses.replace(spec, build=build))
+        system = corrupted_system(m=200, n=10, seed=35, beta=0.3)
+        # q above 1 - beta: every method accepts corrupted rows.
+        config = SolverConfig(method=method, q=0.9, alpha=1.5, t=100, block_size=20,
+                              max_iters=30, seed=6)
+        trace = solve(system, config, np.zeros(10))
+        corrupted = system.corrupted_mask()
+        assert trace.tau_size == [stats.tau.size for _, stats in steps]
+        assert trace.tau_corrupted == [np.count_nonzero(corrupted[stats.tau])
+                                       for _, stats in steps]
+        assert max(trace.tau_corrupted) > 0
+
+    @pytest.mark.parametrize("route", ["solve", "empirical_alpha"])
+    @pytest.mark.parametrize("method", ["quantile-averaged-block",
+                                        "sampled-quantile-averaged-block"])
+    def test_averaged_routes_build_no_index_arrays(self, monkeypatch, method, route):
+        def unread(stats):
+            raise AssertionError("StepStats.tau was read")
+
+        monkeypatch.setattr(solvers.StepStats, "tau", property(unread))
+        system = corrupted_system(m=300, n=10, seed=36)
+        config = SolverConfig(method=method, q=0.7, alpha=10.0, t=100, max_iters=20, seed=7)
+        if route == "solve":
+            assert sum(solve(system, config, np.zeros(10)).tau_size) > 0
+        else:
+            assert empirical_alpha(system, config, 0.7, seed=7) > 0
 
     def test_row_permutation_invariance_full_residual_steps(self):
         # Full-residual steps depend on the row set, not the row order: the
