@@ -98,6 +98,18 @@ def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
         raise DomainError(f"q must lie in (beta, 1-beta) = ({beta}, {1.0 - beta}), got {q}")
 
 
+def _finite(what: str, formula, *args) -> tuple[float, ...]:
+    """The floats ``formula(*args)``; :class:`DomainError` naming ``what``
+    where one overflows, divides by zero or is not finite (c2 = 0 included)."""
+    try:
+        values = formula(*args)
+    except (OverflowError, ZeroDivisionError):
+        values = (math.nan,)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} would not be finite for these inputs")
+    return values
+
+
 def convergence_condition(
     q: float, beta: float, sigma_max_sq: float, sigma_restricted_min_sq: float
 ) -> tuple[bool, float]:
@@ -127,6 +139,10 @@ def rate_constants(
     """
     _check_domain(q, beta, m, sigma_max_sq=sigma_max_sq,
                   sigma_restricted_min_sq=sigma_restricted_min_sq)
+    return _finite("c1 and c2", _constants, q, beta, m, sigma_max_sq, sigma_restricted_min_sq)
+
+
+def _constants(q, beta, m, sigma_max_sq, sigma_restricted_min_sq):
     root = math.sqrt(beta) / math.sqrt(1.0 - q - beta)
     qm = q * m
     c1 = 2.0 * sigma_restricted_min_sq / qm - 2.0 * root * sigma_max_sq / qm
@@ -151,11 +167,13 @@ def rate_report(
     ``condition_holds=False``, not an error."""
     holds, epsilon = convergence_condition(q, beta, sigma_max_sq, sigma_restricted_min_sq)
     c1, c2 = rate_constants(q, beta, m, sigma_max_sq, sigma_restricted_min_sq)
+    alpha_opt, contraction = (None, None) if not holds else _finite(
+        "alpha_opt and the contraction", lambda: (c1 / (2.0 * c2), 1.0 - c1**2 / (4.0 * c2)))
     return RateReport(
         c1=c1,
         c2=c2,
-        alpha_opt=c1 / (2.0 * c2) if holds else None,
-        contraction=1.0 - c1**2 / (4.0 * c2) if holds else None,
+        alpha_opt=alpha_opt,
+        contraction=contraction,
         condition_holds=holds,
         epsilon=epsilon,
         inputs=RateInputs(q, beta, m, sigma_max_sq, sigma_restricted_min_sq, exact),
@@ -174,10 +192,10 @@ def alpha_opt_closed_form(
     holds, epsilon = convergence_condition(q, beta, sigma_max_sq, sigma_restricted_min_sq)
     if not holds:
         raise ConditionViolatedError("convergence condition fails")
-    return (
+    return _finite("alpha_opt", lambda: (
         q * m * (1.0 - epsilon)
-        / (sigma_max_sq - epsilon * (2.0 - epsilon) * sigma_restricted_min_sq)
-    )
+        / (sigma_max_sq - epsilon * (2.0 - epsilon) * sigma_restricted_min_sq),
+    ))[0]
 
 
 def restricted_summary(system: CorruptedSystem, q: float, seed: int,

@@ -272,6 +272,8 @@ def quantile_rk_step(
     The quantile is computed over a uniform sample of ``t`` rows, then one
     candidate row is sampled uniformly from the whole system and used only
     if its absolute residual passes ``comparator`` against that quantile.
+    The step reads its sample as a set, so it is drawn unshuffled, then
+    sorted: a gathered row's residual rounds by its place in the gather.
     A row has one residual per step: a candidate in the sample takes its
     gap from the sample's residual, so the comparator sees the value that
     was ranked.  Full-sample policy: when ``t`` equals the row count, the
@@ -282,7 +284,7 @@ def quantile_rk_step(
     :func:`_quantile_rk_run` generator that the solve uses.
     """
     m = matrix.shape[0]
-    rows = slice(None) if t == m else rng.choice(m, size=t, replace=False)
+    rows = slice(None) if t == m else np.sort(rng.choice(m, t, replace=False, shuffle=False))
     r = matrix[rows] @ x - b[rows]
     threshold = quantile_of_multiset(np.abs(r), q)
     j = int(rng.integers(m))
@@ -382,9 +384,11 @@ def _quantile_rk_run(a, b, config: SolverConfig, t: int):
     and candidates with the calls :func:`quantile_rk_step` makes, in the same
     order.  One GEMM, ``vstack([x, A[J]]) @ A.T``, into one buffer that the
     solve allocates once, then gives the fresh residual at ``x`` and the Gram
-    rows ``A a_j`` of the block's candidates ``J``.  Each step reads its
-    threshold from ``|r[sample]|`` (all of ``r`` when ``t == m``) and its gap
-    from ``r[j]``, so a row has one residual per step, as in the reference.
+    rows ``A a_j`` of the block's candidates ``J``.  Each step writes
+    ``|r[sample]|`` (all of ``|r|`` when ``t == m``) into a second such
+    buffer, of ``t`` floats, and partitions it in place at the reference's
+    rank ``ceil(q t) - 1`` for its threshold, bit for bit.  Its gap is
+    ``r[j]``, so a row has one residual per step, as in the reference.
     An accepted step sets ``x <- x - r_j a_j`` and ``r <- r - r_j (A a_j)``,
     scaling its Gram row in place, as each is used once.  Sent an ``x`` it
     did not yield last, the run recomputes ``r``.
@@ -393,20 +397,21 @@ def _quantile_rk_run(a, b, config: SolverConfig, t: int):
     block = min(_plan_steps(m), config.max_iters)
     left = config.max_iters  # steps not yet drawn
     gram = np.empty((block + 1, m))
+    ranked, k = np.empty(t), math.ceil(config.q * t) - 1
     x, rng = yield
     while True:
         size = max(1, min(block, left))
         left -= size
-        draws = [(None if t == m else rng.choice(m, size=t, replace=False), int(rng.integers(m)))
-                 for _ in range(size)]
+        draws = [(None if t == m else rng.choice(m, size=t, replace=False, shuffle=False),
+                  int(rng.integers(m))) for _ in range(size)]
         fresh = np.matmul(np.vstack([x, a[[j for _, j in draws]]]), a.T, out=gram[:size + 1])
         r, last = fresh[0] - b, x
         for (sample, j), row in zip(draws, fresh[1:]):
             if x is not last:
                 r = a @ x - b
-            threshold = quantile_of_multiset(np.abs(r if sample is None else r[sample]), config.q)
+            np.abs(r if sample is None else r[sample], out=ranked).partition(k)
             gap = r[j]
-            last, stats = _gate(x, a[j], j, gap, threshold, config.comparator)
+            last, stats = _gate(x, a[j], j, gap, float(ranked[k]), config.comparator)
             if stats.accepted[0]:
                 row *= gap  # r -= gap * row, without a temporary
                 r -= row

@@ -17,6 +17,8 @@ PALETTE = ("#1f6f8b", "#d1495b", "#66a182", "#edae49", "#55505c", "#8d6a9f")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+    if math.isinf(hi - lo):  # a span past the largest float: inner ticks from the halves
+        return [lo, *(2.0 * tick for tick in _ticks(lo / 2, hi / 2, count)[1:-1]), hi]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -56,6 +58,7 @@ def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
     if x_hi == x_lo:  # widened by 1, or by one ulp where that is more, downward at the top
         pad = max(1.0, math.ulp(x_lo))
         x_lo, x_hi = (x_lo, x_lo + pad) if x_lo + pad < math.inf else (x_lo - pad, x_lo)
+    half = 0.5 if math.isinf(x_hi - x_lo) else 1.0  # a span past the largest float is halved
     if y_hi == y_lo:  # a log10 lies within 400 of 0, so adding 1 widens it
         y_hi = y_lo + 1.0
 
@@ -65,7 +68,7 @@ def emit_svg(series, path, title: str = "", x_label: str = "") -> Path:
     legend_x = WIDTH - MARGIN_RIGHT - 150
 
     def px(x: float) -> float:
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_LEFT + (x * half - x_lo * half) / (x_hi * half - x_lo * half) * plot_w
 
     def py(log_y: float) -> float:
         return MARGIN_TOP + (y_hi - log_y) / (y_hi - y_lo) * plot_h

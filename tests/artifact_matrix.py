@@ -12,7 +12,9 @@ Within one build every artifact is byte-identical, so running the matrix on
 two trees and comparing the results shows exactly what a change does to the
 program's output.  Given two trees, the script runs the first into
 ``OUT/parent`` and the second into ``OUT/change``, prints the relative path of
-each file that differs or exists on one side only, and exits 1 if any does.
+each file that differs or exists on one side only, then one line per case
+that holds such a file (``CASE: N files differ``) and the total (``K of M
+cases differ``), and exits 1 if any file differs.
 pytest does not collect this file.
 """
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 DESK = ["--m", "200", "--n", "10", "--beta", "0.1", "--seed", "1"]
@@ -193,6 +196,10 @@ def main(argv: list[str]) -> int:
     changed = differences(out / "parent", out / "change")
     for rel in changed:
         print(rel)
+    per_case = Counter(rel.split("/")[0] for rel in changed)
+    for case, count in per_case.items():
+        print(f"{case}: {count} files differ")
+    print(f"{len(per_case)} of {len(CASES)} cases differ")
     return 1 if changed else 0
 
 

@@ -589,6 +589,16 @@ class TestSvg:
         assert points == ["770.00,540.00" if x > 1e308 else "80.00,540.00"]
         assert "nan" not in path.read_text() and "inf" not in path.read_text()
 
+    def test_x_span_past_the_largest_float(self, tmp_path):
+        # x_hi - x_lo overflows: the axis is laid out on halves of its ends.
+        path = emit_svg([("a", [-1e308, 1e308], [1.0, 0.5])], path=tmp_path / "x.svg")
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[1:6] == ["-1e+308", "-5e+307", "0", "5e+307", "1e+308"]
+        lines = ET.parse(path).iter("{http://www.w3.org/2000/svg}polyline")
+        assert [el.get("points") for el in lines] == ["80.00,40.00 770.00,540.00"]
+
     def test_one_value_sweep_at_a_huge_step_size_draws_its_chart(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli_main(["sweep-alpha", "--m", "60", "--n", "5", "--seed", "1", "--values", "1e17",

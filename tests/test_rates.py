@@ -117,6 +117,25 @@ def test_a_misfit_scalar_is_a_domain_error_naming_it(route, args, name):
         route(*args)
 
 
+# Inputs of the right types whose constants no float holds: c2 squares
+# sigma_max_sq = 1e200 and q*m = 5e199, and at 1e-200 c2 underflows to 0
+# while the condition holds (epsilon = 0.5), so alpha_opt divides by zero.
+UNREPRESENTABLE = [
+    (rate_constants, (0.5, 0.1, 40, 1e200, 1.0), "c1 and c2"),
+    (rate_report, (0.5, 0.1, 40, 1e200, 1.0), "c1 and c2"),
+    (rate_constants, (0.5, 0.1, 10**200, 1.0, 1.0), "c1 and c2"),
+    (rate_report, (0.5, 0.1, 40, 1e-200, 1e-200), "alpha_opt and the contraction"),
+    (alpha_opt_closed_form, (0.5, 0.1, 10**400, 1.0, 1.0), "alpha_opt"),
+]
+
+
+@pytest.mark.parametrize("route, args, what", UNREPRESENTABLE, ids=[
+    f"{route.__name__}-{i}" for i, (route, _, _) in enumerate(UNREPRESENTABLE)])
+def test_a_constant_no_float_holds_is_a_domain_error(route, args, what):
+    with pytest.raises(DomainError, match=f"^{what} would not be finite for these inputs$"):
+        route(*args)
+
+
 @pytest.mark.parametrize("q", ["0.5", True, None])
 def test_resolve_alpha_auto_refuses_a_misfit_q(q):
     system = small_system(seed=9, m=12, n=3)

@@ -53,13 +53,18 @@ def corrupted_system(m=200, n=10, seed=0, beta=0.2, family="gaussian"):
 
 
 class FixedRng:
-    """Duck-typed stand-in returning scripted draws."""
+    """Duck-typed stand-in returning scripted draws: ``integers`` the next of
+    ``integer_values``, ``choice`` always ``sample``."""
 
-    def __init__(self, integer_values):
+    def __init__(self, integer_values, sample=None):
         self.integer_values = list(integer_values)
+        self.sample = sample
 
     def integers(self, _high):
         return self.integer_values.pop(0)
+
+    def choice(self, *args, **kwargs):
+        return self.sample
 
 
 class TestQuantileOfMultiset:
@@ -945,12 +950,12 @@ def count_gathers(monkeypatch) -> list:
     return calls
 
 
-def count_draws(monkeypatch) -> list:
-    """The :class:`CountingRng` of each generator made from now on."""
-    made = []
+def count_draws(monkeypatch, kind=None) -> list:
+    """The :class:`CountingRng` (or ``kind``) of each generator made from now on."""
+    made, kind = [], kind or CountingRng
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: made.append(CountingRng(default_rng(seed))) or made[-1])
+                        lambda seed: made.append(kind(default_rng(seed))) or made[-1])
     return made
 
 
@@ -1095,6 +1100,58 @@ class TestQuantileRkRun:
         assert solve(system, config, np.zeros(system.n)).iterations == 10
         assert [rng.calls for rng in made] == [draws * 10]
         assert gathers == []
+
+
+class PermutingRng(CountingRng):
+    """A :class:`CountingRng` whose ``choice`` returns its draw in a random
+    order, taken from a second generator so that the draws are unchanged."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.order = np.random.Generator(np.random.PCG64(2024))
+
+    def choice(self, *args, **kwargs):
+        return self.order.permutation(super().choice(*args, **kwargs))
+
+
+class TestQuantileRkReadsItsSampleAsASet:
+    """quantile-rk's threshold is an order statistic of its sample and its
+    candidate is drawn apart from it, so no decision depends on the sample's
+    order: the property that lets it draw the sample unshuffled."""
+
+    @pytest.mark.parametrize("comparator", ["strict-below", "at-or-below"])
+    @pytest.mark.parametrize("candidate", ["in-sample", "outside"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_ignores_the_order_of_its_sample(self, seed, candidate, comparator):
+        system = corrupted_system(m=120, n=8, seed=seed)
+        a, b = system.matrix, system.b_observed
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(8) * 3
+        sample = rng.choice(120, size=50, replace=False)
+        j = int(sample[7] if candidate == "in-sample" else np.setdiff1d(np.arange(120), sample)[0])
+        (x_one, one), (x_two, two) = [
+            quantile_rk_step(a, b, x, 0.7, 50, FixedRng([j], order), comparator)
+            for order in (sample, rng.permutation(sample))]
+        assert x_one.tobytes() == x_two.tobytes()
+        assert struct.pack("d", one.quantile) == struct.pack("d", two.quantile)
+        assert one.accepted.tobytes() == two.accepted.tobytes()
+        assert one.rows.tobytes() == two.rows.tobytes()
+
+    @pytest.mark.parametrize("t", [50, 199])
+    def test_kept_residual_solve_ignores_the_order_of_its_samples(self, monkeypatch, tmp_path, t):
+        system = corrupted_system(seed=49)
+        plan_steps(monkeypatch, system.m, 4)
+        gathers = count_gathers(monkeypatch)
+        config = SolverConfig(method="quantile-rk", q=0.7, t=t, max_iters=30, seed=6)
+        plain = solve(system, config, np.zeros(system.n))
+        made = count_draws(monkeypatch, PermutingRng)
+        permuted = solve(system, config, np.zeros(system.n))
+        assert [rng.calls for rng in made] == [["choice", "integers"] * 30]
+        assert gathers == []
+        blobs = [trace.write_csv(tmp_path / f"{name}.csv", timing="none").read_bytes()
+                 for name, trace in [("plain", plain), ("permuted", permuted)]]
+        assert blobs[0] == blobs[1]
+        assert plain.x_final.tobytes() == permuted.x_final.tobytes()
 
 
 class TestTraceSerialization:
