@@ -355,11 +355,8 @@ def adversarial_demo(
     q: float = 0.7,
     alpha: float = 10.0,
     iterations: int = 50,
-    averaged_stop: float = 1e-6,
-    averaged_max_iters: int = 800,
     seed: int = 0,
     timing: str = "real",
-    svg: bool = True,
 ) -> dict[str, object]:
     """Projective vs averaged blocking on the duplicate-row construction.
 
@@ -367,11 +364,11 @@ def adversarial_demo(
     corrupted hyperplane.  The projective method runs for exactly
     ``iterations`` steps (the failure exhibit: it never escapes the
     neighborhood of the corrupted hyperplane); the averaged method runs
-    until it reaches ``averaged_stop`` or exhausts ``averaged_max_iters``.
-    Returns artifact paths, the summary that ``summary.json`` holds, both
-    traces, and the per-iterate inner products of the duplicated row
-    direction with the projective iterates (the corrupted hyperplane offset
-    is their distance to the target value).
+    until its relative error reaches 1e-6, for at most 800 steps.  Returns
+    artifact paths (``adversarial.svg`` charts both errors), the summary that
+    ``summary.json`` holds, both traces, and the per-iterate inner products
+    of the duplicated row direction with the projective iterates (the
+    corrupted hyperplane offset is their distance to the target value).
     """
     check_timing(timing)
     system, x0 = generate_adversarial_duplicate(
@@ -382,7 +379,7 @@ def adversarial_demo(
                             stop_rel_error=stop, seed=derived_seed(seed, _TAG_METHOD, idx))
         for idx, (label, method, cfg_alpha, budget, stop) in enumerate((
             ("projective", "quantile-projective-block", 1.0, iterations, 0.0),
-            ("averaged", "quantile-averaged-block", alpha, averaged_max_iters, averaged_stop),
+            ("averaged", "quantile-averaged-block", alpha, 800, 1e-6),
         ))
     }
     traces: dict[str, IterationTrace] = {
@@ -414,8 +411,7 @@ def adversarial_demo(
     summary = {k: None if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in summary.items()}
     results.update(summary=summary, summary_json=write_json(summary, out / "summary.json"))
-    if svg:
-        _plot(results, out / "adversarial.svg", "projective vs averaged blocking",
-              [(label, trace.rel_error) for label, trace in traces.items()])
+    _plot(results, out / "adversarial.svg", "projective vs averaged blocking",
+          [(label, trace.rel_error) for label, trace in traces.items()])
     results.update(traces=traces, hyperplane_dots=hyperplane_dots, system=system, x0=x0)
     return results

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, is_int
+from .errors import ConfigError, DomainError, ShapeError, is_int, is_real
 
 # Exhaustive enumeration refuses to start above this many subsets; callers
 # fall back to the sampled estimator instead of silently degrading exactness.
 SUBSET_ENUMERATION_CAP = 2_000_000
 
 _ZERO_ROW_FLOOR = 1e-300
+_UNIT_NORM_TOL = 1e-9
 # Bytes of rows row_normalize works on at once: a block stays in cache
 # between its norm and its divide.
 _ROW_BLOCK_BYTES = 256 << 10
@@ -120,8 +121,8 @@ def row_normalize(matrix, out=None) -> np.ndarray:
     return out
 
 
-def is_row_normalized(matrix, tol: float = 1e-9) -> bool:
-    """True if every row norm lies within ``tol`` of one.
+def is_row_normalized(matrix) -> bool:
+    """True if every row norm lies within 1e-9 of one.
 
     One streaming pass over the matrix with no m x n temporary; a row holding
     a non-finite entry fails the test.
@@ -135,7 +136,7 @@ def is_row_normalized(matrix, tol: float = 1e-9) -> bool:
     """
     a = _as_2d(matrix)
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
-    return bool(np.all(np.abs(norms - 1.0) <= tol))
+    return bool(np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
 
 
 def quantile_of_multiset(values, q: float, axis: int | None = None) -> float | np.ndarray:
@@ -152,6 +153,8 @@ def quantile_of_multiset(values, q: float, axis: int | None = None) -> float | n
     size = arr.shape[axis]
     if size == 0:
         raise ShapeError("quantile of an empty multiset")
+    if not is_real(q):
+        raise DomainError(f"q must be a real number, got {q!r}")
     if not 0.0 < q <= 1.0:
         raise DomainError(f"q must lie in (0, 1], got {q}")
     k = math.ceil(q * size)

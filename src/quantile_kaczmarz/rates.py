@@ -84,9 +84,9 @@ class RateReport:
 
 
 def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
-    """Raise :class:`DomainError` naming the first of q, beta and
-    ``spectral`` that is not a real number (a bool is not), or ``m`` unless
-    an integer >= 1; then unless 0 <= beta < 1 and beta < q < 1 - beta."""
+    """Raise :class:`DomainError` naming the first of: q, beta or a ``spectral``
+    value not a real number (a bool is not); m not an integer >= 1; beta outside
+    [0, 1); q outside (beta, 1 - beta); sigma_max_sq <= 0; sigma_restricted_min_sq < 0."""
     for name, value in [("q", q), ("beta", beta), *spectral.items()]:
         if not is_real(value):
             raise DomainError(f"{name} must be a real number, got {value!r}")
@@ -96,6 +96,8 @@ def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
     if not beta < q < 1.0 - beta:
         raise DomainError(f"q must lie in (beta, 1-beta) = ({beta}, {1.0 - beta}), got {q}")
+    if spectral and (spectral["sigma_max_sq"] <= 0 or spectral["sigma_restricted_min_sq"] < 0):
+        raise DomainError("spectral inputs must be nonnegative with sigma_max_sq > 0")
 
 
 def _finite(what: str, formula, *args) -> tuple[float, ...]:
@@ -121,8 +123,6 @@ def convergence_condition(
     """
     _check_domain(q, beta, sigma_max_sq=sigma_max_sq,
                   sigma_restricted_min_sq=sigma_restricted_min_sq)
-    if sigma_max_sq <= 0 or sigma_restricted_min_sq < 0:
-        raise DomainError("spectral inputs must be nonnegative with sigma_max_sq > 0")
     lhs = math.sqrt(beta) / math.sqrt(1.0 - q - beta)
     if sigma_restricted_min_sq == 0.0:
         return False, math.inf
@@ -164,7 +164,8 @@ def rate_report(
 ) -> RateReport:
     """The :class:`RateReport` of these inputs.  A refuted condition, where no
     positive step size yields a guaranteed contraction, is a report with
-    ``condition_holds=False``, not an error."""
+    ``condition_holds=False``, not an error.  Where it holds but c2 underflows
+    to 0, this raises :class:`DomainError`; :func:`alpha_opt_closed_form` does not."""
     holds, epsilon = convergence_condition(q, beta, sigma_max_sq, sigma_restricted_min_sq)
     c1, c2 = rate_constants(q, beta, m, sigma_max_sq, sigma_restricted_min_sq)
     alpha_opt, contraction = (None, None) if not holds else _finite(
@@ -185,8 +186,9 @@ def alpha_opt_closed_form(
 ) -> float:
     """Optimal step size in the epsilon-parametrized form.
 
-    Algebraically identical to ``c1 / (2 c2)``; kept as an independent route
-    for consistency checks.
+    Algebraically identical to ``c1 / (2 c2)``, and kept as an independent route
+    for consistency checks, but for where c2 underflows to 0 while the condition
+    holds: there this returns a float and :func:`rate_report` raises.
     """
     _check_domain(q, beta, m)
     holds, epsilon = convergence_condition(q, beta, sigma_max_sq, sigma_restricted_min_sq)
@@ -252,8 +254,8 @@ class TermCheck:
     actual: float
     slack: float  # (bound - actual) / ||e_k||^2; nonnegative means the bound holds
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.slack >= -tol
+    def passed(self) -> bool:
+        return self.slack >= -1e-9
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,9 @@ class CertificateResult:
     quantile: float
     error_sq: float
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        checks = [self.term1, self.term2, self.term3, self.combined]
-        if self.worst_case is not None:
-            checks.append(self.worst_case)
-        return all(c.passed(tol) for c in checks)
+    def passed(self) -> bool:
+        return all(c.passed() for c in (self.term1, self.term2, self.term3, self.combined,
+                                         self.worst_case) if c is not None)
 
 
 def certify_iteration(

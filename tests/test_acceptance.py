@@ -67,8 +67,7 @@ def adversarial(tmp_path_factory):
     started = time.perf_counter()
     result = qk.adversarial_demo(
         out, n=100, clean_rows=1000, dup_rows=250, target=500.0,
-        q=0.7, alpha=10.0, iterations=50, averaged_stop=1e-6,
-        averaged_max_iters=800, seed=20250111, timing="none", svg=False,
+        q=0.7, alpha=10.0, iterations=50, seed=20250111, timing="none",
     )
     result["elapsed"] = time.perf_counter() - started
     return result

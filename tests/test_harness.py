@@ -490,8 +490,7 @@ class TestAdversarialDemo:
     def test_demo_shapes_and_artifacts(self, tmp_path):
         out = adversarial_demo(tmp_path / "demo", n=25, clean_rows=120, dup_rows=30,
                                target=400.0, q=0.7, alpha=8.0, iterations=12,
-                               averaged_stop=1e-4, averaged_max_iters=400,
-                               seed=1, timing="none", svg=True)
+                               seed=1, timing="none")
         proj = out["traces"]["projective"]
         assert proj.iterations == 12
         assert len(out["hyperplane_dots"]) == 12
@@ -502,8 +501,7 @@ class TestAdversarialDemo:
     def test_projective_stalls_averaged_converges(self, tmp_path):
         out = adversarial_demo(tmp_path / "demo", n=25, clean_rows=120, dup_rows=30,
                                target=400.0, q=0.7, alpha=8.0, iterations=12,
-                               averaged_stop=1e-4, averaged_max_iters=600,
-                               seed=2, timing="none", svg=False)
+                               seed=2, timing="none")
         assert min(out["traces"]["projective"].rel_error) >= 0.1
         assert out["traces"]["averaged"].rel_error[-1] <= 1e-4
 
@@ -513,8 +511,7 @@ class TestAdversarialDemo:
         # rows make it; the step then takes the Gram matrix's pseudoinverse.
         n = 100
         out = adversarial_demo(tmp_path / "demo", n=n, clean_rows=29, dup_rows=2,
-                               target=0.0, iterations=50, averaged_max_iters=5,
-                               timing="none", svg=False)
+                               target=0.0, iterations=50, timing="none")
         proj, system = out["traces"]["projective"], out["system"]
         assert proj.iterations == 50
         xs = [out["x0"], *proj.iterates]
@@ -540,7 +537,7 @@ class TestAdversarialDemo:
     @pytest.mark.parametrize("argument", [{"q": np.float32(0.7)}, {"seed": np.int64(1)},
                                           {"n": np.int64(4)}], ids=["q", "seed", "n"])
     def test_numpy_arguments_write_a_whole_summary(self, tmp_path, argument):
-        base = dict(n=4, clean_rows=10, dup_rows=2, iterations=2, averaged_max_iters=2, svg=False)
+        base = dict(n=4, clean_rows=10, dup_rows=2, iterations=2)
         adversarial_demo(tmp_path / "demo", **{**base, **argument})
         summary = json.loads((tmp_path / "demo" / "summary.json").read_text())
         name, value = next(iter(argument.items()))
@@ -553,7 +550,7 @@ class TestAdversarialDemo:
         monkeypatch.setattr(harness, "solve", lambda *args, **kw: solves.append(1))
         with pytest.raises(ConfigError, match="timing"):
             adversarial_demo(tmp_path / "demo", n=10, clean_rows=50, dup_rows=10,
-                             iterations=3, averaged_max_iters=3, timing="bogus")
+                             iterations=3, timing="bogus")
         assert solves == []
         assert not (tmp_path / "demo").exists()
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantile_kaczmarz import linalg
-from quantile_kaczmarz.errors import ConfigError, ShapeError
+from quantile_kaczmarz.errors import ConfigError, DomainError, ShapeError
 from quantile_kaczmarz.linalg import (
     quantile_of_multiset,
     restricted_min_sv_bruteforce,
@@ -558,6 +558,13 @@ def test_non_integer_subset_sizes_are_shape_errors(route, sizes, name):
 def test_non_numeric_arrays_are_config_errors(route, args, name):
     with pytest.raises(ConfigError, match=f"^{name} must be an array of numbers: "):
         route(*args)
+
+
+@pytest.mark.parametrize("q", [None, "0.5", 1j, [0.5], np.full((2, 2), 0.5), True],
+                         ids=["None", "str", "complex", "list", "2-D", "bool"])
+def test_a_quantile_level_that_is_not_a_real_number_is_a_domain_error(q):
+    with pytest.raises(DomainError, match=r"^q must be a real number, got "):
+        quantile_of_multiset([1.0, 2.0, 3.0], q)
 
 
 def test_numpy_integer_sizes_are_accepted():
