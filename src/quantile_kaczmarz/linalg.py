@@ -145,11 +145,14 @@ def quantile_of_multiset(values, q: float, axis: int | None = None) -> float | n
     Duplicates count; selection is 1-indexed, so ``q=1`` returns the maximum.
     Uses a partial sort, O(S) expected time.  With ``axis``, each slice
     along that axis is one multiset, and the result is the array of their
-    quantiles: ``axis=0`` on an S×L block gives L values.
+    quantiles: ``axis=0`` on an S×L block gives L values.  An ``axis`` that is
+    not one of the array's (a bool is not) raises :class:`ShapeError`.
     """
     arr = as_array("values", values, float, copy=None)
     if axis is None:
         arr, axis = arr.ravel(), 0
+    elif not (is_int(axis) and -arr.ndim <= axis < arr.ndim):
+        raise ShapeError(f"axis {axis!r} is not an axis of an array of {arr.ndim} dimensions")
     size = arr.shape[axis]
     if size == 0:
         raise ShapeError("quantile of an empty multiset")

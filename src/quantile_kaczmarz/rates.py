@@ -13,13 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditionViolatedError,
-    DomainError,
-    ShapeError,
-    is_int,
-    is_real,
-)
+from .errors import ConditionViolatedError, DomainError, ShapeError, is_finite, is_int, is_real
 from .linalg import (
     SUBSET_ENUMERATION_CAP,
     SpectralSummary,
@@ -85,11 +79,14 @@ class RateReport:
 
 def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
     """Raise :class:`DomainError` naming the first of: q, beta or a ``spectral``
-    value not a real number (a bool is not); m not an integer >= 1; beta outside
-    [0, 1); q outside (beta, 1 - beta); sigma_max_sq <= 0; sigma_restricted_min_sq < 0."""
+    value not a real number (a bool is not); a ``spectral`` value not finite; m
+    not an integer >= 1; beta outside [0, 1); q outside (beta, 1 - beta);
+    sigma_max_sq <= 0; sigma_restricted_min_sq < 0."""
     for name, value in [("q", q), ("beta", beta), *spectral.items()]:
         if not is_real(value):
             raise DomainError(f"{name} must be a real number, got {value!r}")
+        if name in spectral and not is_finite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     if not (is_int(m) and m >= 1):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     if not 0.0 <= beta < 1.0:

@@ -26,7 +26,7 @@ from quantile_kaczmarz.harness import (
     sweep,
     write_sweep_csv,
 )
-from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate
+from quantile_kaczmarz.problems import CorruptionSpec, GeneratorSpec, generate, load_system
 from quantile_kaczmarz.solvers import METHOD_TABLE, SolverConfig, lane_errors, solve
 from quantile_kaczmarz.svgplot import emit_svg
 from reference_steps import UNIT_ROUNDOFF, gamma, quantile_pbk_reference
@@ -715,8 +715,12 @@ class TestCli:
             "--seed", "9", "--out", str(tmp_path / "sys"),
         ])
         assert rc == 0
-        for name in ("matrix.csv", "b_observed.csv", "metadata.json"):
-            assert (tmp_path / "sys" / name).exists()
+        loaded = load_system(tmp_path / "sys")
+        expected = generate(GeneratorSpec("coherent", 40, 4, seed=9,
+                                          corruption=CorruptionSpec(beta=0.25)))
+        for name in ("matrix", "b_observed", "x_star", "corrupted_indices"):
+            a, b = getattr(expected, name), getattr(loaded, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
     def test_sweep_subcommand_rows(self, tmp_path):
         rc = cli_main([

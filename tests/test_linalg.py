@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -565,6 +566,22 @@ def test_non_numeric_arrays_are_config_errors(route, args, name):
 def test_a_quantile_level_that_is_not_a_real_number_is_a_domain_error(q):
     with pytest.raises(DomainError, match=r"^q must be a real number, got "):
         quantile_of_multiset([1.0, 2.0, 3.0], q)
+
+
+@pytest.mark.parametrize("values, axis", [([1.0, 2.0], 1), ([1.0, 2.0], -2), ([1.0, 2.0], True),
+                                          ([[1.0], [2.0]], 2), ([[1.0], [2.0]], 0.0),
+                                          ([[1.0], [2.0]], "0"), (2.0, 0)],
+                         ids=["past-1-d", "before-1-d", "bool", "past-2-d", "float", "str", "0-d"])
+def test_an_axis_the_input_lacks_is_a_shape_error(values, axis):
+    with pytest.raises(ShapeError, match=rf"^axis {re.escape(repr(axis))} is not an axis of "):
+        quantile_of_multiset(values, 0.5, axis=axis)
+
+
+def test_negative_and_numpy_axes_are_accepted():
+    block = np.array([[3.0, 1.0, 2.0], [6.0, 5.0, 4.0]])
+    assert quantile_of_multiset(block, 0.5, axis=-1).tolist() == [2.0, 5.0]
+    assert quantile_of_multiset(block, 0.5, axis=np.int64(0)).tolist() == [3.0, 1.0, 2.0]
+    assert quantile_of_multiset([1.0, 2.0], 0.5, axis=-1) == 1.0
 
 
 def test_numpy_integer_sizes_are_accepted():

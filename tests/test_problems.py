@@ -1,6 +1,5 @@
 import dataclasses
-import decimal
-import itertools
+import io
 import json
 import math
 import tempfile
@@ -49,54 +48,18 @@ def arguments(system: CorruptedSystem) -> dict:
     return {f: getattr(system, f) for f in ("matrix", "x_star", "b_observed", "corrupted_indices")}
 
 
-def csv_family(family: str, rng: np.random.Generator) -> np.ndarray:
-    """Values whose ".17g" text takes each path of the CSV writer."""
-    if family == "edge":  # mostly zeros, subnormals and extremes, which take format() itself
-        big = np.finfo(float).max
-        return np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.1, 1.2345678901234568e+17,
-                         big, -big])
-    if family in ("powers-of-ten", "powers-of-two"):  # decimal exponent, binary ulp changes
-        powers = ([float(f"1e{k}") for k in range(-6, 17)] if family == "powers-of-ten"
-                  else [s * 2.0**k for k in range(-40, 55) for s in (1.0, -1.0)])
-        return np.array([w for p in powers
-                         for w in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))])
-    if family == "bit-patterns":
-        values = rng.integers(0, 2**64, 5_000, dtype=np.uint64).view(np.float64)
-        return values[np.isfinite(values)]
-    if family == "dyadic-ties":
-        # k / 2**j with odd k in [10**(17-j), 10**(18-j)) * 2**j has exactly 18
-        # significant digits, the last a 5: a tie, rounded to even, at the 17th
-        values = []
-        for j in range(3, 23):
-            low, high = math.ceil(10.0 ** (17 - j) * 2**j), math.floor(10.0 ** (18 - j) * 2**j)
-            odd = 2 * rng.integers(low // 2, (high - 1) // 2, 50) + 1
-            values.extend(odd / 2**j * rng.choice([-1.0, 1.0], 50))
-        assert all(len(decimal.Decimal(v).as_tuple().digits) == 18 for v in values)
-        return np.array(values)
-    assert family == "log-uniform"
-    return rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-8, 18, 10_000)
+UNPICKLED: list[bool] = []
 
 
-@st.composite
-def decimal_texts(draw) -> str:
-    """A decimal number's text: a sign, 1-20 digits, the point anywhere or
-    nowhere, and an optional exponent."""
-    digits = draw(st.text("0123456789", min_size=1, max_size=20))
-    point = draw(st.none() | st.integers(0, len(digits)))
-    if point is not None:
-        digits = digits[:point] + "." + digits[point:]
-    exponent = draw(st.none() | st.integers(-30, 30))
-    return (draw(st.sampled_from(["", "-"])) + digits
-            + ("" if exponent is None else f"e{exponent}"))
+def record_unpickling():
+    """The callable an unpickled :class:`Unpickled` calls: a load that runs it
+    has unpickled the file."""
+    UNPICKLED.append(True)
 
 
-def with_line(index: int, line: str):
-    """An edit of a file's text that puts ``line`` in place of line ``index``."""
-    def edit(text: str) -> str:
-        lines = text.splitlines()
-        lines[index] = line
-        return "\n".join(lines) + "\n"
-    return edit
+class Unpickled:
+    def __reduce__(self):
+        return record_unpickling, ()
 
 
 def validate(system: CorruptedSystem) -> None:
@@ -334,75 +297,31 @@ class TestRoundTrip:
         system = generate(spec(m=25, n=4, seed=3, beta=0.2))
         save_system(system, tmp_path / "a")
         save_system(system, tmp_path / "b")
-        for name in ("matrix.csv", "b_observed.csv", "metadata.json"):
+        assert sorted(path.name for path in (tmp_path / "a").iterdir()) == [
+            "b_observed.npy", "matrix.npy", "metadata.json"]
+        for name in ("matrix.npy", "b_observed.npy", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("family", ["edge", "powers-of-ten", "powers-of-two", "dyadic-ties",
-                                        "log-uniform", "bit-patterns", "generated"])
-    def test_csv_holds_each_float_as_format_17g(self, tmp_path, family):
-        """The writer against the plain reference, format(v, ".17g") per value,
-        and the reader against the values saved: here on b_observed beside a
-        random unit-row matrix, or, for "generated", on a whole generated
-        system."""
-        rng = np.random.default_rng(21)
-        if family == "generated":
-            system = generate(spec(m=600, n=10, seed=21, beta=0.2))
-        else:
-            b_observed = csv_family(family, rng)
-            system = CorruptedSystem(
-                matrix=generate(spec(m=b_observed.size, n=3, seed=21)).matrix,
-                x_star=np.zeros(3), b_observed=b_observed,
-                corrupted_indices=np.arange(b_observed.size))
-        save_system(system, tmp_path / "sys")
-        lines = {"matrix.csv": [",".join(format(v, ".17g") for v in row)
-                                for row in system.matrix],
-                 "b_observed.csv": [format(v, ".17g") for v in system.b_observed]}
-        for name, expected in lines.items():
-            text = "".join(line + "\n" for line in expected)
-            assert (tmp_path / "sys" / name).read_bytes() == text.encode()
-        loaded = load_system(tmp_path / "sys")
-        assert loaded.matrix.tobytes() == system.matrix.tobytes()
-        assert loaded.b_observed.tobytes() == system.b_observed.tobytes()
+    def test_paper_scale_round_trip_is_bit_identical(self, tmp_path):
+        original = generate(spec(m=10_000, n=100, seed=7, beta=0.2))
+        loaded = load_system(save_system(original, tmp_path / "sys"))
+        for name in ("matrix", "b_observed", "x_star", "corrupted_indices"):
+            a, b = getattr(original, name), getattr(loaded, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
-    def test_save_streams_the_csv(self, tmp_path):
-        """No text of a whole file is built: the traced peak of a save stays
-        below a quarter of the bytes it writes."""
-        system = generate(spec(m=20_000, n=20, seed=5, beta=0.1))
-        tracemalloc.start()
-        try:
-            save_system(system, tmp_path / "sys")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        written = sum(path.stat().st_size for path in (tmp_path / "sys").iterdir())
-        assert written > 8_000_000
-        assert peak < written / 4
+    def test_loaded_matrix_is_an_owned_array(self, tmp_path):
+        """The loaded matrix views a plain array in memory, not a map of its file."""
+        loaded = load_system(save_system(generate(spec(m=30, n=4, seed=1)), tmp_path / "sys"))
+        assert type(loaded.matrix) is np.ndarray and type(loaded.matrix.base) is np.ndarray
+        assert loaded.matrix.base.flags.owndata
 
-    def test_load_streams_the_csv(self, tmp_path):
-        """The CSV is parsed a block at a time into the loaded arrays: the
-        traced peak of a load stays below the matrix's bytes plus a quarter of
-        the bytes it reads."""
-        system = generate(spec(m=20_000, n=20, seed=5, beta=0.1))
-        save_system(system, tmp_path / "sys")
-        tracemalloc.start()
-        try:
-            load_system(tmp_path / "sys")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        read = sum(path.stat().st_size for path in (tmp_path / "sys").iterdir())
-        assert read > 8_000_000
-        assert peak < system.matrix.nbytes + read / 4
-
-    def test_line_longer_than_a_read(self, tmp_path):
-        rng = np.random.default_rng(8)
-        matrix = rng.standard_normal((3, 8_000))
-        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-        system = CorruptedSystem(matrix=matrix, x_star=np.zeros(8_000),
-                                 b_observed=rng.standard_normal(3), corrupted_indices=np.arange(1))
-        save_system(system, tmp_path / "sys")
-        assert (tmp_path / "sys" / "matrix.csv").stat().st_size > 3 * problems._READ
-        assert load_system(tmp_path / "sys").matrix.tobytes() == matrix.tobytes()
+    def test_non_contiguous_matrix_is_saved_in_c_order(self, tmp_path):
+        matrix = np.asfortranarray(generate(spec(m=30, n=4, seed=1)).matrix)
+        system = CorruptedSystem(matrix=matrix, x_star=np.zeros(4), b_observed=np.zeros(30),
+                                 corrupted_indices=np.arange(0))
+        assert not system.matrix.flags.c_contiguous
+        loaded = load_system(save_system(system, tmp_path / "sys"))
+        assert loaded.matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -414,24 +333,20 @@ class TestRoundTrip:
             loaded = load_system(out)
         assert loaded.b_observed.tobytes() == system.b_observed.tobytes()
 
-    @given(st.lists(decimal_texts(), min_size=1, max_size=40))
-    @settings(max_examples=150, deadline=None)
-    def test_decimal_text_reads_as_float(self, texts):
-        system = CorruptedSystem(matrix=np.ones((len(texts), 1)), x_star=np.zeros(1),
-                                 b_observed=np.zeros(len(texts)), corrupted_indices=np.arange(0))
-        with tempfile.TemporaryDirectory() as out:
-            save_system(system, out)
-            (Path(out) / "b_observed.csv").write_text("".join(t + "\n" for t in texts))
-            loaded = load_system(out)
-        expected = np.array([float(t) for t in texts])
-        assert loaded.b_observed.tobytes() == expected.tobytes()
-
     def test_beta_follows_the_indices(self, tmp_path):
         system = CorruptedSystem(matrix=np.eye(3), x_star=np.zeros(3),
                                  b_observed=np.ones(3), corrupted_indices=np.arange(3))
         assert system.beta == 1.0
         save_system(system, tmp_path / "sys")
         assert load_system(tmp_path / "sys").beta == 1.0
+
+
+def npy_header(shape, descr="<f8", fortran_order=False) -> bytes:
+    """The header np.save writes before an array of this shape, dtype and order."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return buffer.getvalue()
 
 
 class TestLoadValidation:
@@ -447,23 +362,23 @@ class TestLoadValidation:
         meta.update(changes)
         path.write_text(json.dumps(meta))
 
-    def drop_last_line(self, path):
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
+    def edit_array(self, path, edit):
+        """Save ``edit`` of the array ``path`` holds in its place."""
+        np.save(path, edit(np.load(path)))
 
     def test_matrix_rows_disagree_with_metadata(self, saved):
-        self.drop_last_line(saved / "matrix.csv")
-        with pytest.raises(IoError, match="matrix.csv"):
+        self.edit_array(saved / "matrix.npy", lambda a: a[:-1])
+        with pytest.raises(IoError, match=r"matrix.npy: .* shape \(39, 5\) .* shape \(40, 5\)"):
             load_system(saved)
 
     def test_matrix_columns_disagree_with_metadata(self, saved):
         self.edit_meta(saved, n=6)
-        with pytest.raises(IoError, match="matrix.csv"):
+        with pytest.raises(IoError, match=r"matrix.npy: .* shape \(40, 5\) .* shape \(40, 6\)"):
             load_system(saved)
 
     def test_short_b_observed(self, saved):
-        self.drop_last_line(saved / "b_observed.csv")
-        with pytest.raises(IoError, match="b_observed.csv"):
+        self.edit_array(saved / "b_observed.npy", lambda b: b[:-1])
+        with pytest.raises(IoError, match=r"b_observed.npy: .* shape \(39,\) .* shape \(40,\)"):
             load_system(saved)
 
     def test_x_star_length(self, saved):
@@ -491,25 +406,22 @@ class TestLoadValidation:
             load_system(saved)
 
     def test_format_version(self, saved):
-        self.edit_meta(saved, format_version=2)
-        with pytest.raises(IoError, match="format_version"):
+        self.edit_meta(saved, format_version=1)  # the CSV format's
+        with pytest.raises(IoError, match="metadata.json: format_version 1, expected 2"):
             load_system(saved)
 
-    @pytest.mark.parametrize("name", ["matrix.csv", "b_observed.csv"])
-    def test_non_finite_csv_entry(self, saved, name):
-        path = saved / name
-        text = path.read_text()
-        first = text.split("\n", 1)[0].split(",")[0]
-        path.write_text(text.replace(first, "nan", 1))
+    @pytest.mark.parametrize("name, value", [("matrix.npy", math.nan),
+                                             ("b_observed.npy", math.inf)])
+    def test_non_finite_entry(self, saved, name, value):
+        self.edit_array(saved / name, lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7,
+                                                         value, a))
         with pytest.raises(IoError, match=name):
             load_system(saved)
 
     def test_scaled_matrix_row(self, saved):
-        path = saved / "matrix.csv"
-        lines = path.read_text().splitlines()
-        lines[3] = ",".join(repr(2.0 * float(v)) for v in lines[3].split(","))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoError, match="matrix.csv"):
+        self.edit_array(saved / "matrix.npy", lambda a: a * np.where(np.arange(40) == 3, 2.0,
+                                                                     1.0)[:, None])
+        with pytest.raises(IoError, match="matrix.npy: system matrix must have unit-norm rows"):
             load_system(saved)
 
     def test_rows_are_checked_for_unit_norm_once(self, saved, monkeypatch):
@@ -532,65 +444,77 @@ class TestLoadValidation:
         ("metadata.json", lambda text: text.replace('"beta": ', '"beta": "a quarter", "was": ')),
         ("metadata.json", lambda text: text.replace('"corrupted_indices": [',
                                                     '"corrupted_indices": [1.5, ')),
-        ("matrix.csv", lambda text: "one" + text[text.index(","):]),
-        ("b_observed.csv", lambda text: "one" + text[text.index("\n"):]),
-        *[("b_observed.csv", with_line(3, line)) for line in [
-            "1_0", "", "1..5", "--1", "1-2", "0x10", "1.5e", "0.5,0.5", "0.5\n", "0.5\n# a comment",
-            "1\0"]],
     ], ids=["not-json", "json-list", "missing-m", "string-in-x-star", "string-beta",
-            "fractional-index", "word-in-matrix", "word-in-b", "underscore", "empty-field",
-            "two-points", "two-signs", "inner-sign", "hex", "bare-exponent", "ragged-line",
-            "blank-line", "comment-line", "nul"])
+            "fractional-index"])
     def test_malformed_file_is_an_io_error_naming_it(self, saved, name, edit):
         path = saved / name
         path.write_text(edit(path.read_text()))
         with pytest.raises(IoError, match=name):
             load_system(saved)
 
-    @pytest.mark.parametrize("text", [
-        "+1.5", " 0.5", "5e-1", "1", "-0", "1.0000000000000001e-05",
-        "10000000.00000000000000005", "-0.000000000000000000000012345",  # longer than 24 bytes
-        "4503599627370496.5", "4503599627370497.5", "-9007199254740993.0"])  # ties between doubles
-    def test_hand_edited_field_reads_as_float(self, saved, text):
-        path = saved / "b_observed.csv"
-        path.write_text(with_line(3, text)(path.read_text()))
-        assert load_system(saved).b_observed[3:4].tobytes() == np.array([float(text)]).tobytes()
-
-    def test_missing_final_newline(self, saved):
-        expected = load_system(saved)
-        for name in ("matrix.csv", "b_observed.csv"):
-            path = saved / name
-            path.write_bytes(path.read_bytes()[:-1])
-        loaded = load_system(saved)
-        assert loaded.matrix.tobytes() == expected.matrix.tobytes()
-        assert loaded.b_observed.tobytes() == expected.b_observed.tobytes()
+    @pytest.mark.parametrize("name, edit, message", [
+        ("matrix.npy", lambda data: b"0.5,0.5\n" * 40, "not a .npy file: the magic string"),
+        ("b_observed.npy", lambda data: b"", "not a .npy file: EOF"),
+        ("matrix.npy", lambda data: data[:40], "not a .npy file: EOF"),
+        ("b_observed.npy", lambda data: npy_header((40,), "<f4") + bytes(160),
+         r"holds a float32 array of shape \(40,\) in C order"),
+        ("b_observed.npy", lambda data: npy_header((40,), ">f8") + data[128:],
+         r"holds a >f8 array"),
+        ("matrix.npy", lambda data: npy_header((40, 5), fortran_order=True) + data[128:],
+         r"holds a float64 array of shape \(40, 5\) in Fortran order"),
+        ("matrix.npy", lambda data: npy_header((200,)) + data[128:],
+         r"holds a float64 array of shape \(200,\) in C order, expected float64 of shape "
+         r"\(40, 5\) in C order"),
+        ("matrix.npy", lambda data: data[:-1], "holds 1599 bytes of data"),
+    ], ids=["text", "empty", "truncated-header", "float32", "big-endian", "fortran-order",
+            "flat", "short-data"])
+    def test_malformed_array_file_is_an_io_error_naming_it(self, saved, name, edit, message):
+        path = saved / name
+        assert path.read_bytes()[:128].endswith(b"\n")  # np.save's header is 128 bytes here
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(IoError, match=f"{name}: {message}"):
+            load_system(saved)
 
     def test_extra_matrix_line(self, saved):
-        path = saved / "matrix.csv"
-        text = path.read_text()
-        path.write_text(text + text.split("\n", 1)[0] + "\n")
-        with pytest.raises(IoError, match="matrix.csv: more than m=40 lines"):
+        """One more row of values after the 40 x 5 the header declares."""
+        path = saved / "matrix.npy"
+        data = path.read_bytes()
+        path.write_bytes(data + data[128:168])
+        with pytest.raises(IoError, match="matrix.npy: holds 1640 bytes of data"):
             load_system(saved)
 
-    def test_ragged_matrix_line_is_named(self, saved):
-        path = saved / "matrix.csv"
-        text = path.read_text()
-        path.write_text(with_line(6, text.splitlines()[6] + ",0.5")(text))
-        with pytest.raises(IoError, match="matrix.csv: line 7 does not hold n=5 values"):
+    def test_pickled_object_array_is_refused_unread(self, saved):
+        np.save(saved / "b_observed.npy", np.array([Unpickled()] * 40), allow_pickle=True)
+        UNPICKLED.clear()
+        with pytest.raises(IoError, match=r"b_observed.npy: holds a object array"):
             load_system(saved)
+        assert not UNPICKLED
+        np.load(saved / "b_observed.npy", allow_pickle=True)
+        assert UNPICKLED  # the file does hold a pickle that runs the recorder
 
     @pytest.mark.parametrize("m, n", [(0, 5), (40, 0), (-1, 5)])
     def test_empty_shape_is_refused(self, saved, m, n):
-        for name in ("matrix.csv", "b_observed.csv"):
-            (saved / name).write_text("")
+        for name in ("matrix.npy", "b_observed.npy"):
+            (saved / name).write_bytes(b"")
         self.edit_meta(saved, m=m, n=n, beta=0.0, corrupted_indices=[], x_star=[0.0] * n)
         with pytest.raises(IoError, match=f"metadata.json: m={m} and n={n} must be at least 1"):
             load_system(saved)
 
     def test_shape_larger_than_the_file_is_refused_before_allocating(self, saved):
+        """A header and metadata that agree on 10**12 rows, over the data of 40:
+        refused on the file's size, with nothing of the claimed size allocated."""
+        path = saved / "matrix.npy"
+        path.write_bytes(npy_header((10**12, 5)) + path.read_bytes()[128:])
         self.edit_meta(saved, m=10**12, beta=10 / 10**12)
-        with pytest.raises(IoError, match=r"matrix.csv: \d+ bytes cannot hold 10{12}x5 values"):
-            load_system(saved)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IoError, match=r"matrix.npy: holds 1600 bytes of data, expected "
+                                              r"8 for each value of shape \(1000000000000, 5\)"):
+                load_system(saved)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("field, value", [("corrupted_indices", [10**30, 1]),
                                               ("x_star", [10**400, 0, 0, 0, 0])])
@@ -646,6 +570,23 @@ class TestSaveValidation:
         with pytest.raises(ConfigError, match=f"^{field} {message}"):
             save_system(dataclasses.replace(system, **{field: edit(system)}), tmp_path / "sys")
         assert not (tmp_path / "sys").exists()
+
+
+class TestSaveSpec:
+    @pytest.mark.parametrize("bad", [{"family": "gaussian"}, CorruptionSpec(), "gaussian"],
+                             ids=["dict", "corruption-spec", "str"])
+    def test_spec_that_is_no_generator_spec_writes_nothing(self, tmp_path, bad):
+        system = generate(spec(m=40, n=5, seed=4, beta=0.25))
+        with pytest.raises(ConfigError, match="^spec must be a GeneratorSpec or None, got "):
+            save_system(system, tmp_path / "sys", spec=bad)
+        assert not (tmp_path / "sys").exists()
+
+    def test_spec_is_written_as_its_fields(self, tmp_path):
+        gen_spec = spec(m=40, n=5, seed=4, beta=0.25)
+        save_system(generate(gen_spec), tmp_path / "sys", spec=gen_spec)
+        meta = json.loads((tmp_path / "sys" / "metadata.json").read_text())
+        assert meta["format_version"] == 2
+        assert meta["spec"] == json.loads(json.dumps(dataclasses.asdict(gen_spec)))
 
 
 class TestWriteJson:
@@ -762,12 +703,12 @@ class TestUnitRowInvariant:
         ([["a", "b"]], "must be an array of numbers"),
     ], ids=["1-d", "0-d", "no-rows", "no-columns", "ragged", "text"])
     def test_malformed_matrix_rejected(self, matrix, message):
-        # The message's first word is the one load_system maps to matrix.csv.
+        # The message's first word is the one load_system maps to matrix.npy.
         parts = dict(x_star=np.zeros(1), b_observed=np.zeros(1),
                      corrupted_indices=np.array([], dtype=np.intp))
         with pytest.raises(ConfigError, match=f"^system matrix {message}") as caught:
             CorruptedSystem(matrix=matrix, **parts)
-        assert problems._FILES[str(caught.value).split()[0]] == "matrix.csv"
+        assert problems._FILES[str(caught.value).split()[0]] == "matrix.npy"
 
     def test_matrix_is_read_only_view(self):
         matrix = self.unit_matrix()

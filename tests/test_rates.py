@@ -152,6 +152,22 @@ def test_every_spectral_route_refuses_the_same_inputs(route, spectral):
         route(*args)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize("position", [0, 1], ids=["sigma_max_sq", "sigma_restricted_min_sq"])
+@pytest.mark.parametrize("route", [convergence_condition, rate_constants, rate_report,
+                                   alpha_opt_closed_form], ids=lambda route: route.__name__)
+def test_every_spectral_route_refuses_a_non_finite_input(route, position, value):
+    # convergence_condition(0.5, 0.1, 1.0, inf) was (True, 0.0), and with nan
+    # for sigma_max_sq (False, nan).
+    spectral = [1.0, 0.5]
+    spectral[position] = value
+    args = (0.5, 0.1, *spectral) if route is convergence_condition else (0.5, 0.1, 40, *spectral)
+    name = ["sigma_max_sq", "sigma_restricted_min_sq"][position]
+    with pytest.raises(DomainError, match=rf"^{name} must be finite, got "):
+        route(*args)
+
+
 @st.composite
 def rate_inputs(draw):
     """Inputs in the domain whose report a float holds: q*m is at least 1e-3,
@@ -376,6 +392,15 @@ class TestCertifyIteration:
         with pytest.raises(DomainError, match="^spectral inputs must be nonnegative"):
             certify_iteration(system, x, x_next, 0.5, 1.0, stats.tau,
                               sigma_restricted_min_sq=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_worst_case_term_refuses_a_non_finite_restricted_value(self, value):
+        system = small_system(seed=3, m=10, n=2)
+        x = system.x_star + np.random.default_rng(0).standard_normal(2)
+        x_next, stats = self.run_step(system, 0.5, 1.0, x)
+        with pytest.raises(DomainError, match="^sigma_restricted_min_sq must be finite"):
+            certify_iteration(system, x, x_next, 0.5, 1.0, stats.tau,
+                              sigma_restricted_min_sq=value)
 
     def test_precondition_violated_for_huge_step(self):
         system = small_system(seed=6)
