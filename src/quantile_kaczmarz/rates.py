@@ -77,24 +77,34 @@ class RateReport:
         return "\n".join([*lines, self.inputs.summary()])
 
 
-def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
-    """Raise :class:`DomainError` naming the first of: q, beta or a ``spectral``
-    value not a real number (a bool is not); a ``spectral`` value not finite; m
-    not an integer >= 1; beta outside [0, 1); q outside (beta, 1 - beta);
-    sigma_max_sq <= 0; sigma_restricted_min_sq < 0."""
-    for name, value in [("q", q), ("beta", beta), *spectral.items()]:
+def _check_spectral(**spectral: float) -> None:
+    """Raise :class:`DomainError` naming the first of: a ``spectral`` value not
+    a real number (a bool is not) or not finite; sigma_max_sq <= 0;
+    sigma_restricted_min_sq < 0."""
+    for name, value in spectral.items():
         if not is_real(value):
             raise DomainError(f"{name} must be a real number, got {value!r}")
-        if name in spectral and not is_finite(value):
+        if not is_finite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+    if spectral.get("sigma_max_sq", 1.0) <= 0 or spectral.get("sigma_restricted_min_sq", 0.0) < 0:
+        raise DomainError("spectral inputs must be nonnegative with sigma_max_sq > 0")
+
+
+def _check_domain(q: float, beta: float, m: int = 1, **spectral: float) -> None:
+    """Raise :class:`DomainError` naming the first of: q or beta not a real
+    number (a bool is not); what :func:`_check_spectral` refuses of
+    ``spectral``; m not an integer >= 1; beta outside [0, 1); q outside
+    (beta, 1 - beta)."""
+    for name, value in (("q", q), ("beta", beta)):
+        if not is_real(value):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+    _check_spectral(**spectral)
     if not (is_int(m) and m >= 1):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     if not 0.0 <= beta < 1.0:
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
     if not beta < q < 1.0 - beta:
         raise DomainError(f"q must lie in (beta, 1-beta) = ({beta}, {1.0 - beta}), got {q}")
-    if spectral and (spectral["sigma_max_sq"] <= 0 or spectral["sigma_restricted_min_sq"] < 0):
-        raise DomainError("spectral inputs must be nonnegative with sigma_max_sq > 0")
 
 
 def _finite(what: str, formula, *args) -> tuple[float, ...]:
@@ -304,8 +314,9 @@ def certify_iteration(
     ShapeError
         If the accepted uncorrupted block is not tall.
     DomainError
-        If ``2*alpha/|tau| - alpha^2*sigma_max^2/|tau|^2 < 0``, in which case
-        the first bound is vacuous.
+        If ``sigma_max_sq_value`` is given and is not a finite real number
+        > 0, or if ``2*alpha/|tau| - alpha^2*sigma_max^2/|tau|^2 < 0``, in
+        which case the first bound is vacuous.
     """
     a = system.matrix
     x_k = as_array("x_k", x_k, float, copy=None)
@@ -314,6 +325,8 @@ def certify_iteration(
     if tau.size == 0:
         raise ShapeError("cannot certify a no-op step (empty accepted set)")
 
+    if sigma_max_sq_value is not None:
+        _check_spectral(sigma_max_sq=sigma_max_sq_value)
     s2max = sigma_max_sq(a) if sigma_max_sq_value is None else float(sigma_max_sq_value)
     corrupted = system.corrupted_mask()
     tau1 = tau[~corrupted[tau]]

@@ -345,7 +345,8 @@ def test_criterion_6_fixed_points_and_determinism(tmp_path):
     spec = qk.GeneratorSpec("coherent", 60, 6, seed=1, corruption=qk.CorruptionSpec(beta=0.2))
     qk.save_system(qk.generate(spec), tmp_path / "s1", spec=spec)
     qk.save_system(qk.generate(spec), tmp_path / "s2", spec=spec)
-    for name in ("matrix.npy", "b_observed.npy", "metadata.json"):
+    for name in ("matrix.npy", "b_observed.npy", "x_star.npy", "corrupted_indices.npy",
+                 "metadata.json"):
         bytes_ok &= (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
 
     ok = fixed_ok and bytes_ok

@@ -402,6 +402,20 @@ class TestCertifyIteration:
             certify_iteration(system, x, x_next, 0.5, 1.0, stats.tau,
                               sigma_restricted_min_sq=value)
 
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "^sigma_max_sq must be finite, got nan$"),
+        (math.inf, "^sigma_max_sq must be finite, got inf$"),
+        (True, "^sigma_max_sq must be a real number, got True$"),
+        (0.0, "^spectral inputs must be nonnegative with sigma_max_sq > 0$"),
+        (-1.0, "^spectral inputs must be nonnegative with sigma_max_sq > 0$"),
+    ])
+    def test_sigma_max_sq_value_outside_its_domain_rejected(self, value, message):
+        system = small_system(seed=3, m=10, n=2)
+        x = system.x_star + np.random.default_rng(0).standard_normal(2)
+        x_next, stats = self.run_step(system, 0.5, 1.0, x)
+        with pytest.raises(DomainError, match=message):
+            certify_iteration(system, x, x_next, 0.5, 1.0, stats.tau, sigma_max_sq_value=value)
+
     def test_precondition_violated_for_huge_step(self):
         system = small_system(seed=6)
         rng = np.random.default_rng(1)
